@@ -1,7 +1,7 @@
 (* Shared, lazily cached data for the experiment harness: compiled
    workloads and per-(workload, input, mode-table) profiles.  Profiling is
-   the expensive step (one full simulation per mode), so every experiment
-   goes through this cache. *)
+   the expensive step (one recorded simulation, re-costed per mode), so
+   every experiment goes through this cache. *)
 
 open Dvs_workloads
 

@@ -1,6 +1,7 @@
 (* Bechamel micro-benchmarks of the core engines: the MILP stack (one
-   representative DVS formulation solve), the raw simplex, the
-   cycle-level simulator, and the analytical optimizer.  These are the
+   representative DVS formulation solve), the raw simplex, the three
+   machine kernels (cycle-level simulation, tape recording, tape replay),
+   and the analytical optimizer.  These are the
    performance numbers behind the Figure 14/18 solve-time claims. *)
 
 open Bechamel
@@ -69,6 +70,21 @@ let tests () =
       Test.make ~name:"simulate-adpcm-pinned"
         (Staged.stage (fun () ->
              ignore (Dvs_machine.Cpu.run machine cfg ~memory:mem)));
+      (* The other two machine kernels: recording a tape (one
+         cycle-accurate run plus op capture) and re-costing it. *)
+      Test.make ~name:"record-adpcm"
+        (Staged.stage (fun () ->
+             ignore (Dvs_machine.Summary.create machine cfg ~memory:mem)));
+      Test.make ~name:"replay-adpcm-warm"
+        (let session = Dvs_machine.Summary.create machine cfg ~memory:mem in
+         let edge_mode =
+           Array.make (Dvs_machine.Summary.n_edges session) None
+         in
+         (* Warm the summary cache outside the timed region. *)
+         ignore (Dvs_machine.Summary.replay session ~entry_mode:1 ~edge_mode);
+         Staged.stage (fun () ->
+             ignore
+               (Dvs_machine.Summary.replay session ~entry_mode:1 ~edge_mode)));
       Test.make ~name:"milp-pipeline-ghostscript"
         (Staged.stage (fun () ->
              ignore

@@ -3,9 +3,9 @@
      dune exec examples/quickstart.exe
 
    Steps: write a MiniC program, compile it to a CFG, profile it on the
-   cycle-level machine (once per DVS mode), build and solve the MILP that
-   places a mode on every control-flow edge, then re-simulate with the
-   schedule applied and check the deadline. *)
+   cycle-level machine (one recorded run, re-costed per DVS mode), build
+   and solve the MILP that places a mode on every control-flow edge,
+   then re-simulate with the schedule applied and check the deadline. *)
 
 let source =
   "int data[4096]; int s; int i; int j;\n\
@@ -41,7 +41,7 @@ let () =
   in
   let memory = Array.init layout.Dvs_lang.Lower.memory_words (fun i -> i mod 255) in
 
-  (* 3. Profile: one pinned simulation per mode. *)
+  (* 3. Profile: one recorded simulation, replayed pinned at each mode. *)
   let profile = Dvs_profile.Profile.collect machine cfg ~memory in
   let t_fast = Dvs_profile.Profile.pinned_time profile ~mode:2 in
   let t_slow = Dvs_profile.Profile.pinned_time profile ~mode:0 in

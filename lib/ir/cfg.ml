@@ -18,7 +18,11 @@ type t = {
   entry : label;
   blocks : block array;
   edges : edge array;
-  edge_idx : (edge, int) Hashtbl.t;
+  edge_base : int array;  (* per source: index of its first out-edge *)
+  succ_slots : int array;
+      (* two per source, [2 * src] and [2 * src + 1]: the out-edge
+         targets in {!edges} order, -1 when absent (a terminator has at
+         most two targets) *)
   succs : label list array;
   preds : label list array;
 }
@@ -44,9 +48,18 @@ let build_graph entry blocks =
         ts)
     blocks;
   let edges = Array.of_list (List.rev !edge_list) in
-  let edge_idx = Hashtbl.create (Array.length edges) in
-  Array.iteri (fun i e -> Hashtbl.replace edge_idx e i) edges;
-  { entry; blocks; edges; edge_idx; succs; preds }
+  let edge_base = Array.make n 0 in
+  let succ_slots = Array.make (2 * n) (-1) in
+  Array.iteri
+    (fun i e ->
+      let k = 2 * e.src in
+      if succ_slots.(k) < 0 then begin
+        edge_base.(e.src) <- i;
+        succ_slots.(k) <- e.dst
+      end
+      else succ_slots.(k + 1) <- e.dst)
+    edges;
+  { entry; blocks; edges; edge_base; succ_slots; succs; preds }
 
 let entry g = g.entry
 
@@ -65,10 +78,15 @@ let predecessors g l = g.preds.(l)
 
 let edges g = g.edges
 
-let edge_index g e =
-  match Hashtbl.find_opt g.edge_idx e with
-  | Some i -> i
-  | None -> raise Not_found
+let edge_index_of g ~src ~dst =
+  if src < 0 || src >= Array.length g.edge_base || dst < 0 then
+    raise Not_found;
+  let k = 2 * src in
+  if g.succ_slots.(k) = dst then g.edge_base.(src)
+  else if g.succ_slots.(k + 1) = dst then g.edge_base.(src) + 1
+  else raise Not_found
+
+let edge_index g e = edge_index_of g ~src:e.src ~dst:e.dst
 
 let validate g =
   let n = Array.length g.blocks in

@@ -45,6 +45,11 @@ val edges : t -> edge array
 val edge_index : t -> edge -> int
 (** Position of an edge in {!edges}.  Raises [Not_found] for non-edges. *)
 
+val edge_index_of : t -> src:label -> dst:label -> int
+(** [edge_index g {src; dst}] without building the edge: a constant-time
+    lookup in [src]'s successor slots, allocation-free for the
+    simulator's per-block use.  Raises [Not_found] for non-edges. *)
+
 val validate : t -> (unit, string) result
 (** Checks: entry in range, all terminator targets in range, labels dense
     and consistent with array positions. *)

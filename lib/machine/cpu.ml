@@ -65,6 +65,23 @@ module Run_config = struct
   let with_recorder r t = { t with recorder = Some r }
 end
 
+(* The run's float state.  An all-float record is stored flat, so
+   updating a field writes the float in place; a [float ref] would
+   allocate a fresh box on every charge. *)
+type fstate = {
+  mutable time : float;
+  mutable energy : float;
+  mutable dtime : float;  (* block-local, uncommitted *)
+  mutable denergy : float;
+  mutable voltage : float;
+  mutable freq : float;
+  mutable t_time : float;
+  mutable t_energy : float;
+  mutable busy_end : float;
+  mutable miss_busy : float;
+  mutable stall : float;
+}
+
 let max_reg_of_cfg g =
   Array.fold_left
     (fun acc b ->
@@ -114,85 +131,91 @@ let run ?(rc = Run_config.default) (cfg : Config.t) g ~memory =
      absolute events): summing each block's charges from 0.0 is what
      lets {!Summary} replay a memoized per-block delta bit-identically —
      float addition is not associative, so the exact path and the replay
-     path must share one accumulation grouping. *)
-  let time = ref 0.0 and energy = ref 0.0 in
-  let dtime = ref 0.0 and denergy = ref 0.0 in
+     path must share one accumulation grouping.  The current time is
+     [time + dtime], written out at each use: a helper returning it would
+     box the float unless the compiler happens to inline it. *)
+  let m0 = Dvs_power.Mode.get table initial_mode in
+  let fs =
+    { time = 0.0; energy = 0.0; dtime = 0.0; denergy = 0.0;
+      voltage = m0.voltage; freq = m0.frequency; t_time = 0.0;
+      t_energy = 0.0; busy_end = neg_infinity; miss_busy = 0.0;
+      stall = 0.0 }
+  in
   let commit () =
-    if !dtime <> 0.0 then begin
-      time := !time +. !dtime;
-      dtime := 0.0
+    if fs.dtime <> 0.0 then begin
+      fs.time <- fs.time +. fs.dtime;
+      fs.dtime <- 0.0
     end;
-    if !denergy <> 0.0 then begin
-      energy := !energy +. !denergy;
-      denergy := 0.0
+    if fs.denergy <> 0.0 then begin
+      fs.energy <- fs.energy +. fs.denergy;
+      fs.denergy <- 0.0
     end
   in
-  let now () = !time +. !dtime in
   let mode = ref initial_mode in
-  let voltage = ref (Dvs_power.Mode.get table initial_mode).voltage in
-  let freq = ref (Dvs_power.Mode.get table initial_mode).frequency in
   let dyn = ref 0 in
   let transitions = ref 0 in
-  let t_time = ref 0.0 and t_energy = ref 0.0 in
   let overlap_cycles = ref 0 and dependent_cycles = ref 0 in
   let cache_hit_cycles = ref 0 in
-  let busy_end = ref neg_infinity and miss_busy = ref 0.0 in
-  let stall = ref 0.0 in
-  let in_flight () = !busy_end > now () in
   (* Charge [c] synchronous cycles of kind [`Compute] or [`Mem_hit]. *)
   let charge kind c =
     (match kind with
     | `Mem_hit ->
       cache_hit_cycles := !cache_hit_cycles + c;
       (match recorder with
-      | Some r -> Tape.record r (Tape.op_hit c)
+      | Some r -> Tape.record r Tape.tag_hit c
       | None -> ())
     | `Compute ->
-      if in_flight () then overlap_cycles := !overlap_cycles + c
+      if fs.busy_end > fs.time +. fs.dtime then
+        overlap_cycles := !overlap_cycles + c
       else dependent_cycles := !dependent_cycles + c;
       (match recorder with
-      | Some r -> Tape.record r (Tape.op_compute c)
+      | Some r -> Tape.record r Tape.tag_compute c
       | None -> ()));
-    dtime := !dtime +. (float_of_int c /. !freq);
-    denergy :=
-      !denergy
-      +. (float_of_int c *. cfg.active_energy_coeff *. !voltage *. !voltage)
+    fs.dtime <- fs.dtime +. (float_of_int c /. fs.freq);
+    fs.denergy <-
+      fs.denergy
+      +. (float_of_int c *. cfg.active_energy_coeff *. fs.voltage
+         *. fs.voltage)
   in
   let wait_for r =
     if pending.(r) <> neg_infinity then begin
       (match recorder with
-      | Some rc -> Tape.record rc (Tape.op_wait r)
+      | Some rc -> Tape.record rc Tape.tag_wait r
       | None -> ());
-      if pending.(r) > now () then begin
+      if pending.(r) > fs.time +. fs.dtime then begin
         commit ();
-        stall := !stall +. (pending.(r) -. !time);
-        time := pending.(r)
+        fs.stall <- fs.stall +. (pending.(r) -. fs.time);
+        fs.time <- pending.(r)
       end
     end
   in
   let clear_pending rd =
     if pending.(rd) <> neg_infinity then begin
       (match recorder with
-      | Some rc -> Tape.record rc (Tape.op_clear rd)
+      | Some rc -> Tape.record rc Tape.tag_clear rd
       | None -> ());
       pending.(rd) <- neg_infinity
     end
   in
-  let issue_miss () =
-    let anow = now () in
+  (* Start a DRAM transaction; a load ([rd >= 0]) makes its destination
+     pending until the completion, a store ([rd = -1]) only extends the
+     miss-busy window.  Storing the completion here, rather than
+     returning it, keeps it unboxed. *)
+  let issue_miss rd =
+    let anow = fs.time +. fs.dtime in
     let completion = anow +. cfg.dram_latency in
-    if anow >= !busy_end then begin
-      miss_busy := !miss_busy +. cfg.dram_latency;
+    if anow >= fs.busy_end then begin
+      fs.miss_busy <- fs.miss_busy +. cfg.dram_latency;
       (* A fresh miss-overlap window opens (extensions of a live window
          are not re-announced, so the event count is the window count). *)
       if obs_on then
         Tr.event tr ~stability:Tr.Stable "sim.miss_window"
           ~attrs:[ ("t", Tr.Float anow) ]
     end
-    else if completion > !busy_end then
-      miss_busy := !miss_busy +. (completion -. !busy_end);
-    if completion > !busy_end then busy_end := completion;
-    completion
+    else if completion > fs.busy_end then
+      fs.miss_busy <- fs.miss_busy +. (completion -. fs.busy_end);
+    if completion > fs.busy_end then fs.busy_end <- completion;
+    if rd >= 0 then pending.(rd) <- completion
   in
   let set_mode m =
     if m < 0 || m >= n_modes then invalid_arg "Cpu.run: mode out of range";
@@ -202,19 +225,19 @@ let run ?(rc = Run_config.default) (cfg : Config.t) g ~memory =
       let nxt = Dvs_power.Mode.get table m in
       let dt = Dvs_power.Switch_cost.time cfg.regulator cur.voltage nxt.voltage in
       let de = Dvs_power.Switch_cost.energy cfg.regulator cur.voltage nxt.voltage in
-      time := !time +. dt;
-      energy := !energy +. de;
-      t_time := !t_time +. dt;
-      t_energy := !t_energy +. de;
+      fs.time <- fs.time +. dt;
+      fs.energy <- fs.energy +. de;
+      fs.t_time <- fs.t_time +. dt;
+      fs.t_energy <- fs.t_energy +. de;
       incr transitions;
       if obs_on then
         Tr.event tr ~stability:Tr.Stable "sim.mode_transition"
           ~attrs:
             [ ("from", Tr.Int !mode); ("to", Tr.Int m);
-              ("t", Tr.Float !time) ];
+              ("t", Tr.Float fs.time) ];
       mode := m;
-      voltage := nxt.voltage;
-      freq := nxt.frequency
+      fs.voltage <- nxt.voltage;
+      fs.freq <- nxt.frequency
     end
   in
   let check_addr a =
@@ -223,7 +246,6 @@ let run ?(rc = Run_config.default) (cfg : Config.t) g ~memory =
   in
   let exec (i : Instr.t) =
     incr dyn;
-    (match recorder with Some r -> Tape.instr r | None -> ());
     match i with
     | Instr.Li (rd, v) ->
       charge `Compute (Instr.latency i);
@@ -245,16 +267,16 @@ let run ?(rc = Run_config.default) (cfg : Config.t) g ~memory =
       let a = regs.(rs) + off in
       check_addr a;
       let outcome = Hierarchy.access hier ~word_addr:a in
-      if outcome.Hierarchy.dram then begin
+      if Hierarchy.dram outcome then begin
         (* One issue cycle; the lookup overlaps the DRAM transaction. *)
         charge `Mem_hit 1;
         (match recorder with
-        | Some r -> Tape.record r (Tape.op_miss_load rd)
+        | Some r -> Tape.record r Tape.tag_miss_load rd
         | None -> ());
-        pending.(rd) <- issue_miss ()
+        issue_miss rd
       end
       else begin
-        charge `Mem_hit (1 + outcome.Hierarchy.cycles);
+        charge `Mem_hit (1 + Hierarchy.cycles outcome);
         clear_pending rd
       end;
       regs.(rd) <- mem.(a)
@@ -264,29 +286,21 @@ let run ?(rc = Run_config.default) (cfg : Config.t) g ~memory =
       let a = regs.(rs) + off in
       check_addr a;
       let outcome = Hierarchy.access hier ~word_addr:a in
-      if outcome.Hierarchy.dram then begin
+      if Hierarchy.dram outcome then begin
         charge `Mem_hit 1;
         (match recorder with
-        | Some r -> Tape.record r Tape.op_miss_store
+        | Some r -> Tape.record r Tape.tag_miss_store 0
         | None -> ());
-        ignore (issue_miss ())
+        issue_miss (-1)
       end
-      else charge `Mem_hit (1 + outcome.Hierarchy.cycles);
+      else charge `Mem_hit (1 + Hierarchy.cycles outcome);
       mem.(a) <- regs.(rv)
     | Instr.Nop -> charge `Compute 1
     | Instr.Modeset m ->
       (match recorder with
-      | Some r -> Tape.record r (Tape.op_modeset m)
+      | Some r -> Tape.record r Tape.tag_modeset m
       | None -> ());
       set_mode m
-  in
-  let notify label via =
-    match observer with
-    | Some f -> f label ~via ~time:!time ~energy:!energy
-    | None -> ()
-  in
-  let edge_mode e =
-    match edge_modes with Some f -> f e | None -> None
   in
   (* Interval governor: consulted at block boundaries. *)
   let gov_next = ref infinity in
@@ -302,55 +316,62 @@ let run ?(rc = Run_config.default) (cfg : Config.t) g ~memory =
     match governor with
     | None -> ()
     | Some gv ->
-      if !time >= !gov_next then begin
-        let elapsed = !time -. !gov_window_start in
-        let stalled = !stall -. !gov_stall_mark in
+      if fs.time >= !gov_next then begin
+        let elapsed = fs.time -. !gov_window_start in
+        let stalled = fs.stall -. !gov_stall_mark in
         let busy_fraction =
           if elapsed <= 0.0 then 1.0
           else Float.max 0.0 (Float.min 1.0 (1.0 -. (stalled /. elapsed)))
         in
         let next = gv.gov_decide ~busy_fraction ~current_mode:!mode in
         set_mode (Int.max 0 (Int.min (n_modes - 1) next));
-        gov_window_start := !time;
-        gov_stall_mark := !stall;
-        gov_next := !time +. gv.gov_interval
+        gov_window_start := fs.time;
+        gov_stall_mark := fs.stall;
+        gov_next := fs.time +. gv.gov_interval
       end
   in
-  let rec step label via budget =
+  (* [src] is the block the run arrived from, -1 at program entry (an
+     int rather than an option: this runs once per dynamic block). *)
+  let rec step label src budget =
     if budget <= 0 then raise Out_of_fuel;
     consult_governor ();
-    (match via with
-    | Some src -> (
-      match edge_mode { Cfg.src; dst = label } with
-      | Some m -> set_mode m
-      | None -> ())
-    | None -> ());
+    (if src >= 0 then
+       match edge_modes with
+       | Some f -> (
+         match f { Cfg.src; dst = label } with
+         | Some m -> set_mode m
+         | None -> ())
+       | None -> ());
     (match recorder with
-    | Some r -> Tape.enter_block r ~label ~via
+    | Some r -> Tape.enter_block r ~label
     | None -> ());
-    notify label via;
+    (match observer with
+    | Some f ->
+      let via = if src < 0 then None else Some src in
+      f label ~via ~time:fs.time ~energy:fs.energy
+    | None -> ());
     let b = Cfg.block g label in
     Array.iter exec b.Cfg.body;
     match b.Cfg.term with
     | Cfg.Halt ->
       commit ();
       (* Drain outstanding memory traffic. *)
-      if !busy_end > !time then begin
-        stall := !stall +. (!busy_end -. !time);
-        time := !busy_end
+      if fs.busy_end > fs.time then begin
+        fs.stall <- fs.stall +. (fs.busy_end -. fs.time);
+        fs.time <- fs.busy_end
       end
     | Cfg.Jump l ->
       charge `Compute 1;
       commit ();
-      step l (Some label) (budget - 1)
+      step l label (budget - 1)
     | Cfg.Branch (r, taken, fallthrough) ->
       wait_for r;
       charge `Compute 1;
       commit ();
       let dst = if regs.(r) <> 0 then taken else fallthrough in
-      step dst (Some label) (budget - 1)
+      step dst label (budget - 1)
   in
-  step (Cfg.entry g) None fuel;
+  step (Cfg.entry g) (-1) fuel;
   if obs_on then begin
     (* Merge-time aggregation: the hot loop above never touched the
        registry.  The cycle split is the measured Noverlap / Ndependent /
@@ -369,20 +390,20 @@ let run ?(rc = Run_config.default) (cfg : Config.t) g ~memory =
       Dvs_obs.Metrics.Gauge.set
         (Dvs_obs.Metrics.gauge mxr ~stability:Dvs_obs.Metrics.Stable name) v
     in
-    g "sim.time_seconds" !time;
-    g "sim.energy_joules" !energy;
-    g "sim.stall_seconds" !stall;
-    g "sim.miss_busy_seconds" !miss_busy;
+    g "sim.time_seconds" fs.time;
+    g "sim.energy_joules" fs.energy;
+    g "sim.stall_seconds" fs.stall;
+    g "sim.miss_busy_seconds" fs.miss_busy;
     Tr.finish tr run_span
       ~attrs:
-        [ ("time", Tr.Float !time); ("energy", Tr.Float !energy);
+        [ ("time", Tr.Float fs.time); ("energy", Tr.Float fs.energy);
           ("dyn_instrs", Tr.Int !dyn);
           ("mode_transitions", Tr.Int !transitions) ]
   end;
-  { time = !time; energy = !energy; dyn_instrs = !dyn;
-    mode_transitions = !transitions; transition_time = !t_time;
-    transition_energy = !t_energy; l1 = Hierarchy.l1_stats hier;
+  { time = fs.time; energy = fs.energy; dyn_instrs = !dyn;
+    mode_transitions = !transitions; transition_time = fs.t_time;
+    transition_energy = fs.t_energy; l1 = Hierarchy.l1_stats hier;
     l2 = Hierarchy.l2_stats hier; overlap_cycles = !overlap_cycles;
     dependent_cycles = !dependent_cycles;
-    cache_hit_cycles = !cache_hit_cycles; miss_busy_time = !miss_busy;
-    stall_time = !stall; registers = regs; memory = mem }
+    cache_hit_cycles = !cache_hit_cycles; miss_busy_time = fs.miss_busy;
+    stall_time = fs.stall; registers = regs; memory = mem }

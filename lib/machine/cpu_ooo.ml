@@ -158,13 +158,13 @@ let run ?(rc = Cpu.Run_config.default) ?(window = 64) ?(issue_width = 4)
       let outcome = Hierarchy.access hier ~word_addr:a in
       let t = Float.max (fetch_slot ()) ready.(rs) in
       let completion =
-        if outcome.Hierarchy.dram then begin
+        if Hierarchy.dram outcome then begin
           charge_energy 1;
           cache_hit_cycles := !cache_hit_cycles + 1;
           issue_miss (t +. (1.0 /. !freq))
         end
         else begin
-          let c = 1 + outcome.Hierarchy.cycles in
+          let c = 1 + Hierarchy.cycles outcome in
           charge_energy c;
           cache_hit_cycles := !cache_hit_cycles + c;
           t +. (float_of_int c /. !freq)
@@ -180,7 +180,7 @@ let run ?(rc = Cpu.Run_config.default) ?(window = 64) ?(issue_width = 4)
       let outcome = Hierarchy.access hier ~word_addr:a in
       let t = Float.max (fetch_slot ()) (Float.max ready.(rv) ready.(rs)) in
       let retire =
-        if outcome.Hierarchy.dram then begin
+        if Hierarchy.dram outcome then begin
           charge_energy 1;
           cache_hit_cycles := !cache_hit_cycles + 1;
           (* The store retires into a store buffer after issue; only the
@@ -189,7 +189,7 @@ let run ?(rc = Cpu.Run_config.default) ?(window = 64) ?(issue_width = 4)
           t +. (1.0 /. !freq)
         end
         else begin
-          let c = 1 + outcome.Hierarchy.cycles in
+          let c = 1 + Hierarchy.cycles outcome in
           charge_energy c;
           cache_hit_cycles := !cache_hit_cycles + c;
           t +. (float_of_int c /. !freq)

@@ -13,25 +13,32 @@ type block_summary = {
 }
 
 (* Full replay-engine state "before position p".  [dtime]/[denergy] are
-   always 0.0 at block boundaries, so checkpoints never need them. *)
-type state = {
+   always 0.0 at block boundaries, so checkpoints never need them.  The
+   floats live in their own all-float record, stored flat: updating one
+   writes it in place, where a float field of the mixed record would
+   allocate a box per update. *)
+type fstate = {
   mutable time : float;
   mutable energy : float;
   mutable dtime : float;
   mutable denergy : float;
-  mutable mode : int;
   mutable voltage : float;
   mutable freq : float;
-  mutable dyn : int;
-  mutable transitions : int;
   mutable t_time : float;
   mutable t_energy : float;
-  mutable overlap : int;
-  mutable dependent : int;
-  mutable cache_hit : int;
   mutable busy_end : float;
   mutable miss_busy : float;
   mutable stall : float;
+}
+
+type state = {
+  f : fstate;
+  mutable mode : int;
+  mutable dyn : int;
+  mutable transitions : int;
+  mutable overlap : int;
+  mutable dependent : int;
+  mutable cache_hit : int;
   pending : float array;
   (* replay-tier accounting (volatile counters) *)
   mutable blocks : int;
@@ -39,7 +46,9 @@ type state = {
   mutable misses : int;
 }
 
-let copy_state st = { st with pending = Array.copy st.pending }
+let copy_state st =
+  { st with f = { st.f with time = st.f.time };
+            pending = Array.copy st.pending }
 
 type baseline = {
   b_entry : int;
@@ -78,6 +87,8 @@ let create ?fuel ?(obs = Dvs_obs.disabled) (config : Config.t) cfg ~memory =
         (fun _ -> Array.init n_modes (fun _ -> Atomic.make None));
     next_token = Atomic.make 1; lock = Mutex.create (); baselines = [] }
 
+let tape t = t.tape
+
 let n_edges t = t.tape.Tape.n_edges
 
 let positions t = Tape.positions t.tape
@@ -88,12 +99,14 @@ let init_state t ~entry_mode =
   if entry_mode < 0 || entry_mode >= t.n_modes then
     invalid_arg "Summary.replay: entry mode out of range";
   let m = Dvs_power.Mode.get t.config.Config.mode_table entry_mode in
-  { time = 0.0; energy = 0.0; dtime = 0.0; denergy = 0.0; mode = entry_mode;
-    voltage = m.voltage; freq = m.frequency; dyn = 0; transitions = 0;
-    t_time = 0.0; t_energy = 0.0; overlap = 0; dependent = 0; cache_hit = 0;
-    busy_end = neg_infinity; miss_busy = 0.0; stall = 0.0;
-    pending = Array.make t.tape.Tape.n_regs neg_infinity; blocks = 0;
-    hits = 0; misses = 0 }
+  { f =
+      { time = 0.0; energy = 0.0; dtime = 0.0; denergy = 0.0;
+        voltage = m.voltage; freq = m.frequency; t_time = 0.0;
+        t_energy = 0.0; busy_end = neg_infinity; miss_busy = 0.0;
+        stall = 0.0 };
+    mode = entry_mode; dyn = 0; transitions = 0; overlap = 0; dependent = 0;
+    cache_hit = 0; pending = Array.make t.tape.Tape.n_regs neg_infinity;
+    blocks = 0; hits = 0; misses = 0 }
 
 let check_edge_mode t edge_mode =
   if Array.length edge_mode <> t.tape.Tape.n_edges then
@@ -101,46 +114,50 @@ let check_edge_mode t edge_mode =
 
 let stride t = Int.max 64 (Tape.positions t.tape / 256)
 
+(* Per-block cost attribution for {!replay_pinned}: each dynamic
+   block's label gets the time and energy from its entry (after any edge
+   mode-set) to the next block's entry, the last block also the final
+   drain — the grouping of the observer-based profiler this replaces. *)
+type attribution = { a_time : float array; a_energy : float array }
+
 (* Replay tape positions [from_pos, len), mutating [st], collecting
-   checkpoints (newest first) at every stride position, and draining
-   outstanding memory traffic at the end of the tape. *)
-let exec_range t obs st ~edge_mode ~from_pos =
+   checkpoints (newest first) at every [stride] position ([0]: none),
+   and draining outstanding memory traffic at the end of the tape.  The
+   per-position path allocates nothing: helpers take and return ints
+   only, and every float lives in [st.f], [st.pending] or an unboxed
+   local. *)
+let exec_range t obs st ~edge_mode ~from_pos ~stride ~attrib =
   let cfg = t.config in
   let table = cfg.Config.mode_table in
   let tape = t.tape in
+  let fs = st.f in
   let tr = Dvs_obs.trace obs in
   let obs_on = Dvs_obs.enabled obs in
   let module Tr = Dvs_obs.Trace in
   let commit () =
-    if st.dtime <> 0.0 then begin
-      st.time <- st.time +. st.dtime;
-      st.dtime <- 0.0
+    if fs.dtime <> 0.0 then begin
+      fs.time <- fs.time +. fs.dtime;
+      fs.dtime <- 0.0
     end;
-    if st.denergy <> 0.0 then begin
-      st.energy <- st.energy +. st.denergy;
-      st.denergy <- 0.0
+    if fs.denergy <> 0.0 then begin
+      fs.energy <- fs.energy +. fs.denergy;
+      fs.denergy <- 0.0
     end
   in
-  let charge c =
-    st.dtime <- st.dtime +. (float_of_int c /. st.freq);
-    st.denergy <-
-      st.denergy
-      +. (float_of_int c *. cfg.Config.active_energy_coeff *. st.voltage
-         *. st.voltage)
-  in
-  let issue_miss () =
-    let anow = st.time +. st.dtime in
+  (* [rd = -1] for a store miss (see Cpu.run's issue_miss). *)
+  let issue_miss rd =
+    let anow = fs.time +. fs.dtime in
     let completion = anow +. cfg.Config.dram_latency in
-    if anow >= st.busy_end then begin
-      st.miss_busy <- st.miss_busy +. cfg.Config.dram_latency;
+    if anow >= fs.busy_end then begin
+      fs.miss_busy <- fs.miss_busy +. cfg.Config.dram_latency;
       if obs_on then
         Tr.event tr ~stability:Tr.Stable "sim.miss_window"
           ~attrs:[ ("t", Tr.Float anow) ]
     end
-    else if completion > st.busy_end then
-      st.miss_busy <- st.miss_busy +. (completion -. st.busy_end);
-    if completion > st.busy_end then st.busy_end <- completion;
-    completion
+    else if completion > fs.busy_end then
+      fs.miss_busy <- fs.miss_busy +. (completion -. fs.busy_end);
+    if completion > fs.busy_end then fs.busy_end <- completion;
+    if rd >= 0 then st.pending.(rd) <- completion
   in
   let set_mode m =
     if m < 0 || m >= t.n_modes then
@@ -157,49 +174,67 @@ let exec_range t obs st ~edge_mode ~from_pos =
         Dvs_power.Switch_cost.energy cfg.Config.regulator cur.voltage
           nxt.voltage
       in
-      st.time <- st.time +. dt;
-      st.energy <- st.energy +. de;
-      st.t_time <- st.t_time +. dt;
-      st.t_energy <- st.t_energy +. de;
+      fs.time <- fs.time +. dt;
+      fs.energy <- fs.energy +. de;
+      fs.t_time <- fs.t_time +. dt;
+      fs.t_energy <- fs.t_energy +. de;
       st.transitions <- st.transitions + 1;
       if obs_on then
         Tr.event tr ~stability:Tr.Stable "sim.mode_transition"
           ~attrs:
             [ ("from", Tr.Int st.mode); ("to", Tr.Int m);
-              ("t", Tr.Float st.time) ];
+              ("t", Tr.Float fs.time) ];
       st.mode <- m;
-      st.voltage <- nxt.voltage;
-      st.freq <- nxt.frequency
+      fs.voltage <- nxt.voltage;
+      fs.freq <- nxt.frequency
     end
   in
+  (* The block-local accumulators live in local refs for the length of
+     the op loop, which the compiler keeps unboxed in registers rather
+     than storing to [fs] on every op; they are written back before any
+     helper that reads or commits them, and reloaded after it. *)
   let replay_ops (v : Tape.variant) =
     let ops = v.Tape.ops in
+    let dtime = ref fs.dtime and denergy = ref fs.denergy in
     for i = 0 to Array.length ops - 1 do
       let op = ops.(i) in
-      let tag = Tape.op_tag op in
-      let pl = Tape.op_payload op in
-      if tag = Tape.tag_compute then begin
-        if st.busy_end > st.time +. st.dtime then
+      let tag = op land 7 and pl = op lsr 3 in
+      if tag = Tape.tag_compute || tag = Tape.tag_hit then begin
+        if tag = Tape.tag_hit then st.cache_hit <- st.cache_hit + pl
+        else if fs.busy_end > fs.time +. !dtime then
           st.overlap <- st.overlap + pl
         else st.dependent <- st.dependent + pl;
-        charge pl
-      end
-      else if tag = Tape.tag_hit then begin
-        st.cache_hit <- st.cache_hit + pl;
-        charge pl
+        (* Cpu.run's [charge]. *)
+        dtime := !dtime +. (float_of_int pl /. fs.freq);
+        denergy :=
+          !denergy
+          +. (float_of_int pl *. cfg.Config.active_energy_coeff *. fs.voltage
+             *. fs.voltage)
       end
       else if tag = Tape.tag_wait then begin
-        if st.pending.(pl) > st.time +. st.dtime then begin
+        if st.pending.(pl) > fs.time +. !dtime then begin
+          fs.dtime <- !dtime;
+          fs.denergy <- !denergy;
           commit ();
-          st.stall <- st.stall +. (st.pending.(pl) -. st.time);
-          st.time <- st.pending.(pl)
+          fs.stall <- fs.stall +. (st.pending.(pl) -. fs.time);
+          fs.time <- st.pending.(pl);
+          dtime := fs.dtime;
+          denergy := fs.denergy
         end
       end
       else if tag = Tape.tag_clear then st.pending.(pl) <- neg_infinity
-      else if tag = Tape.tag_miss_load then st.pending.(pl) <- issue_miss ()
-      else if tag = Tape.tag_miss_store then ignore (issue_miss ())
-      else set_mode pl
-    done
+      else begin
+        fs.dtime <- !dtime;
+        fs.denergy <- !denergy;
+        if tag = Tape.tag_miss_load then issue_miss pl
+        else if tag = Tape.tag_miss_store then issue_miss (-1)
+        else set_mode pl;
+        dtime := fs.dtime;
+        denergy := fs.denergy
+      end
+    done;
+    fs.dtime <- !dtime;
+    fs.denergy <- !denergy
   in
   let replay_block vid =
     st.blocks <- st.blocks + 1;
@@ -209,15 +244,15 @@ let exec_range t obs st ~edge_mode ~from_pos =
        flight at entry means no stall, no busy_end change, all compute
        cycles dependent — the whole block is one (variant, mode) delta.
        Replaying it once proves the delta; after that it is one add. *)
-    if v.Tape.summarizable && st.busy_end <= st.time then begin
+    if v.Tape.summarizable && fs.busy_end <= fs.time then begin
       let slot = t.summaries.(vid).(st.mode) in
       match Atomic.get slot with
       | Some bs ->
         st.hits <- st.hits + 1;
         st.dependent <- st.dependent + bs.bs_dependent;
         st.cache_hit <- st.cache_hit + bs.bs_cache_hit;
-        if bs.bs_dtime <> 0.0 then st.time <- st.time +. bs.bs_dtime;
-        if bs.bs_denergy <> 0.0 then st.energy <- st.energy +. bs.bs_denergy
+        if bs.bs_dtime <> 0.0 then fs.time <- fs.time +. bs.bs_dtime;
+        if bs.bs_denergy <> 0.0 then fs.energy <- fs.energy +. bs.bs_denergy
       | None ->
         st.misses <- st.misses + 1;
         let dep0 = st.dependent and hit0 = st.cache_hit in
@@ -226,7 +261,7 @@ let exec_range t obs st ~edge_mode ~from_pos =
            whole block's delta, uncommitted. *)
         Atomic.set slot
           (Some
-             { bs_dtime = st.dtime; bs_denergy = st.denergy;
+             { bs_dtime = fs.dtime; bs_denergy = fs.denergy;
                bs_dependent = st.dependent - dep0;
                bs_cache_hit = st.cache_hit - hit0 });
         commit ()
@@ -237,30 +272,54 @@ let exec_range t obs st ~edge_mode ~from_pos =
       commit ()
     end
   in
+  (* Attribution cursor: the block being charged and its entry time and
+     energy (a float array, so updates stay unboxed). *)
+  let prev = ref (-1) in
+  let mark = [| 0.0; 0.0 |] in
+  let attribute (a : attribution) =
+    let j = !prev in
+    if j >= 0 then begin
+      a.a_time.(j) <- a.a_time.(j) +. (fs.time -. mark.(0));
+      a.a_energy.(j) <- a.a_energy.(j) +. (fs.energy -. mark.(1))
+    end
+  in
   let len = Tape.positions tape in
-  let k = stride t in
   let cks = ref [] in
   for p = from_pos to len - 1 do
-    if p mod k = 0 then cks := (p, copy_state st) :: !cks;
+    if stride > 0 && p mod stride = 0 then
+      cks := (p, copy_state st) :: !cks;
     let e = tape.Tape.edge_of.(p) in
     if e >= 0 then (
-      match edge_mode.(e) with Some m -> set_mode m | None -> ());
-    replay_block tape.Tape.seq.(p)
+      (* A silent mode-set (the mode already holds) costs nothing. *)
+      match edge_mode.(e) with
+      | Some m when m <> st.mode -> set_mode m
+      | Some _ | None -> ());
+    let vid = tape.Tape.seq.(p) in
+    (match attrib with
+    | Some a ->
+      attribute a;
+      prev := tape.Tape.variants.(vid).Tape.label;
+      mark.(0) <- fs.time;
+      mark.(1) <- fs.energy
+    | None -> ());
+    replay_block vid
   done;
   (* Drain outstanding memory traffic (mirrors Cpu.run at Halt). *)
-  if st.busy_end > st.time then begin
-    st.stall <- st.stall +. (st.busy_end -. st.time);
-    st.time <- st.busy_end
+  if fs.busy_end > fs.time then begin
+    fs.stall <- fs.stall +. (fs.busy_end -. fs.time);
+    fs.time <- fs.busy_end
   end;
+  (match attrib with Some a -> attribute a | None -> ());
   !cks
 
 let stats_of t st =
-  { Cpu.time = st.time; energy = st.energy; dyn_instrs = st.dyn;
-    mode_transitions = st.transitions; transition_time = st.t_time;
-    transition_energy = st.t_energy; l1 = t.tape.Tape.l1;
+  let fs = st.f in
+  { Cpu.time = fs.time; energy = fs.energy; dyn_instrs = st.dyn;
+    mode_transitions = st.transitions; transition_time = fs.t_time;
+    transition_energy = fs.t_energy; l1 = t.tape.Tape.l1;
     l2 = t.tape.Tape.l2; overlap_cycles = st.overlap;
     dependent_cycles = st.dependent; cache_hit_cycles = st.cache_hit;
-    miss_busy_time = st.miss_busy; stall_time = st.stall;
+    miss_busy_time = fs.miss_busy; stall_time = fs.stall;
     registers = Array.copy t.tape.Tape.registers;
     memory = Array.copy t.tape.Tape.memory }
 
@@ -343,7 +402,10 @@ let replay ?(obs = Dvs_obs.disabled) t ~entry_mode ~edge_mode =
   check_edge_mode t edge_mode;
   let run_span = start_span obs t in
   let st = init_state t ~entry_mode in
-  let cks = exec_range t obs st ~edge_mode ~from_pos:0 in
+  let cks =
+    exec_range t obs st ~edge_mode ~from_pos:0 ~stride:(stride t)
+      ~attrib:None
+  in
   let stats = stats_of t st in
   let token = fresh_token t in
   store_baseline t token
@@ -396,7 +458,10 @@ let replay_incremental ?(obs = Dvs_obs.disabled) t ~against ~entry_mode
          new entry mode up. *)
       let st = if from_pos = 0 then init_state t ~entry_mode else st in
       let spliced = if from_pos > 0 then 1 else 0 in
-      let suffix = exec_range t obs st ~edge_mode ~from_pos in
+      let suffix =
+        exec_range t obs st ~edge_mode ~from_pos ~stride:(stride t)
+          ~attrib:None
+      in
       let stats = stats_of t st in
       let prefix =
         List.filter (fun (pos, _) -> pos < from_pos)
@@ -410,3 +475,15 @@ let replay_incremental ?(obs = Dvs_obs.disabled) t ~against ~entry_mode
       emit_obs obs run_span ~stats ~blocks:st.blocks ~hits:st.hits
         ~misses:st.misses ~spliced;
       { stats = publish_stats stats; token })
+
+let replay_pinned t ~mode ~time ~energy =
+  let blocks = Array.length time in
+  if blocks <> t.static_blocks || Array.length energy <> blocks then
+    invalid_arg "Summary.replay_pinned: arrays must have one slot per block";
+  let st = init_state t ~entry_mode:mode in
+  ignore
+    (exec_range t Dvs_obs.disabled st
+       ~edge_mode:(Array.make t.tape.Tape.n_edges None)
+       ~from_pos:0 ~stride:0
+       ~attrib:(Some { a_time = time; a_energy = energy }));
+  stats_of t st

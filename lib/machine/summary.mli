@@ -47,6 +47,9 @@ val create :
     {!Dvs_obs.disabled}).  Raises whatever {!Cpu.run} raises
     ({!Cpu.Out_of_fuel}, address errors). *)
 
+val tape : t -> Tape.t
+(** The recorded execution. *)
+
 val n_edges : t -> int
 (** Length expected of {!replay}'s [edge_mode] array (the CFG's edge
     count, {!Dvs_ir.Cfg.edges} order). *)
@@ -90,3 +93,18 @@ val replay_incremental :
     bit-identical to {!replay} of the same schedule.  Falls back to a
     full replay when the baseline has been evicted (the store keeps the
     most recently used handful). *)
+
+val replay_pinned :
+  t -> mode:int -> time:float array -> energy:float array -> Cpu.run_stats
+(** Re-cost the recorded execution pinned at [mode] (entry mode [mode],
+    no edge mode-sets; [Modeset] instructions still apply) and attribute
+    its cost per block: each dynamic block adds the time and energy from
+    its entry to the next block's entry — the last block also the final
+    drain of memory traffic — into [time.(label)] and [energy.(label)].
+    The stats and every per-block sum are bit-identical to a
+    cycle-accurate {!Cpu.run} at [initial_mode = mode] that accumulates
+    the same differences from its block-entry observer in the same
+    order.  Leaves no baseline behind (no token).
+
+    Raises [Invalid_argument] when the arrays do not have one slot per
+    static block or [mode] is out of range. *)

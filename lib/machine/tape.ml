@@ -19,25 +19,7 @@ let tag_miss_store = 5
 
 let tag_modeset = 6
 
-let enc tag payload = (payload lsl 3) lor tag
-
-let op_compute c = enc tag_compute c
-
-let op_hit c = enc tag_hit c
-
-let op_wait r = enc tag_wait r
-
-let op_clear r = enc tag_clear r
-
-let op_miss_load rd = enc tag_miss_load rd
-
-let op_miss_store = enc tag_miss_store 0
-
-let op_modeset m = enc tag_modeset m
-
 let op_tag op = op land 7
-
-let op_payload op = op lsr 3
 
 (* ---- variants --------------------------------------------------------- *)
 
@@ -68,70 +50,112 @@ module Ibuf = struct
   let contents b = Array.sub b.data 0 b.len
 end
 
+(* Variant interning without allocating per dynamic block: a chained
+   hash table over variant ids, keyed by (label, op sequence) and probed
+   with the op buffer in place — only a new variant copies its ops out.
+   One label can have dozens of variants (one per cache-outcome pattern),
+   so the table hashes the ops rather than scanning a label's list. *)
 type recorder = {
   cfg : Cfg.t;
-  (* variant hash-consing: (label, ops) -> variant index *)
-  intern : (Cfg.label * int array, int) Hashtbl.t;
-  mutable vars : variant list;  (* newest first *)
+  mutable vtab : variant array;  (* by id; the first [n_vars] are live *)
   mutable n_vars : int;
+  v_hash : Ibuf.t;  (* per variant: full hash *)
+  v_next : Ibuf.t;  (* per variant: next id in its bucket, -1 at end *)
+  mutable buckets : int array;  (* head id per bucket, -1 when empty *)
   seq : Ibuf.t;
-  edge_of : Ibuf.t;
   cur : Ibuf.t;  (* ops of the block being recorded *)
   mutable cur_label : Cfg.label;
-  mutable cur_dyn : int;
   mutable in_block : bool;
 }
 
+let no_variant = { label = -1; ops = [||]; dyn = 0; summarizable = false }
+
 let recorder cfg =
-  { cfg; intern = Hashtbl.create 256; vars = []; n_vars = 0;
-    seq = Ibuf.create 4096; edge_of = Ibuf.create 4096;
-    cur = Ibuf.create 64; cur_label = 0; cur_dyn = 0; in_block = false }
+  { cfg; vtab = Array.make 64 no_variant; n_vars = 0;
+    v_hash = Ibuf.create 64; v_next = Ibuf.create 64;
+    buckets = Array.make 64 (-1); seq = Ibuf.create 4096;
+    cur = Ibuf.create 64; cur_label = 0; in_block = false }
+
+let hash_ops label (b : Ibuf.t) =
+  let h = ref (label + 0x2545f491) in
+  for i = 0 to b.len - 1 do
+    h := (!h lxor b.data.(i)) * 0x100000001b3
+  done;
+  !h lxor (!h lsr 29)
+
+let same_ops (b : Ibuf.t) ops =
+  Array.length ops = b.len
+  &&
+  let i = ref 0 in
+  while !i < b.len && b.data.(!i) = ops.(!i) do incr i done;
+  !i = b.len
+
+let rec find_variant r h label id =
+  if id < 0 then -1
+  else
+    let v = r.vtab.(id) in
+    if r.v_hash.data.(id) = h && v.label = label && same_ops r.cur v.ops then
+      id
+    else find_variant r h label r.v_next.data.(id)
+
+let rehash r =
+  let nb = 2 * Array.length r.buckets in
+  let buckets = Array.make nb (-1) in
+  for id = r.n_vars - 1 downto 0 do
+    let b = r.v_hash.data.(id) land (nb - 1) in
+    r.v_next.data.(id) <- buckets.(b);
+    buckets.(b) <- id
+  done;
+  r.buckets <- buckets
+
+let add_variant r h =
+  let ops = Ibuf.contents r.cur in
+  let summarizable =
+    Array.for_all
+      (fun op ->
+        let t = op_tag op in
+        t <> tag_miss_load && t <> tag_miss_store && t <> tag_modeset)
+      ops
+  in
+  let id = r.n_vars in
+  if id = Array.length r.vtab then begin
+    let vtab = Array.make (2 * id) no_variant in
+    Array.blit r.vtab 0 vtab 0 id;
+    r.vtab <- vtab
+  end;
+  (* A block runs its whole body once entered. *)
+  let dyn = Array.length (Cfg.block r.cfg r.cur_label).Cfg.body in
+  r.vtab.(id) <- { label = r.cur_label; ops; dyn; summarizable };
+  r.n_vars <- id + 1;
+  let b = h land (Array.length r.buckets - 1) in
+  Ibuf.push r.v_hash h;
+  Ibuf.push r.v_next r.buckets.(b);
+  r.buckets.(b) <- id;
+  if r.n_vars > 2 * Array.length r.buckets then rehash r;
+  id
 
 let flush_block r =
   if r.in_block then begin
-    let ops = Ibuf.contents r.cur in
-    let key = (r.cur_label, ops) in
+    let h = hash_ops r.cur_label r.cur in
     let id =
-      match Hashtbl.find_opt r.intern key with
-      | Some id -> id
-      | None ->
-        let summarizable =
-          Array.for_all
-            (fun op ->
-              let t = op_tag op in
-              t <> tag_miss_load && t <> tag_miss_store && t <> tag_modeset)
-            ops
-        in
-        let v = { label = r.cur_label; ops; dyn = r.cur_dyn; summarizable } in
-        let id = r.n_vars in
-        r.vars <- v :: r.vars;
-        r.n_vars <- id + 1;
-        Hashtbl.add r.intern key id;
-        id
+      match
+        find_variant r h r.cur_label
+          r.buckets.(h land (Array.length r.buckets - 1))
+      with
+      | -1 -> add_variant r h
+      | id -> id
     in
     Ibuf.push r.seq id;
     Ibuf.clear r.cur;
-    r.cur_dyn <- 0;
     r.in_block <- false
   end
 
-let enter_block r ~label ~via =
+let enter_block r ~label =
   flush_block r;
-  let e =
-    match via with
-    | None -> -1
-    | Some src -> (
-      match Cfg.edge_index r.cfg { Cfg.src; dst = label } with
-      | idx -> idx
-      | exception Not_found -> -1)
-  in
-  Ibuf.push r.edge_of e;
   r.cur_label <- label;
   r.in_block <- true
 
-let record r op = Ibuf.push r.cur op
-
-let instr r = r.cur_dyn <- r.cur_dyn + 1
+let record r tag payload = Ibuf.push r.cur ((payload lsl 3) lor tag)
 
 type t = {
   variants : variant array;
@@ -152,8 +176,24 @@ let create r ~dyn_instrs ~l1 ~l2 ~registers ~memory =
   let seq = Ibuf.contents r.seq in
   if Array.length seq = 0 then
     invalid_arg "Tape.create: empty recording";
-  let variants = Array.of_list (List.rev r.vars) in
-  let edge_of = Ibuf.contents r.edge_of in
+  let variants = Array.sub r.vtab 0 r.n_vars in
+  (* Incoming edges follow from consecutive labels; deriving them here
+     rather than buffering them while recording keeps one growable
+     buffer fewer alive at the recording's peak. *)
+  let edge_of =
+    Array.mapi
+      (fun pos vid ->
+        if pos = 0 then -1
+        else
+          match
+            Cfg.edge_index_of r.cfg
+              ~src:variants.(seq.(pos - 1)).label
+              ~dst:variants.(vid).label
+          with
+          | idx -> idx
+          | exception Not_found -> -1)
+      seq
+  in
   let n_edges = Array.length (Cfg.edges r.cfg) in
   let first_edge_pos = Array.make n_edges max_int in
   Array.iteri

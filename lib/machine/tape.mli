@@ -24,58 +24,43 @@ open Dvs_ir
 
 (** {2 Op encoding}
 
-    Ops are tagged ints: [(payload lsl 3) lor tag].  Payloads are cycle
-    counts, register numbers or mode indices, all small and
-    non-negative. *)
-
-val op_compute : int -> int
-(** [charge `Compute c]. *)
-
-val op_hit : int -> int
-(** [charge `Mem_hit c]. *)
-
-val op_wait : int -> int
-(** [wait_for r], recorded only when register [r] had a pending miss
-    completion at record time (a schedule-independent fact). *)
-
-val op_clear : int -> int
-(** [pending.(r) <- neg_infinity], recorded only when it actually
-    cleared something. *)
-
-val op_miss_load : int -> int
-(** [pending.(rd) <- issue_miss ()]. *)
-
-val op_miss_store : int
-(** [ignore (issue_miss ())]. *)
-
-val op_modeset : int -> int
-(** A [Modeset m] instruction (edge mode-sets are {e not} on the tape;
-    the replayer applies them from the schedule under test). *)
-
-val op_tag : int -> int
-
-val op_payload : int -> int
+    Ops are tagged ints: [(payload lsl 3) lor tag], decoded as
+    [op land 7] and [op lsr 3].  Payloads are cycle counts, register
+    numbers or mode indices, all small and non-negative.  One tag per
+    cost-bearing call in {!Cpu.run}: *)
 
 val tag_compute : int
+(** [charge `Compute c]; payload [c]. *)
 
 val tag_hit : int
+(** [charge `Mem_hit c]; payload [c]. *)
 
 val tag_wait : int
+(** [wait_for r], recorded only when register [r] had a pending miss
+    completion at record time (a schedule-independent fact); payload
+    [r]. *)
 
 val tag_clear : int
+(** [pending.(r) <- neg_infinity], recorded only when it actually
+    cleared something; payload [r]. *)
 
 val tag_miss_load : int
+(** A load miss making [rd] pending; payload [rd]. *)
 
 val tag_miss_store : int
+(** A store miss; payload [0]. *)
 
 val tag_modeset : int
+(** A [Modeset m] instruction; payload [m] (edge mode-sets are {e not}
+    on the tape; the replayer applies them from the schedule under
+    test). *)
 
 (** {2 Variants} *)
 
 type variant = {
   label : Cfg.label;  (** the static block this variant came from *)
   ops : int array;  (** cost ops, program order, terminator included *)
-  dyn : int;  (** instructions executed in the block *)
+  dyn : int;  (** instructions executed in the block (its body length) *)
   summarizable : bool;
       (** no miss and no [Modeset] op: the block's cost delta depends
           only on the entering mode whenever no miss is in flight at
@@ -90,13 +75,13 @@ type recorder
 
 val recorder : Cfg.t -> recorder
 
-val enter_block : recorder -> label:Cfg.label -> via:Cfg.label option -> unit
+val enter_block : recorder -> label:Cfg.label -> unit
+(** Start the next dynamic block.  Seals the previous block, interning
+    its variant without allocating when the (label, op sequence) was
+    seen before. *)
 
-val record : recorder -> int -> unit
-(** Append one op to the current block. *)
-
-val instr : recorder -> unit
-(** Count one executed instruction in the current block. *)
+val record : recorder -> int -> int -> unit
+(** [record r tag payload] appends one op to the current block. *)
 
 type t = {
   variants : variant array;

@@ -19,63 +19,81 @@ type t = {
   runs : Cpu.run_stats array;
 }
 
-let collect ?fuel config cfg ~memory =
-  let n_modes = Dvs_power.Mode.size config.Config.mode_table in
+(* Structural counts from the tape: per-position labels give
+   [exec_count], the recorded incoming edges [edge_count] and
+   [entry_count], and consecutive pairs of incoming edges the local
+   paths.  A path (pred, node, succ) is determined by the edge that
+   entered [node] (-1 for the program entry) and which of [node]'s at
+   most two out-edges left it, so paths are counted in a dense array and
+   then inserted into the table in order of first occurrence — the
+   insertion sequence, and hence the fold order, of a table updated
+   once per dynamic block. *)
+let structural cfg (tape : Tape.t) =
   let n_blocks = Cfg.num_blocks cfg in
-  let n_edges = Array.length (Cfg.edges cfg) in
+  let edges = Cfg.edges cfg in
+  let n_edges = Array.length edges in
   let exec_count = Array.make n_blocks 0 in
   let edge_count = Array.make n_edges 0 in
   let entry_count = ref 0 in
-  let path_tbl : (path, int) Hashtbl.t = Hashtbl.create 64 in
+  (* First out-edge per block: out-edges are contiguous in [edges]. *)
+  let out_base = Array.make n_blocks (-1) in
+  Array.iteri
+    (fun i (e : Cfg.edge) ->
+      if out_base.(e.src) < 0 then out_base.(e.src) <- i)
+    edges;
+  let label p = tape.Tape.variants.(tape.Tape.seq.(p)).Tape.label in
+  let key p =
+    ((tape.Tape.edge_of.(p - 1) + 1) * 2)
+    + tape.Tape.edge_of.(p) - out_base.(label (p - 1))
+  in
+  let path_count = Array.make (2 * (n_edges + 1)) 0 in
+  let len = Tape.positions tape in
+  for p = 0 to len - 1 do
+    let j = label p in
+    exec_count.(j) <- exec_count.(j) + 1;
+    let e = tape.Tape.edge_of.(p) in
+    if e >= 0 then edge_count.(e) <- edge_count.(e) + 1
+    else incr entry_count;
+    if p > 0 then begin
+      let k = key p in
+      path_count.(k) <- path_count.(k) + 1
+    end
+  done;
+  (* [~random:false]: the fold order is the profile's [paths] order,
+     which feeds the store fingerprint and the MILP's variable order. *)
+  let path_tbl : (path, int) Hashtbl.t = Hashtbl.create ~random:false 64 in
+  for p = 1 to len - 1 do
+    let k = key p in
+    if path_count.(k) > 0 then begin
+      let pred = if p >= 2 then Some (label (p - 2)) else None in
+      Hashtbl.replace path_tbl
+        { pred; node = label (p - 1); succ = label p }
+        path_count.(k);
+      path_count.(k) <- 0
+    end
+  done;
+  ( exec_count, edge_count, !entry_count,
+    Hashtbl.fold (fun p c acc -> (p, c) :: acc) path_tbl [] )
+
+let collect ?fuel config cfg ~memory =
+  let n_modes = Dvs_power.Mode.size config.Config.mode_table in
+  let n_blocks = Cfg.num_blocks cfg in
+  (* One recorded execution serves every mode (Assumption 1: modes
+     change timing, not behavior).  The session stays local, so its tape
+     is garbage once the profile is built. *)
+  let session = Summary.create ?fuel config cfg ~memory in
+  let exec_count, edge_count, entry_count, paths =
+    structural cfg (Summary.tape session)
+  in
   let total_time = Array.make_matrix n_modes n_blocks 0.0 in
   let total_energy = Array.make_matrix n_modes n_blocks 0.0 in
   let runs =
     Array.init n_modes (fun m ->
-        (* Per-block attribution state for this pinned run. *)
-        let last : (Cfg.label * float * float) option ref = ref None in
-        (* Structural counting only once (mode 0): logical behavior is
-           frequency-invariant (assumption 1), which the test-suite
-           cross-checks. *)
-        let count_structural = m = 0 in
-        let prev_block : Cfg.label option ref = ref None in
-        let prev_prev : Cfg.label option ref = ref None in
-        let observer label ~via ~time ~energy =
-          (match !last with
-          | Some (j, t0, e0) ->
-            total_time.(m).(j) <- total_time.(m).(j) +. (time -. t0);
-            total_energy.(m).(j) <- total_energy.(m).(j) +. (energy -. e0)
-          | None -> ());
-          last := Some (label, time, energy);
-          if count_structural then begin
-            exec_count.(label) <- exec_count.(label) + 1;
-            (match via with
-            | Some src ->
-              let idx = Cfg.edge_index cfg { Cfg.src; dst = label } in
-              edge_count.(idx) <- edge_count.(idx) + 1
-            | None -> incr entry_count);
-            (match !prev_block with
-            | Some i ->
-              let p = { pred = !prev_prev; node = i; succ = label } in
-              let cur = Option.value ~default:0 (Hashtbl.find_opt path_tbl p) in
-              Hashtbl.replace path_tbl p (cur + 1)
-            | None -> ());
-            prev_prev := !prev_block;
-            prev_block := Some label
-          end
-        in
-        let rc = Cpu.Run_config.make ?fuel ~initial_mode:m ~observer () in
-        let r = Cpu.run ~rc config cfg ~memory in
-        (* Attribute the tail (last block entry to end of run). *)
-        (match !last with
-        | Some (j, t0, e0) ->
-          total_time.(m).(j) <- total_time.(m).(j) +. (r.Cpu.time -. t0);
-          total_energy.(m).(j) <- total_energy.(m).(j) +. (r.Cpu.energy -. e0)
-        | None -> ());
-        r)
+        Summary.replay_pinned session ~mode:m ~time:total_time.(m)
+          ~energy:total_energy.(m))
   in
-  { cfg; config; exec_count; edge_count; entry_count = !entry_count;
-    paths = Hashtbl.fold (fun p c acc -> (p, c) :: acc) path_tbl [];
-    total_time; total_energy; runs }
+  { cfg; config; exec_count; edge_count; entry_count; paths; total_time;
+    total_energy; runs }
 
 let block_time p ~mode j =
   if p.exec_count.(j) = 0 then 0.0

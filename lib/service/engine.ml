@@ -169,10 +169,10 @@ let model_for t ~workload ~input =
       match
         let machine = machine_config t.cfg in
         let prog, _, mem = Workload.load w ~input in
-        (* Profiling is one pinned simulation per mode — the expensive
-           part of warming a model.  With a store configured, a daemon
-           restart rehydrates it from disk instead (DESIGN.md section
-           14). *)
+        (* Profiling (one recorded simulation, re-costed per mode) is
+           the expensive part of warming a model.  With a store
+           configured, a daemon restart rehydrates it from disk instead
+           (DESIGN.md section 14). *)
         let profile =
           Dvs_store.Exec.profile ?store:t.store
             ~source:(workload ^ ":" ^ input) machine prog ~memory:mem

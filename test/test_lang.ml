@@ -169,6 +169,38 @@ let test_edge_index_roundtrip () =
     (fun i e -> Alcotest.(check int) "roundtrip" i (Cfg.edge_index cfg e))
     (Cfg.edges cfg)
 
+(* The successor-slot index agrees with [Cfg.edges] order on every
+   workload CFG, and anything that is not an edge raises [Not_found]. *)
+let test_edge_index_workloads () =
+  List.iter
+    (fun (w : Dvs_workloads.Workload.t) ->
+      let cfg, _, _ =
+        Dvs_workloads.Workload.load w
+          ~input:(Dvs_workloads.Workload.default_input w)
+      in
+      let edges = Cfg.edges cfg in
+      Array.iteri
+        (fun i e ->
+          Alcotest.(check int) "edge order" i (Cfg.edge_index cfg e);
+          Alcotest.(check int) "labelled lookup" i
+            (Cfg.edge_index_of cfg ~src:e.Cfg.src ~dst:e.Cfg.dst))
+        edges;
+      let n = Cfg.num_blocks cfg in
+      let is_edge src dst =
+        Array.exists (fun e -> e.Cfg.src = src && e.Cfg.dst = dst) edges
+      in
+      for src = -1 to n do
+        for dst = -1 to n do
+          if not (is_edge src dst) then
+            match Cfg.edge_index cfg { Cfg.src; dst } with
+            | exception Not_found -> ()
+            | i ->
+              Alcotest.failf "%s: non-edge %d -> %d got index %d"
+                w.Dvs_workloads.Workload.name src dst i
+        done
+      done)
+    Dvs_workloads.Workload.all
+
 let test_builder_rejects_unterminated () =
   let b = Cfg.Builder.create () in
   let l = Cfg.Builder.add_block b in
@@ -295,6 +327,8 @@ let suite =
     Alcotest.test_case "cfg well-formed" `Quick test_cfg_wellformed;
     Alcotest.test_case "edge index round-trip" `Quick
       test_edge_index_roundtrip;
+    Alcotest.test_case "edge index on workload CFGs" `Quick
+      test_edge_index_workloads;
     Alcotest.test_case "builder rejects unterminated" `Quick
       test_builder_rejects_unterminated;
     Alcotest.test_case "interp out of fuel" `Quick test_interp_out_of_fuel;

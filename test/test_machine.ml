@@ -323,18 +323,19 @@ let test_hierarchy_levels () =
   let h = Hierarchy.create cfg in
   (* Cold: both miss -> dram. *)
   let o1 = Hierarchy.access h ~word_addr:0 in
-  Alcotest.(check bool) "cold goes to dram" true o1.Hierarchy.dram;
+  Alcotest.(check bool) "cold goes to dram" true (Hierarchy.dram o1);
+  Alcotest.(check int) "dram lookup latency" 5 (Hierarchy.cycles o1);
   (* Immediately again: L1 hit, 1 cycle. *)
   let o2 = Hierarchy.access h ~word_addr:0 in
-  Alcotest.(check bool) "l1 hit" true (not o2.Hierarchy.dram);
-  Alcotest.(check int) "l1 latency" 1 o2.Hierarchy.cycles;
+  Alcotest.(check bool) "l1 hit" true (not (Hierarchy.dram o2));
+  Alcotest.(check int) "l1 latency" 1 (Hierarchy.cycles o2);
   (* Evict from tiny L1 by touching other sets-conflicting lines, then
      re-access: should be an L2 hit with l1+l2 latency. *)
   ignore (Hierarchy.access h ~word_addr:32);
   ignore (Hierarchy.access h ~word_addr:64);
   let o3 = Hierarchy.access h ~word_addr:0 in
-  if not o3.Hierarchy.dram then
-    Alcotest.(check int) "l2 hit latency" 5 o3.Hierarchy.cycles
+  if not (Hierarchy.dram o3) then
+    Alcotest.(check int) "l2 hit latency" 5 (Hierarchy.cycles o3)
 
 let test_cache_validation () =
   Alcotest.check_raises "bad block size"
@@ -384,6 +385,45 @@ let test_schedule_parity_across_cores () =
     ooo.Cpu.mode_transitions;
   Alcotest.(check bool) "both switched" true (io.Cpu.mode_transitions > 0)
 
+(* Allocation budgets for the machine hot paths.  Minor-heap words
+   allocated on one domain are a deterministic work measure (no wall
+   clock), so a float re-boxed in an inner loop shows here as several
+   words per instruction or per tape position.  Measured on the
+   evaluation machine over adpcm (compute-bound) and gsm (hit-heavy). *)
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  (Gc.minor_words () -. w0, r)
+
+let test_alloc_budgets () =
+  let machine = Dvs_workloads.Workload.eval_config () in
+  List.iter
+    (fun name ->
+      let w = Dvs_workloads.Workload.find name in
+      let g, _, memory =
+        Dvs_workloads.Workload.load w
+          ~input:(Dvs_workloads.Workload.default_input w)
+      in
+      let budget what ~per ~limit words =
+        let ratio = words /. float_of_int per in
+        if ratio > limit then
+          Alcotest.failf "%s %s: %.2f words per unit, budget %.1f" name what
+            ratio limit
+      in
+      let words, r = minor_words_of (fun () -> Cpu.run machine g ~memory) in
+      budget "Cpu.run" ~per:r.Cpu.dyn_instrs ~limit:1.0 words;
+      let words, s =
+        minor_words_of (fun () -> Summary.create machine g ~memory)
+      in
+      budget "Summary.create" ~per:r.Cpu.dyn_instrs ~limit:3.0 words;
+      let edge_mode = Array.make (Summary.n_edges s) None in
+      let replay () = Summary.replay s ~entry_mode:1 ~edge_mode in
+      ignore (replay ());
+      let words, _ = minor_words_of replay in
+      budget "warm Summary.replay" ~per:(Summary.positions s) ~limit:2.0
+        words)
+    [ "adpcm"; "gsm" ]
+
 let suite =
   suite
   @ [ Alcotest.test_case "hierarchy level latencies" `Quick
@@ -393,4 +433,6 @@ let suite =
       Alcotest.test_case "out-of-bounds access fails" `Quick
         test_cpu_out_of_bounds;
       Alcotest.test_case "schedule parity across cores" `Quick
-        test_schedule_parity_across_cores ]
+        test_schedule_parity_across_cores;
+      Alcotest.test_case "hot-path allocation budgets" `Quick
+        test_alloc_budgets ]
