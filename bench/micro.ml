@@ -130,7 +130,9 @@ let tests () =
       (* The continuous-bound pair: the Liyao kernel answers the same
          root-bounding question one simplex solve of the full relaxation
          does — the gap between these two rows is what sweep pre-pruning
-         saves per certified grid point. *)
+         saves per certified grid point.  The second row is also the LP
+         kernel's own benchmark: one cold sparse-LU + eta-file solve of
+         the largest Figure-18 root relaxation. *)
       Test.make ~name:"continuous-bound-ghostscript"
         (Staged.stage (fun () ->
              ignore
@@ -140,21 +142,6 @@ let tests () =
         (Staged.stage (fun () ->
              ignore
                (Dvs_lp.Simplex.solve
-                  gs_formulation.Dvs_core.Formulation.model)));
-      (* The basis-backend pair: the same root relaxation of the largest
-         Figure-18 instance solved pivot-for-pivot identically by both
-         backends — every pivot runs one FTRAN, one BTRAN and one
-         pivot-row price, so the gap between these two rows is exactly
-         the dense-inverse vs sparse-LU+eta linear-algebra cost. *)
-      Test.make ~name:"lp-basis-lu-ghostscript"
-        (Staged.stage (fun () ->
-             ignore
-               (Dvs_lp.Simplex.solve ~backend:Dvs_lp.Simplex.Lu
-                  gs_formulation.Dvs_core.Formulation.model)));
-      Test.make ~name:"lp-basis-dense-ghostscript"
-        (Staged.stage (fun () ->
-             ignore
-               (Dvs_lp.Simplex.solve ~backend:Dvs_lp.Simplex.Dense
                   gs_formulation.Dvs_core.Formulation.model)));
       Test.make ~name:"analytical-discrete-optimize"
         (Staged.stage (fun () ->

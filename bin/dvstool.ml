@@ -326,26 +326,9 @@ let no_continuous_bound_opt =
            root dual bound, no rounded incumbent seed, no sweep \
            pre-pruning, no continuous-rounded ladder rung.")
 
-let lp_basis_opt =
-  Arg.(
-    value
-    & opt (enum [ ("lu", Dvs_lp.Simplex.Lu); ("dense", Dvs_lp.Simplex.Dense) ])
-        Dvs_lp.Simplex.Lu
-    & info [ "lp-basis" ] ~docv:"BACKEND"
-        ~doc:
-          "Simplex basis backend: $(b,lu) (sparse LU factorization + \
-           eta-file updates, the default) or $(b,dense) (explicit dense \
-           inverse — the correctness oracle and ablation leg).  Both \
-           backends find the same schedules; only the linear-algebra \
-           cost differs.")
-
-let lp_basis_name = function
-  | Dvs_lp.Simplex.Lu -> "lu"
-  | Dvs_lp.Simplex.Dense -> "dense"
-
 let optimize_cmd =
   let run w input capacitance levels frac no_filter save jobs strict
-      no_continuous_bound lp_basis store_root trace metrics =
+      no_continuous_bound store_root trace metrics =
     let input = input_of w input in
     let cfg, _, mem = Dvs_workloads.Workload.load w ~input in
     let machine = machine ~capacitance ~levels in
@@ -364,7 +347,7 @@ let optimize_cmd =
     let t_fast = Dvs_profile.Profile.pinned_time p ~mode:(n - 1) in
     let t_slow = Dvs_profile.Profile.pinned_time p ~mode:0 in
     let deadline = t_fast +. (frac *. (t_slow -. t_fast)) in
-    let solver = Dvs_milp.Solver.Config.make ?jobs ~basis:lp_basis () in
+    let solver = Dvs_milp.Solver.Config.make ?jobs () in
     let config =
       Dvs_core.Pipeline.Config.make ~filter:(not no_filter) ~solver
         ~continuous_bound:(not no_continuous_bound) ()
@@ -382,7 +365,6 @@ let optimize_cmd =
           ("workload", Dvs_obs.Json.String w.Dvs_workloads.Workload.name);
           ("input", Dvs_obs.Json.String input);
           ("jobs", Dvs_obs.Json.Int solver.Dvs_milp.Solver.Config.jobs);
-          ("lp_basis", Dvs_obs.Json.String (lp_basis_name lp_basis));
           ("deadline", Dvs_obs.Json.Float deadline);
           ("deadline_frac", Dvs_obs.Json.Float frac);
           ("capacitance", Dvs_obs.Json.Float capacitance) ];
@@ -466,7 +448,7 @@ let optimize_cmd =
     Term.(
       const run $ workload_pos $ input_opt $ capacitance_opt $ levels_opt
       $ deadline_frac_opt $ no_filter_opt $ save_opt $ jobs_opt
-      $ strict_opt $ no_continuous_bound_opt $ lp_basis_opt $ store_opt
+      $ strict_opt $ no_continuous_bound_opt $ store_opt
       $ trace_out_opt $ metrics_out_opt)
 
 (* ---------------- apply ---------------- *)
@@ -541,7 +523,7 @@ let cold_verify_opt =
 
 let reproduce_cmd =
   let run w input capacitance levels jobs cold cold_verify
-      no_continuous_bound lp_basis store_root trace metrics =
+      no_continuous_bound store_root trace metrics =
     let input = input_of w input in
     let cfg, _, mem = Dvs_workloads.Workload.load w ~input in
     let machine = machine ~capacitance ~levels in
@@ -557,7 +539,7 @@ let reproduce_cmd =
         ~memory:mem
     in
     let deadlines = Dvs_workloads.Deadlines.sweep_of_profile p in
-    let solver = Dvs_milp.Solver.Config.make ?jobs ~basis:lp_basis () in
+    let solver = Dvs_milp.Solver.Config.make ?jobs () in
     let config =
       Dvs_core.Pipeline.Config.make ~solver ~cold_verify
         ~continuous_bound:(not no_continuous_bound) ()
@@ -637,7 +619,6 @@ let reproduce_cmd =
             Dvs_obs.Json.String (if cold_verify then "cold" else "summary") );
           ( "continuous_bound",
             Dvs_obs.Json.Bool (not no_continuous_bound) );
-          ("lp_basis", Dvs_obs.Json.String (lp_basis_name lp_basis));
           ("deadlines", Dvs_obs.Json.Int (Array.length deadlines));
           ("capacitance", Dvs_obs.Json.Float capacitance) ]
   in
@@ -650,7 +631,7 @@ let reproduce_cmd =
     Term.(
       const run $ workload_pos $ input_opt $ capacitance_opt $ levels_opt
       $ jobs_opt $ cold_opt $ cold_verify_opt $ no_continuous_bound_opt
-      $ lp_basis_opt $ store_opt $ trace_out_opt $ metrics_out_opt)
+      $ store_opt $ trace_out_opt $ metrics_out_opt)
 
 (* ---------------- stats ---------------- *)
 

@@ -48,6 +48,10 @@ let flops t = t.flops
 
 let abs_tol = 1e-11 (* matches the dense Gauss-Jordan singularity test *)
 
+(* Threshold partial pivoting: an acceptable pivot has magnitude at
+   least [tau] times the largest in its active column. *)
+let tau = 0.1
+
 let grow_i a used need =
   if Array.length a >= need then a
   else begin
@@ -89,7 +93,7 @@ let transpose m ptr idx vals =
   done;
   (tptr, tidx, tval)
 
-let factor ~m ~ptr ~row ~vals ?(tau = 0.1) () =
+let factor ~m ~ptr ~row ~vals =
   if m = 0 then
     Some
       {

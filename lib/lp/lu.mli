@@ -22,27 +22,19 @@
 
     This module knows nothing about eta files or the simplex: it
     factors one basis matrix handed to it in CSC form and solves
-    against that factorization.  {!Simplex} layers product-form eta
+    against that factorization.  {!Lu_eta} layers product-form eta
     updates on top. *)
 
 type t
 
-val factor :
-  m:int ->
-  ptr:int array ->
-  row:int array ->
-  vals:float array ->
-  ?tau:float ->
-  unit ->
-  t option
-(** [factor ~m ~ptr ~row ~vals ()] factors the [m]x[m] matrix whose
+val factor : m:int -> ptr:int array -> row:int array -> vals:float array -> t option
+(** [factor ~m ~ptr ~row ~vals] factors the [m]x[m] matrix whose
     column [j] holds entries [row.(p), vals.(p)] for
     [p] in [ptr.(j) .. ptr.(j+1) - 1].  Explicit zeros are dropped.
     Returns [None] when the matrix is singular to working precision
     (no candidate pivot of magnitude at least [1e-11] in some step —
-    the same tolerance the dense Gauss–Jordan path uses).  [tau]
-    (default [0.1]) is the threshold-pivoting relative tolerance:
-    smaller values favor sparsity over stability. *)
+    the same tolerance as {!Basis.dense_inverse}).  The
+    threshold-pivoting tolerance [tau] is [0.1]. *)
 
 val nnz : t -> int
 (** Entries in [L] plus [U] including the [m] pivots; compare against

@@ -44,7 +44,10 @@ let cols_removed t = t.cols_removed
 
 exception Proven_infeasible
 
-let presolve ?(fixings = []) ?(groups = []) ?(max_rounds = 10) model =
+(* Bound on the fixpoint loop's rounds. *)
+let max_rounds = 10
+
+let presolve ?(fixings = []) ?(groups = []) model =
   let orig_n = Model.num_vars model in
   let lb = Array.make orig_n 0.0 and ub = Array.make orig_n 0.0 in
   let integer = Array.make orig_n false in

@@ -35,14 +35,13 @@ type t
 val presolve :
   ?fixings:(Model.var * float) list ->
   ?groups:Model.var list list ->
-  ?max_rounds:int ->
   Model.t ->
   t
 (** [fixings] are externally implied variable fixings (e.g. from the
     edge filter) applied as bounds before the first round.  [groups]
     are one-of-these sets of binaries ([sum = 1] is expected to hold as
-    a model row).  [max_rounds] bounds the fixpoint loop (default 10).
-    The input model is not modified. *)
+    a model row).  The fixpoint loop runs at most 10 rounds.  The input
+    model is not modified. *)
 
 val infeasible : t -> bool
 (** The reductions proved the model infeasible (no reduced model is

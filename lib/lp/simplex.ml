@@ -1,4 +1,5 @@
-(* Sparse revised simplex with bounded variables over Compiled.t.
+(* Bounded-variable revised simplex over Compiled.t, parameterized by
+   the basis representation (Basis.S).
 
    Column layout (all indices in one namespace):
      [0, n)        structural variables, in model order;
@@ -6,33 +7,16 @@
      [nt, nt + m)  artificials, one per row, existing only where the
                    cold start needs them (coefficient [art_sign]).
 
-   The basis representation is selectable ([basis_kind]):
-
-   - [Lu] (default): a sparse LU factorization of the basis ({!Lu}:
-     Markowitz ordering, threshold partial pivoting) plus a
-     product-form eta file — one eta per pivot, capturing the FTRAN
-     column B^-1 A_e so the factorization itself is never touched
-     between refactorizations.  FTRAN applies the LU triangular solves
-     then the etas in pivot order; BTRAN applies the transposed etas in
-     reverse order then the transposed LU solves.  All four triangular
-     passes run in scatter form and skip exactly-zero components, which
-     is where right-hand-side hypersparsity (unit vectors, slack
-     columns, short structural columns) pays off.
-
-   - [Dense]: the historical kernel — B^-1 as a dense row-major m*m
-     matrix updated by elementary row operations per pivot and rebuilt
-     by full Gauss-Jordan with partial pivoting.  Kept as the
-     correctness oracle and ablation leg.
-
-   Refactorization is policy-driven ([refactor_policy]): a fixed pivot
-   count, or (the LU default) whenever the eta file outgrows the
-   factorization by a configured factor.  Both backends share the
-   pricing/ratio-test/phase machinery and the final dense
-   factorization in [finish] — so when the two backends walk the same
-   pivot sequence (they do, apart from exact floating-point ties),
-   their reported solutions are bit-identical, not merely close.
-   Everything the iteration touches lives in a reusable workspace, so
-   the pivot loop performs no allocation beyond eta-file growth. *)
+   The kernel owns every pricing, ratio-test and phase decision; the
+   basis module [B] factors the basis columns, solves against them
+   (FTRAN/BTRAN), absorbs one column exchange per pivot and says when to
+   refactorize.  The library instance is [Make (Lu_eta)].  Whatever the
+   basis module, a solve finishes on one dense Gauss-Jordan solve of the
+   final basis ([dense_solve], shared with [tableau]), so two basis
+   modules that walk the same pivot sequence report bit-identical
+   solutions, not merely close ones.  Everything the iteration touches
+   lives in a reusable workspace, so the pivot loop allocates nothing
+   beyond the basis module's own update storage. *)
 
 module C = Compiled
 
@@ -63,24 +47,10 @@ type basis = {
   b_sign : float array;  (* artificial sign per row, 0.0 where none *)
 }
 
-type pricing = Bland | Dantzig | Steepest_edge
-
-type basis_kind = Lu | Dense
-
-type refactor_policy =
-  | Pivots of int
-  | Eta_fill of { max_pivots : int; growth : float }
-
-let default_refactor = function
-  | Lu -> Eta_fill { max_pivots = 256; growth = 2.0 }
-  | Dense -> Pivots 128
-
 type stats = {
   pivots : int;
-  phase1_pivots : int;
   dual_pivots : int;
   bound_flips : int;
-  refactorizations : int;
   bland_pivots : int;
   flops : int;
   lu_refactorizations : int;
@@ -98,114 +68,81 @@ let pp_status ppf = function
     Format.fprintf ppf "iteration-limit(phase %d, %d pivots)" p.phase
       p.iterations
 
-type workspace = {
-  mutable cap_m : int;
-  mutable cap_c : int;
-  mutable binv : float array;  (* cap_m^2, row-major *)
-  mutable fact : float array;  (* refactorization scratch, cap_m^2 *)
-  mutable xb : float array;  (* basic values per row *)
-  mutable y : float array;  (* BTRAN result: c_B B^-1 *)
-  mutable w : float array;  (* FTRAN result: B^-1 A_e *)
-  mutable rw : float array;  (* rhs scratch *)
-  mutable basis : int array;  (* basic column per row *)
-  mutable art_sign : float array;  (* per-row artificial sign, 0 = none *)
-  mutable vstat : int array;  (* per-column status *)
-  mutable xval : float array;  (* nonbasic column values *)
-  mutable dj : float array;  (* reduced costs *)
-  mutable alpha : float array;  (* pivot row *)
-  mutable refw : float array;  (* devex reference weights *)
-  mutable cost : float array;  (* current-phase costs *)
-  (* LU backend state *)
-  mutable lu : Lu.t option;  (* current factorization *)
-  mutable lutmp : float array;  (* permuted solve scratch, cap_m *)
-  mutable rho : float array;  (* BTRAN-of-unit-vector scratch, cap_m *)
-  mutable bptr : int array;  (* basis assembly: column pointers, cap_m+1 *)
-  mutable brow : int array;
-  mutable bval : float array;
-  (* Product-form eta file: eta k pivots on row eta_row.(k) with pivot
-     element eta_piv.(k); off-pivot nonzeros of B^-1 A_e live in
-     eta_idx/eta_val.(eta_ptr.(k) .. eta_ptr.(k+1) - 1). *)
-  mutable eta_n : int;
-  mutable eta_row : int array;
-  mutable eta_piv : float array;
-  mutable eta_ptr : int array;
-  mutable eta_idx : int array;
-  mutable eta_val : float array;
-}
+(* A nonbasic column snapped onto its current bounds, keeping its side
+   where that bound is finite: how a warm start (and [tableau]) reads a
+   basis snapshot against changed bounds. *)
+let snap st ~l ~u =
+  if l = neg_infinity && u = infinity then st_fr
+  else if st = st_lo then if l > neg_infinity then st_lo else st_up
+  else if st = st_up then if u < infinity then st_up else st_lo
+  else if l > neg_infinity then st_lo
+  else st_up
 
-let grow_int a used need =
-  if Array.length a >= need then a
-  else begin
-    let b = Array.make (max need ((2 * Array.length a) + 8)) 0 in
-    Array.blit a 0 b 0 used;
-    b
-  end
+let pinned st ~l ~u = if st = st_lo then l else if st = st_up then u else 0.0
 
-let grow_flt a used need =
-  if Array.length a >= need then a
-  else begin
-    let b = Array.make (max need ((2 * Array.length a) + 8)) 0.0 in
-    Array.blit a 0 b 0 used;
-    b
-  end
+(* rw := rhs - N x_N over the nonbasic structural and slack columns;
+   returns the work charged (2 per entry actually touched). *)
+let residual c ~stat ~xval ~rw =
+  let n = c.C.n and m = c.C.m and nt = c.C.nt in
+  Array.blit c.C.rhs 0 rw 0 m;
+  let t = ref 0 in
+  for j = 0 to nt - 1 do
+    if stat.(j) <> st_basic && xval.(j) <> 0.0 then begin
+      let x = xval.(j) in
+      if j < n then begin
+        t := !t + (2 * (c.C.col_ptr.(j + 1) - c.C.col_ptr.(j)));
+        for p = c.C.col_ptr.(j) to c.C.col_ptr.(j + 1) - 1 do
+          let r = c.C.col_row.(p) in
+          rw.(r) <- rw.(r) -. (c.C.col_val.(p) *. x)
+        done
+      end
+      else begin
+        t := !t + 2;
+        rw.(j - n) <- rw.(j - n) -. x
+      end
+    end
+  done;
+  !t
 
-let workspace () =
-  {
-    cap_m = 0;
-    cap_c = 0;
-    binv = [||];
-    fact = [||];
-    xb = [||];
-    y = [||];
-    w = [||];
-    rw = [||];
-    basis = [||];
-    art_sign = [||];
-    vstat = [||];
-    xval = [||];
-    dj = [||];
-    alpha = [||];
-    refw = [||];
-    cost = [||];
-    lu = None;
-    lutmp = [||];
-    rho = [||];
-    bptr = [||];
-    brow = [||];
-    bval = [||];
-    eta_n = 0;
-    eta_row = [||];
-    eta_piv = [||];
-    eta_ptr = [| 0 |];
-    eta_idx = [||];
-    eta_val = [||];
-  }
+(* The dense solve every simplex run finishes on, and the one [tableau]
+   reads: binv := B^-1 by Gauss-Jordan over the basic columns [rows] (a
+   kept artificial in row i has coefficient [sign.(i)]), then
+   xb := B^-1 (rhs - N x_N).  [false] when B is singular. *)
+let dense_solve c ~rows ~sign ~stat ~xval ~fact ~binv ~rw ~xb ~flops =
+  let n = c.C.n and m = c.C.m and nt = c.C.nt in
+  Array.fill fact 0 (m * m) 0.0;
+  for i = 0 to m - 1 do
+    let k = rows.(i) in
+    if k < n then
+      for p = c.C.col_ptr.(k) to c.C.col_ptr.(k + 1) - 1 do
+        fact.((c.C.col_row.(p) * m) + i) <- c.C.col_val.(p)
+      done
+    else if k < nt then fact.(((k - n) * m) + i) <- 1.0
+    else fact.(((k - nt) * m) + i) <- sign.(k - nt)
+  done;
+  Basis.dense_inverse ~m ~fact ~binv ~flops
+  && begin
+       flops := !flops + residual c ~stat ~xval ~rw + (2 * m * m);
+       for i = 0 to m - 1 do
+         let off = i * m in
+         let s = ref 0.0 in
+         for k = 0 to m - 1 do
+           s := !s +. (binv.(off + k) *. rw.(k))
+         done;
+         xb.(i) <- !s
+       done;
+       true
+     end
 
-let ensure ws m ncols =
-  if ws.cap_m < m then begin
-    ws.cap_m <- m;
-    ws.binv <- Array.make (m * m) 0.0;
-    ws.fact <- Array.make (m * m) 0.0;
-    ws.xb <- Array.make m 0.0;
-    ws.y <- Array.make m 0.0;
-    ws.w <- Array.make m 0.0;
-    ws.rw <- Array.make m 0.0;
-    ws.basis <- Array.make m 0;
-    ws.art_sign <- Array.make m 0.0;
-    ws.lutmp <- Array.make m 0.0;
-    ws.rho <- Array.make m 0.0;
-    ws.bptr <- Array.make (m + 1) 0
-  end;
-  if ws.cap_c < ncols then begin
-    ws.cap_c <- ncols;
-    ws.vstat <- Array.make ncols st_lo;
-    ws.xval <- Array.make ncols 0.0;
-    ws.dj <- Array.make ncols 0.0;
-    ws.alpha <- Array.make ncols 0.0;
-    ws.refw <- Array.make ncols 1.0;
-    ws.cost <- Array.make ncols 0.0
-  end;
-  ws
+(* Tolerances: reduced costs ([eps]), primal feasibility ([feas_tol]),
+   ratio-test pivot magnitude ([piv_tol]) and ratio ties ([rtol]). *)
+let eps = 1e-7
+
+let feas_tol = eps *. 0.01
+
+let piv_tol = 1e-9
+
+let rtol = 1e-9
 
 exception Stop of status * basis option
 
@@ -218,391 +155,222 @@ exception Stuck of int
    restarts cold (the hint led to a bad vertex, not the problem); only a
    cold solve that gets stuck reports {!Iter_limit}. *)
 
-let solve_compiled ?(pricing = Steepest_edge) ?(max_iter = 100000)
-    ?(eps = 1e-7) ?(backend = Lu) ?refactor ?basis:hint ?ws c =
-  let n = c.C.n and m = c.C.m and nt = c.C.nt in
-  let ncols = nt + m in
-  let ws = ensure (match ws with Some w -> w | None -> workspace ()) m ncols in
-  let binv = ws.binv and fact = ws.fact in
-  let use_lu = backend = Lu in
-  let policy =
-    match refactor with Some p -> p | None -> default_refactor backend
-  in
-  let feas_tol = eps *. 0.01 in
-  let piv_tol = 1e-9 in
-  let rtol = 1e-9 in
-  let rhs_scale =
-    let s = ref 1.0 in
-    for i = 0 to m - 1 do
-      s := Float.max !s (Float.abs c.C.rhs.(i))
-    done;
-    !s
-  in
-  (* Artificials share one upper bound: +oo during phase 1, 0 after. *)
-  let art_ub = ref infinity in
-  let lbx j = if j < nt then c.C.lb.(j) else 0.0 in
-  let ubx j = if j < nt then c.C.ub.(j) else !art_ub in
-  let primal_pivots = ref 0
-  and p1_pivots = ref 0
-  and dual_pivots = ref 0
-  and flips = ref 0
-  and refacts = ref 0
-  and blands = ref 0
-  and flops = ref 0
-  and since_refactor = ref 0
-  and lu_refacts = ref 0
-  and fill_nnz = ref 0
-  and eta_total = ref 0
-  and fhits = ref 0
-  and bhits = ref 0
-  and cur_lu_nnz = ref 0
-  and cur_eta_nnz = ref 0 in
-  let total_pivots () = !primal_pivots + !dual_pivots in
-  let stats () =
+module type S = sig
+  type workspace
+
+  val workspace : unit -> workspace
+
+  val solve : ?max_iter:int -> Model.t -> status
+
+  val solve_ext :
+    ?max_iter:int -> ?basis:basis -> Model.t -> status * basis option * stats
+
+  val solve_compiled :
+    ?max_iter:int ->
+    ?basis:basis ->
+    ?ws:workspace ->
+    Compiled.t ->
+    status * basis option * stats
+
+  val solve_from_basis : ?max_iter:int -> basis -> Model.t -> status
+end
+
+module Make (B : Basis.S) = struct
+  type workspace = {
+    mutable cap_m : int;
+    mutable cap_c : int;
+    mutable binv : float array;  (* dense finish: B^-1, cap_m^2 row-major *)
+    mutable fact : float array;  (* dense finish scratch, cap_m^2 *)
+    mutable xb : float array;  (* basic values per row *)
+    mutable y : float array;  (* BTRAN result: c_B B^-1 *)
+    mutable w : float array;  (* FTRAN result: B^-1 A_e *)
+    mutable rw : float array;  (* rhs scratch *)
+    mutable rho : float array;  (* BTRAN-of-unit-vector scratch *)
+    mutable basis : int array;  (* basic column per row *)
+    mutable art_sign : float array;  (* per-row artificial sign, 0 = none *)
+    mutable vstat : int array;  (* per-column status *)
+    mutable xval : float array;  (* nonbasic column values *)
+    mutable dj : float array;  (* reduced costs *)
+    mutable alpha : float array;  (* pivot row *)
+    mutable refw : float array;  (* devex reference weights *)
+    mutable cost : float array;  (* current-phase costs *)
+    (* basis columns in CSC form, handed to B.factor *)
+    mutable bptr : int array;
+    mutable brow : int array;
+    mutable bval : float array;
+    bs : B.t;
+  }
+
+  let workspace () =
     {
-      pivots = total_pivots ();
-      phase1_pivots = !p1_pivots;
-      dual_pivots = !dual_pivots;
-      bound_flips = !flips;
-      refactorizations = !refacts;
-      bland_pivots = !blands;
-      flops = !flops;
-      lu_refactorizations = !lu_refacts;
-      lu_fill_in_nnz = !fill_nnz;
-      lu_eta_nnz = !eta_total;
-      ftran_sparse_hits = !fhits;
-      btran_sparse_hits = !bhits;
+      cap_m = 0;
+      cap_c = 0;
+      binv = [||];
+      fact = [||];
+      xb = [||];
+      y = [||];
+      w = [||];
+      rw = [||];
+      rho = [||];
+      basis = [||];
+      art_sign = [||];
+      vstat = [||];
+      xval = [||];
+      dj = [||];
+      alpha = [||];
+      refw = [||];
+      cost = [||];
+      bptr = [| 0 |];
+      brow = [||];
+      bval = [||];
+      bs = B.create ();
     }
-  in
-  let limit phase = Stop (Iter_limit { phase; iterations = total_pivots () }, None) in
-  (* ---- linear-algebra primitives ------------------------------------ *)
-  (* Flop charging is "honest" on both backends: 2 per entry actually
-     multiplied-and-accumulated (no dense m^2/m^3 formulas), so the
-     counter is comparable across backends and measures real work. *)
-  let dense_refactor () =
-    incr refacts;
-    since_refactor := 0;
-    Array.fill fact 0 (m * m) 0.0;
-    for i = 0 to m - 1 do
-      let k = ws.basis.(i) in
-      if k < n then
-        for p = c.C.col_ptr.(k) to c.C.col_ptr.(k + 1) - 1 do
-          fact.((c.C.col_row.(p) * m) + i) <- c.C.col_val.(p)
-        done
-      else if k < nt then fact.(((k - n) * m) + i) <- 1.0
-      else fact.(((k - nt) * m) + i) <- ws.art_sign.(k - nt)
-    done;
-    Array.fill binv 0 (m * m) 0.0;
-    for i = 0 to m - 1 do
-      binv.((i * m) + i) <- 1.0
-    done;
-    let ok = ref true in
-    (try
-       for col = 0 to m - 1 do
-         let best = ref col
-         and bestv = ref (Float.abs fact.((col * m) + col)) in
-         for r = col + 1 to m - 1 do
-           let v = Float.abs fact.((r * m) + col) in
-           if v > !bestv then begin
-             best := r;
-             bestv := v
-           end
-         done;
-         if !bestv < 1e-11 then begin
-           ok := false;
-           raise Exit
-         end;
-         if !best <> col then begin
-           let oa = col * m and ob = !best * m in
-           for q = 0 to m - 1 do
-             let t = fact.(oa + q) in
-             fact.(oa + q) <- fact.(ob + q);
-             fact.(ob + q) <- t;
-             let t = binv.(oa + q) in
-             binv.(oa + q) <- binv.(ob + q);
-             binv.(ob + q) <- t
-           done
-         end;
-         let off = col * m in
-         let ipiv = 1.0 /. fact.(off + col) in
-         flops := !flops + (4 * m);
-         for q = 0 to m - 1 do
-           fact.(off + q) <- fact.(off + q) *. ipiv;
-           binv.(off + q) <- binv.(off + q) *. ipiv
-         done;
-         for r = 0 to m - 1 do
-           if r <> col then begin
-             let f = fact.((r * m) + col) in
-             if f <> 0.0 then begin
-               let offr = r * m in
-               flops := !flops + (4 * m);
-               for q = 0 to m - 1 do
-                 fact.(offr + q) <- fact.(offr + q) -. (f *. fact.(off + q));
-                 binv.(offr + q) <- binv.(offr + q) -. (f *. binv.(off + q))
-               done
-             end
-           end
-         done
-       done
-     with Exit -> ());
-    !ok
-  in
-  (* ---- LU backend: factorization + product-form eta file ------------- *)
-  let eta_reset () =
-    ws.eta_n <- 0;
-    if Array.length ws.eta_ptr = 0 then ws.eta_ptr <- Array.make 8 0;
-    ws.eta_ptr.(0) <- 0;
-    cur_eta_nnz := 0
-  in
-  (* Record ws.w (= B^-1 A_e) as the eta of a pivot on row [r]. *)
-  let eta_append r =
-    let k = ws.eta_n in
-    ws.eta_row <- grow_int ws.eta_row k (k + 1);
-    ws.eta_piv <- grow_flt ws.eta_piv k (k + 1);
-    ws.eta_ptr <- grow_int ws.eta_ptr (k + 1) (k + 2);
-    let base = ws.eta_ptr.(k) in
-    let cnt = ref 0 in
-    for i = 0 to m - 1 do
-      if i <> r && ws.w.(i) <> 0.0 then incr cnt
-    done;
-    ws.eta_idx <- grow_int ws.eta_idx base (base + !cnt);
-    ws.eta_val <- grow_flt ws.eta_val base (base + !cnt);
-    let pos = ref base in
-    for i = 0 to m - 1 do
-      if i <> r && ws.w.(i) <> 0.0 then begin
-        ws.eta_idx.(!pos) <- i;
-        ws.eta_val.(!pos) <- ws.w.(i);
-        incr pos
-      end
-    done;
-    ws.eta_row.(k) <- r;
-    ws.eta_piv.(k) <- ws.w.(r);
-    ws.eta_ptr.(k + 1) <- !pos;
-    ws.eta_n <- k + 1;
-    cur_eta_nnz := !cur_eta_nnz + !cnt + 1;
-    eta_total := !eta_total + !cnt + 1
-  in
-  (* FTRAN tail: apply E_1^-1 .. E_k^-1 in pivot order.  An eta whose
-     pivot component is exactly zero is a no-op (skip). *)
-  let eta_ftran v =
-    for k = 0 to ws.eta_n - 1 do
-      let r = ws.eta_row.(k) in
-      let xr = v.(r) in
-      if xr = 0.0 then incr fhits
-      else begin
-        let xr = xr /. ws.eta_piv.(k) in
-        v.(r) <- xr;
-        let b = ws.eta_ptr.(k) and e = ws.eta_ptr.(k + 1) in
-        flops := !flops + 1 + (2 * (e - b));
-        for p = b to e - 1 do
-          let i = ws.eta_idx.(p) in
-          v.(i) <- v.(i) -. (ws.eta_val.(p) *. xr)
-        done
-      end
-    done
-  in
-  (* BTRAN head: apply E_k^-T .. E_1^-T (reverse order); each transposed
-     eta only rewrites its pivot component. *)
-  let eta_btran v =
-    for k = ws.eta_n - 1 downto 0 do
-      let r = ws.eta_row.(k) in
-      let b = ws.eta_ptr.(k) and e = ws.eta_ptr.(k + 1) in
-      let s = ref v.(r) in
-      for p = b to e - 1 do
-        s := !s -. (ws.eta_val.(p) *. v.(ws.eta_idx.(p)))
+
+  let ensure ws m ncols =
+    if ws.cap_m < m then begin
+      ws.cap_m <- m;
+      ws.binv <- Array.make (m * m) 0.0;
+      ws.fact <- Array.make (m * m) 0.0;
+      ws.xb <- Array.make m 0.0;
+      ws.y <- Array.make m 0.0;
+      ws.w <- Array.make m 0.0;
+      ws.rw <- Array.make m 0.0;
+      ws.rho <- Array.make m 0.0;
+      ws.basis <- Array.make m 0;
+      ws.art_sign <- Array.make m 0.0;
+      ws.bptr <- Array.make (m + 1) 0
+    end;
+    if ws.cap_c < ncols then begin
+      ws.cap_c <- ncols;
+      ws.vstat <- Array.make ncols st_lo;
+      ws.xval <- Array.make ncols 0.0;
+      ws.dj <- Array.make ncols 0.0;
+      ws.alpha <- Array.make ncols 0.0;
+      ws.refw <- Array.make ncols 1.0;
+      ws.cost <- Array.make ncols 0.0
+    end;
+    ws
+
+  let solve_compiled ?(max_iter = 100000) ?basis:hint ?ws c =
+    let n = c.C.n and m = c.C.m and nt = c.C.nt in
+    let ncols = nt + m in
+    let ws =
+      ensure (match ws with Some w -> w | None -> workspace ()) m ncols
+    in
+    let bs = ws.bs in
+    let bk = B.counters bs in
+    Basis.reset bk;
+    let rhs_scale =
+      let s = ref 1.0 in
+      for i = 0 to m - 1 do
+        s := Float.max !s (Float.abs c.C.rhs.(i))
       done;
-      flops := !flops + 1 + (2 * (e - b));
-      v.(r) <- !s /. ws.eta_piv.(k)
-    done
-  in
-  (* v := B^-1 v (factorization then etas); v := B^-T v (etas then
-     transposed factorization). *)
-  let lu_apply_ftran v =
-    (match ws.lu with
-    | Some lu ->
-      let fl, sk = Lu.ftran lu ~x:v ~tmp:ws.lutmp in
-      flops := !flops + fl;
-      fhits := !fhits + sk
-    | None -> assert false);
-    eta_ftran v
-  in
-  let lu_apply_btran v =
-    eta_btran v;
-    match ws.lu with
-    | Some lu ->
-      let fl, sk = Lu.btran lu ~x:v ~tmp:ws.lutmp in
-      flops := !flops + fl;
-      bhits := !bhits + sk
-    | None -> assert false
-  in
-  let lu_refactor () =
-    (* Assemble the basis columns (basis position i = column i of B) in
-       CSC form, reusing the workspace assembly buffers. *)
-    let len = ref 0 in
-    ws.bptr <- grow_int ws.bptr 0 (m + 1);
-    ws.bptr.(0) <- 0;
-    for i = 0 to m - 1 do
-      let k = ws.basis.(i) in
-      let need = if k < n then c.C.col_ptr.(k + 1) - c.C.col_ptr.(k) else 1 in
-      ws.brow <- grow_int ws.brow !len (!len + need);
-      ws.bval <- grow_flt ws.bval !len (!len + need);
-      if k < n then
-        for p = c.C.col_ptr.(k) to c.C.col_ptr.(k + 1) - 1 do
-          ws.brow.(!len) <- c.C.col_row.(p);
-          ws.bval.(!len) <- c.C.col_val.(p);
-          incr len
-        done
-      else if k < nt then begin
-        ws.brow.(!len) <- k - n;
-        ws.bval.(!len) <- 1.0;
-        incr len
-      end
-      else begin
-        ws.brow.(!len) <- k - nt;
-        ws.bval.(!len) <- ws.art_sign.(k - nt);
-        incr len
+      !s
+    in
+    (* Artificials share one upper bound: +oo during phase 1, 0 after. *)
+    let art_ub = ref infinity in
+    let lbx j = if j < nt then c.C.lb.(j) else 0.0 in
+    let ubx j = if j < nt then c.C.ub.(j) else !art_ub in
+    let primal_pivots = ref 0
+    and dual_pivots = ref 0
+    and flips = ref 0
+    and blands = ref 0
+    and flops = ref 0 in
+    let total_pivots () = !primal_pivots + !dual_pivots in
+    let stats () =
+      {
+        pivots = total_pivots ();
+        dual_pivots = !dual_pivots;
+        bound_flips = !flips;
+        bland_pivots = !blands;
+        flops = !flops + bk.Basis.flops;
+        lu_refactorizations = bk.Basis.factorizations;
+        lu_fill_in_nnz = bk.Basis.fill_in;
+        lu_eta_nnz = bk.Basis.update_nnz;
+        ftran_sparse_hits = bk.Basis.ftran_skips;
+        btran_sparse_hits = bk.Basis.btran_skips;
+      }
+    in
+    let limit phase =
+      Stop (Iter_limit { phase; iterations = total_pivots () }, None)
+    in
+    (* ---- basis operations ---------------------------------------------- *)
+    (* Flop charging is honest: 2 per entry actually multiplied and
+       accumulated, here and inside B. *)
+    let refactor () =
+      (* Basis position i is column i of B. *)
+      let cap = c.C.col_ptr.(n) + m in
+      if Array.length ws.brow < cap then begin
+        ws.brow <- Array.make cap 0;
+        ws.bval <- Array.make cap 0.0
       end;
-      ws.bptr.(i + 1) <- !len
-    done;
-    match Lu.factor ~m ~ptr:ws.bptr ~row:ws.brow ~vals:ws.bval () with
-    | None -> false
-    | Some lu ->
-      ws.lu <- Some lu;
-      incr refacts;
-      incr lu_refacts;
-      since_refactor := 0;
-      eta_reset ();
-      cur_lu_nnz := Lu.nnz lu;
-      fill_nnz := !fill_nnz + max 0 (Lu.nnz lu - !len);
-      flops := !flops + Lu.flops lu;
-      true
-  in
-  let refactor () = if use_lu then lu_refactor () else dense_refactor () in
-  let need_refactor () =
-    match policy with
-    | Pivots k -> !since_refactor >= k
-    | Eta_fill { max_pivots; growth } ->
-      !since_refactor >= max_pivots
-      || (use_lu
-         && !since_refactor > 0
-         && float_of_int !cur_eta_nnz > growth *. float_of_int (!cur_lu_nnz + m)
-         )
-  in
-  (* ---- backend-dispatched kernel operations --------------------------- *)
-  let load_residual () =
-    (* ws.rw := rhs - N x_N, charged at the entries actually touched *)
-    Array.blit c.C.rhs 0 ws.rw 0 m;
-    let t = ref 0 in
-    for j = 0 to nt - 1 do
-      if ws.vstat.(j) <> st_basic && ws.xval.(j) <> 0.0 then begin
-        let x = ws.xval.(j) in
-        if j < n then begin
-          t := !t + (2 * (c.C.col_ptr.(j + 1) - c.C.col_ptr.(j)));
-          for p = c.C.col_ptr.(j) to c.C.col_ptr.(j + 1) - 1 do
-            let r = c.C.col_row.(p) in
-            ws.rw.(r) <- ws.rw.(r) -. (c.C.col_val.(p) *. x)
+      let len = ref 0 in
+      ws.bptr.(0) <- 0;
+      for i = 0 to m - 1 do
+        let k = ws.basis.(i) in
+        if k < n then
+          for p = c.C.col_ptr.(k) to c.C.col_ptr.(k + 1) - 1 do
+            ws.brow.(!len) <- c.C.col_row.(p);
+            ws.bval.(!len) <- c.C.col_val.(p);
+            incr len
           done
-        end
         else begin
-          t := !t + 2;
-          ws.rw.(j - n) <- ws.rw.(j - n) -. x
-        end
-      end
-    done;
-    flops := !flops + !t
-  in
-  let dense_compute_xb () =
-    load_residual ();
-    flops := !flops + (2 * m * m);
-    for i = 0 to m - 1 do
-      let off = i * m in
-      let s = ref 0.0 in
-      for k = 0 to m - 1 do
-        s := !s +. (binv.(off + k) *. ws.rw.(k))
+          if k < nt then begin
+            ws.brow.(!len) <- k - n;
+            ws.bval.(!len) <- 1.0
+          end
+          else begin
+            ws.brow.(!len) <- k - nt;
+            ws.bval.(!len) <- ws.art_sign.(k - nt)
+          end;
+          incr len
+        end;
+        ws.bptr.(i + 1) <- !len
       done;
-      ws.xb.(i) <- !s
-    done
-  in
-  let compute_xb () =
-    if use_lu then begin
-      load_residual ();
-      lu_apply_ftran ws.rw;
+      B.factor bs ~m ~ptr:ws.bptr ~row:ws.brow ~vals:ws.bval
+    in
+    let compute_xb () =
+      flops := !flops + residual c ~stat:ws.vstat ~xval:ws.xval ~rw:ws.rw;
+      B.ftran bs ws.rw;
       Array.blit ws.rw 0 ws.xb 0 m
-    end
-    else dense_compute_xb ()
-  in
-  let btran () =
-    if use_lu then begin
+    in
+    let btran () =
       for i = 0 to m - 1 do
         ws.y.(i) <- ws.cost.(ws.basis.(i))
       done;
-      lu_apply_btran ws.y
-    end
-    else begin
-      Array.fill ws.y 0 m 0.0;
-      for i = 0 to m - 1 do
-        let cb = ws.cost.(ws.basis.(i)) in
-        if cb <> 0.0 then begin
-          let off = i * m in
-          flops := !flops + (2 * m);
-          for k = 0 to m - 1 do
-            ws.y.(k) <- ws.y.(k) +. (cb *. binv.(off + k))
-          done
-        end
-      done
-    end
-  in
-  let reduced_cost j =
-    if j < n then begin
-      let s = ref ws.cost.(j) in
-      flops := !flops + (2 * (c.C.col_ptr.(j + 1) - c.C.col_ptr.(j)));
-      for p = c.C.col_ptr.(j) to c.C.col_ptr.(j + 1) - 1 do
-        s := !s -. (c.C.col_val.(p) *. ws.y.(c.C.col_row.(p)))
-      done;
-      !s
-    end
-    else begin
-      flops := !flops + 1;
-      ws.cost.(j) -. ws.y.(j - n)
-    end
-  in
-  let ftran e =
-    Array.fill ws.w 0 m 0.0;
-    if use_lu then begin
+      B.btran bs ws.y
+    in
+    let reduced_cost j =
+      if j < n then begin
+        let s = ref ws.cost.(j) in
+        flops := !flops + (2 * (c.C.col_ptr.(j + 1) - c.C.col_ptr.(j)));
+        for p = c.C.col_ptr.(j) to c.C.col_ptr.(j + 1) - 1 do
+          s := !s -. (c.C.col_val.(p) *. ws.y.(c.C.col_row.(p)))
+        done;
+        !s
+      end
+      else begin
+        flops := !flops + 1;
+        ws.cost.(j) -. ws.y.(j - n)
+      end
+    in
+    let ftran e =
+      Array.fill ws.w 0 m 0.0;
       if e < n then
         for p = c.C.col_ptr.(e) to c.C.col_ptr.(e + 1) - 1 do
           ws.w.(c.C.col_row.(p)) <- c.C.col_val.(p)
         done
       else ws.w.(e - n) <- 1.0;
-      lu_apply_ftran ws.w
-    end
-    else if e < n then begin
-      flops := !flops + (2 * m * (c.C.col_ptr.(e + 1) - c.C.col_ptr.(e)));
-      for p = c.C.col_ptr.(e) to c.C.col_ptr.(e + 1) - 1 do
-        let r = c.C.col_row.(p) and v = c.C.col_val.(p) in
-        for i = 0 to m - 1 do
-          ws.w.(i) <- ws.w.(i) +. (binv.((i * m) + r) *. v)
-        done
-      done
-    end
-    else begin
-      flops := !flops + (2 * m);
-      let r = e - n in
-      for i = 0 to m - 1 do
-        ws.w.(i) <- ws.w.(i) +. binv.((i * m) + r)
-      done
-    end
-  in
-  (* Pivot row r of B^-1 N into ws.alpha (nonbasic columns only).  The
-     dense backend reads row r of the explicit inverse; the LU backend
-     computes rho = B^-T e_r (one hypersparse BTRAN) and prices the
-     nonbasic columns against it. *)
-  let pivot_row r =
-    let t = ref 0 in
-    if use_lu then begin
+      B.ftran bs ws.w
+    in
+    (* Pivot row r of B^-1 N into ws.alpha (nonbasic columns only):
+       rho = B^-T e_r (one hypersparse BTRAN), priced against every
+       nonbasic column. *)
+    let pivot_row r =
+      let t = ref 0 in
       Array.fill ws.rho 0 m 0.0;
       ws.rho.(r) <- 1.0;
-      lu_apply_btran ws.rho;
+      B.btran bs ws.rho;
       for j = 0 to nt - 1 do
         if ws.vstat.(j) <> st_basic then
           ws.alpha.(j) <-
@@ -619,65 +387,21 @@ let solve_compiled ?(pricing = Steepest_edge) ?(max_iter = 100000)
                ws.rho.(j - n)
              end)
         else ws.alpha.(j) <- 0.0
-      done
-    end
-    else begin
-      let off = r * m in
-      for j = 0 to nt - 1 do
-        if ws.vstat.(j) <> st_basic then
-          ws.alpha.(j) <-
-            (if j < n then begin
-               let s = ref 0.0 in
-               t := !t + (2 * (c.C.col_ptr.(j + 1) - c.C.col_ptr.(j)));
-               for p = c.C.col_ptr.(j) to c.C.col_ptr.(j + 1) - 1 do
-                 s := !s +. (binv.(off + c.C.col_row.(p)) *. c.C.col_val.(p))
-               done;
-               !s
-             end
-             else begin
-               incr t;
-               binv.(off + (j - n))
-             end)
-        else ws.alpha.(j) <- 0.0
-      done
-    end;
-    flops := !flops + !t
-  in
-  (* Replace row r's basic column with e (ws.w must hold B^-1 A_e).
-     Dense: elementary row operations on the explicit inverse.
-     LU: append one eta; the factorization is untouched. *)
-  let apply_pivot r e ~ve ~leave_st ~leave_val =
-    let k = ws.basis.(r) in
-    ws.vstat.(k) <- leave_st;
-    ws.xval.(k) <- leave_val;
-    ws.basis.(r) <- e;
-    ws.vstat.(e) <- st_basic;
-    ws.xb.(r) <- ve;
-    if use_lu then eta_append r
-    else begin
-      let offr = r * m in
-      let ipiv = 1.0 /. ws.w.(r) in
-      flops := !flops + (2 * m);
-      for q = 0 to m - 1 do
-        binv.(offr + q) <- binv.(offr + q) *. ipiv
       done;
-      for i = 0 to m - 1 do
-        if i <> r then begin
-          let f = ws.w.(i) in
-          if f <> 0.0 then begin
-            let offi = i * m in
-            flops := !flops + (2 * m);
-            for q = 0 to m - 1 do
-              binv.(offi + q) <- binv.(offi + q) -. (f *. binv.(offr + q))
-            done
-          end
-        end
-      done
-    end;
-    incr since_refactor
-  in
-  let devex_update r e =
-    if pricing = Steepest_edge then begin
+      flops := !flops + !t
+    in
+    (* Replace row r's basic column with e (ws.w must hold B^-1 A_e). *)
+    let apply_pivot r e ~ve ~leave_st ~leave_val =
+      let k = ws.basis.(r) in
+      ws.vstat.(k) <- leave_st;
+      ws.xval.(k) <- leave_val;
+      ws.basis.(r) <- e;
+      ws.vstat.(e) <- st_basic;
+      ws.xb.(r) <- ve;
+      B.update bs ~r ~w:ws.w
+    in
+    (* Devex-style steepest-edge reference weights. *)
+    let devex_update r e =
       pivot_row r;
       let ae = ws.w.(r) in
       if Float.abs ae > 1e-12 then begin
@@ -694,497 +418,496 @@ let solve_compiled ?(pricing = Steepest_edge) ?(max_iter = 100000)
         done;
         ws.refw.(ws.basis.(r)) <- Float.max (ge /. (ae *. ae)) 1.0
       end
-    end
-  in
-  let current_z () =
-    let s = ref 0.0 in
-    for i = 0 to m - 1 do
-      let cb = ws.cost.(ws.basis.(i)) in
-      if cb <> 0.0 then s := !s +. (cb *. ws.xb.(i))
-    done;
-    for j = 0 to nt - 1 do
-      if ws.vstat.(j) <> st_basic && ws.cost.(j) <> 0.0 && ws.xval.(j) <> 0.0
-      then s := !s +. (ws.cost.(j) *. ws.xval.(j))
-    done;
-    !s
-  in
-  let choose_entering ~bland =
-    let best = ref (-1) and best_score = ref 0.0 in
-    (try
-       for j = 0 to nt - 1 do
-         let st = ws.vstat.(j) in
-         if st <> st_basic && lbx j < ubx j then begin
-           let d = reduced_cost j in
-           ws.dj.(j) <- d;
-           let elig =
-             (d < -.eps && (st = st_lo || st = st_fr))
-             || (d > eps && (st = st_up || st = st_fr))
-           in
-           if elig then
-             if bland then begin
-               best := j;
-               raise Exit
-             end
-             else begin
-               let score =
-                 match pricing with
-                 | Steepest_edge -> d *. d /. ws.refw.(j)
-                 | Dantzig | Bland -> Float.abs d
-               in
-               if score > !best_score then begin
-                 best_score := score;
-                 best := j
+    in
+    let current_z () =
+      let s = ref 0.0 in
+      for i = 0 to m - 1 do
+        let cb = ws.cost.(ws.basis.(i)) in
+        if cb <> 0.0 then s := !s +. (cb *. ws.xb.(i))
+      done;
+      for j = 0 to nt - 1 do
+        if ws.vstat.(j) <> st_basic && ws.cost.(j) <> 0.0 && ws.xval.(j) <> 0.0
+        then s := !s +. (ws.cost.(j) *. ws.xval.(j))
+      done;
+      !s
+    in
+    (* Steepest edge (d^2 over the reference weight), or Bland's
+       least-index rule once the primal phase has stalled. *)
+    let choose_entering ~bland =
+      let best = ref (-1) and best_score = ref 0.0 in
+      (try
+         for j = 0 to nt - 1 do
+           let st = ws.vstat.(j) in
+           if st <> st_basic && lbx j < ubx j then begin
+             let d = reduced_cost j in
+             ws.dj.(j) <- d;
+             let elig =
+               (d < -.eps && (st = st_lo || st = st_fr))
+               || (d > eps && (st = st_up || st = st_fr))
+             in
+             if elig then
+               if bland then begin
+                 best := j;
+                 raise Exit
                end
-             end
-         end
-       done
-     with Exit -> ());
-    !best
-  in
-  (* ---- primal iteration --------------------------------------------- *)
-  let primal_phase ~phase =
-    let iters = ref 0 in
-    let stall = ref 0 in
-    let bland = ref (pricing = Bland) in
-    let last_z = ref infinity in
-    let finished = ref None in
-    while !finished = None do
-      if need_refactor () then begin
-        if not (refactor ()) then raise (Stuck phase);
-        compute_xb ()
-      end;
-      btran ();
-      let e = choose_entering ~bland:!bland in
-      if e < 0 then finished := Some `Optimal
-      else if !iters >= max_iter then finished := Some `Limit
-      else begin
-        let z = current_z () in
-        if z < !last_z -. (1e-12 *. (1.0 +. Float.abs !last_z)) then begin
-          last_z := z;
-          stall := 0
-        end
-        else begin
-          incr stall;
-          if !stall > 200 then bland := true
+               else begin
+                 let score = d *. d /. ws.refw.(j) in
+                 if score > !best_score then begin
+                   best_score := score;
+                   best := j
+                 end
+               end
+           end
+         done
+       with Exit -> ());
+      !best
+    in
+    (* ---- primal iteration --------------------------------------------- *)
+    let primal_phase ~phase =
+      let iters = ref 0 in
+      let stall = ref 0 in
+      let bland = ref false in
+      let last_z = ref infinity in
+      let finished = ref None in
+      while !finished = None do
+        if B.needs_refactor bs then begin
+          if not (refactor ()) then raise (Stuck phase);
+          compute_xb ()
         end;
-        let dir = if ws.dj.(e) < 0.0 then 1.0 else -1.0 in
-        ftran e;
-        let span = ubx e -. lbx e in
-        let best_t = ref span and leave_r = ref (-1) and leave_up = ref false in
-        for i = 0 to m - 1 do
-          let a = dir *. ws.w.(i) in
-          if a > piv_tol then begin
-            let l = lbx ws.basis.(i) in
-            if l > neg_infinity then begin
-              let t = Float.max 0.0 ((ws.xb.(i) -. l) /. a) in
-              if
-                t < !best_t -. rtol
-                || (t < !best_t +. rtol
-                   && !leave_r >= 0
-                   &&
-                   if !bland then ws.basis.(i) < ws.basis.(!leave_r)
-                   else Float.abs ws.w.(i) > Float.abs ws.w.(!leave_r))
-              then begin
-                if t < !best_t then best_t := t;
-                leave_r := i;
-                leave_up := false
-              end
-            end
-          end
-          else if a < -.piv_tol then begin
-            let u = ubx ws.basis.(i) in
-            if u < infinity then begin
-              let t = Float.max 0.0 ((u -. ws.xb.(i)) /. -.a) in
-              if
-                t < !best_t -. rtol
-                || (t < !best_t +. rtol
-                   && !leave_r >= 0
-                   &&
-                   if !bland then ws.basis.(i) < ws.basis.(!leave_r)
-                   else Float.abs ws.w.(i) > Float.abs ws.w.(!leave_r))
-              then begin
-                if t < !best_t then best_t := t;
-                leave_r := i;
-                leave_up := true
-              end
-            end
-          end
-        done;
-        if !best_t = infinity then finished := Some `Unbounded
-        else if !leave_r < 0 then begin
-          (* entering variable runs to its opposite bound: no basis change *)
-          let t = !best_t in
-          ws.xval.(e) <- (if dir > 0.0 then ubx e else lbx e);
-          ws.vstat.(e) <- (if dir > 0.0 then st_up else st_lo);
-          flops := !flops + (2 * m);
-          for i = 0 to m - 1 do
-            ws.xb.(i) <- ws.xb.(i) -. (dir *. t *. ws.w.(i))
-          done;
-          incr flips;
-          incr iters
-        end
+        btran ();
+        let e = choose_entering ~bland:!bland in
+        if e < 0 then finished := Some `Optimal
+        else if !iters >= max_iter then finished := Some `Limit
         else begin
-          let r = !leave_r in
-          if Float.abs ws.w.(r) < 1e-10 then begin
-            (* numerically hopeless pivot: refresh the factorization and
-               retry; if it is already fresh, give up (cold restart when
-               warm-started, Iter_limit otherwise) *)
-            if !since_refactor > 0 then begin
-              if not (refactor ()) then raise (Stuck phase);
-              compute_xb ()
-            end
-            else raise (Stuck phase)
+          let z = current_z () in
+          if z < !last_z -. (1e-12 *. (1.0 +. Float.abs !last_z)) then begin
+            last_z := z;
+            stall := 0
           end
           else begin
-            let t = !best_t in
-            let k = ws.basis.(r) in
-            let leave_st = if !leave_up then st_up else st_lo in
-            let leave_val = if !leave_up then ubx k else lbx k in
-            devex_update r e;
-            flops := !flops + (2 * m);
-            for i = 0 to m - 1 do
-              if i <> r then ws.xb.(i) <- ws.xb.(i) -. (dir *. t *. ws.w.(i))
-            done;
-            let ve = ws.xval.(e) +. (dir *. t) in
-            apply_pivot r e ~ve ~leave_st ~leave_val;
-            incr iters;
-            incr primal_pivots;
-            if phase = 1 then incr p1_pivots;
-            if !bland then incr blands
-          end
-        end
-      end
-    done;
-    match !finished with Some r -> r | None -> assert false
-  in
-  (* ---- phase transitions -------------------------------------------- *)
-  let set_phase2_cost () =
-    Array.fill ws.cost 0 ncols 0.0;
-    let sgn = match c.C.sense with Model.Minimize -> 1.0 | Maximize -> -1.0 in
-    for j = 0 to n - 1 do
-      ws.cost.(j) <- sgn *. c.C.obj.(j)
-    done
-  in
-  let drive_out_artificials () =
-    for i = 0 to m - 1 do
-      if ws.basis.(i) >= nt then begin
-        pivot_row i;
-        let best = ref (-1) and bestv = ref 1e-7 in
-        for j = 0 to nt - 1 do
-          if ws.vstat.(j) <> st_basic then begin
-            let a = Float.abs ws.alpha.(j) in
-            if a > !bestv then begin
-              bestv := a;
-              best := j
-            end
-          end
-        done;
-        if !best >= 0 then begin
-          (* degenerate pivot: swap the artificial out without moving x *)
-          let e = !best in
+            incr stall;
+            if !stall > 200 then bland := true
+          end;
+          let dir = if ws.dj.(e) < 0.0 then 1.0 else -1.0 in
           ftran e;
-          apply_pivot i e ~ve:ws.xval.(e) ~leave_st:st_lo ~leave_val:0.0;
-          incr primal_pivots;
-          incr p1_pivots
-        end
-        (* else: redundant row; the artificial stays basic, pinned at 0
-           once art_ub drops to 0 *)
-      end
-    done
-  in
-  let finish () =
-    (* Both backends finish on the shared dense factorization: when the
-       pivot sequences agree, the reported values and objective are
-       bit-identical across backends, not merely within tolerance. *)
-    if m > 0 then begin
-      if not (dense_refactor ()) then raise (Stuck 2);
-      dense_compute_xb ()
-    end;
-    let values = Array.make n 0.0 in
-    for j = 0 to n - 1 do
-      if ws.vstat.(j) <> st_basic then values.(j) <- ws.xval.(j)
-    done;
-    for i = 0 to m - 1 do
-      let k = ws.basis.(i) in
-      if k < n then values.(k) <- ws.xb.(i)
-    done;
-    let obj = ref c.C.obj_const in
-    for j = 0 to n - 1 do
-      obj := !obj +. (c.C.obj.(j) *. values.(j))
-    done;
-    let b_stat = Bytes.create nt in
-    for j = 0 to nt - 1 do
-      Bytes.unsafe_set b_stat j (Char.unsafe_chr ws.vstat.(j))
-    done;
-    let b =
-      {
-        b_n = n;
-        b_m = m;
-        b_stat;
-        b_rows = Array.sub ws.basis 0 m;
-        b_sign = Array.sub ws.art_sign 0 m;
-      }
-    in
-    raise (Stop (Optimal { objective = !obj; values }, Some b))
-  in
-  let phase2_and_finish () =
-    set_phase2_cost ();
-    Array.fill ws.refw 0 ncols 1.0;
-    match primal_phase ~phase:2 with
-    | `Optimal -> finish ()
-    | `Unbounded -> raise (Stop (Unbounded, None))
-    | `Limit -> raise (limit 2)
-  in
-  (* ---- cold start ---------------------------------------------------- *)
-  let cold () =
-    art_ub := infinity;
-    Array.fill ws.art_sign 0 m 0.0;
-    Array.fill ws.vstat 0 ncols st_lo;
-    Array.fill ws.xval 0 ncols 0.0;
-    for j = 0 to nt - 1 do
-      if c.C.lb.(j) > c.C.ub.(j) then raise (Stop (Infeasible, None))
-    done;
-    for j = 0 to n - 1 do
-      let l = c.C.lb.(j) and u = c.C.ub.(j) in
-      if l > neg_infinity then begin
-        ws.vstat.(j) <- st_lo;
-        ws.xval.(j) <- l
-      end
-      else if u < infinity then begin
-        ws.vstat.(j) <- st_up;
-        ws.xval.(j) <- u
-      end
-      else begin
-        ws.vstat.(j) <- st_fr;
-        ws.xval.(j) <- 0.0
-      end
-    done;
-    (* residual of each row at the nonbasic point decides slack vs
-       artificial start *)
-    Array.blit c.C.rhs 0 ws.rw 0 m;
-    for j = 0 to n - 1 do
-      let x = ws.xval.(j) in
-      if x <> 0.0 then
-        for p = c.C.col_ptr.(j) to c.C.col_ptr.(j + 1) - 1 do
-          let r = c.C.col_row.(p) in
-          ws.rw.(r) <- ws.rw.(r) -. (c.C.col_val.(p) *. x)
-        done
-    done;
-    let need_art = ref false in
-    for i = 0 to m - 1 do
-      let sj = n + i in
-      let sl = c.C.lb.(sj) and su = c.C.ub.(sj) in
-      let r = ws.rw.(i) in
-      if r >= sl -. feas_tol && r <= su +. feas_tol then begin
-        ws.vstat.(sj) <- st_basic;
-        ws.basis.(i) <- sj;
-        ws.xb.(i) <- r
-      end
-      else begin
-        let sv = if r < sl then sl else su in
-        ws.vstat.(sj) <- (if r < sl then st_lo else st_up);
-        ws.xval.(sj) <- sv;
-        let resid = r -. sv in
-        ws.art_sign.(i) <- (if resid >= 0.0 then 1.0 else -1.0);
-        ws.basis.(i) <- nt + i;
-        ws.vstat.(nt + i) <- st_basic;
-        ws.xb.(i) <- Float.abs resid;
-        need_art := true
-      end
-    done;
-    Array.fill binv 0 (m * m) 0.0;
-    for i = 0 to m - 1 do
-      binv.((i * m) + i) <-
-        (if ws.basis.(i) >= nt then ws.art_sign.(i) else 1.0)
-    done;
-    since_refactor := 0;
-    (* The LU backend factors the initial (diagonal) basis explicitly;
-       a diagonal of +-1 entries cannot be singular. *)
-    if use_lu && not (lu_refactor ()) then raise (Stuck 1);
-    if !need_art then begin
-      Array.fill ws.cost 0 ncols 0.0;
-      for i = 0 to m - 1 do
-        if ws.art_sign.(i) <> 0.0 then ws.cost.(nt + i) <- 1.0
-      done;
-      Array.fill ws.refw 0 ncols 1.0;
-      (match primal_phase ~phase:1 with
-      | `Optimal -> ()
-      | `Unbounded ->
-        (* a sum of nonnegative artificials cannot be unbounded below:
-           numerical trouble, reported as a budget stop *)
-        raise (limit 1)
-      | `Limit -> raise (limit 1));
-      let z1 = current_z () in
-      if z1 > eps *. 10.0 *. rhs_scale then raise (Stop (Infeasible, None));
-      drive_out_artificials ()
-    end;
-    art_ub := 0.0;
-    phase2_and_finish ()
-  in
-  (* ---- warm start: dual reoptimization ------------------------------- *)
-  let primal_feasible () =
-    let ok = ref true in
-    for i = 0 to m - 1 do
-      let k = ws.basis.(i) in
-      if ws.xb.(i) < lbx k -. feas_tol || ws.xb.(i) > ubx k +. feas_tol then
-        ok := false
-    done;
-    !ok
-  in
-  let warm b =
-    if b.b_n <> n || b.b_m <> m then raise Fallback;
-    for j = 0 to nt - 1 do
-      if c.C.lb.(j) > c.C.ub.(j) then raise (Stop (Infeasible, None))
-    done;
-    Array.fill ws.vstat 0 ncols st_lo;
-    Array.fill ws.xval 0 ncols 0.0;
-    Array.fill ws.art_sign 0 m 0.0;
-    for j = 0 to nt - 1 do
-      ws.vstat.(j) <- Char.code (Bytes.get b.b_stat j)
-    done;
-    for i = 0 to m - 1 do
-      let k = b.b_rows.(i) in
-      if k < 0 || k >= ncols then raise Fallback;
-      if k >= nt then begin
-        if k <> nt + i || b.b_sign.(i) = 0.0 then raise Fallback;
-        ws.art_sign.(i) <- b.b_sign.(i)
-      end;
-      ws.basis.(i) <- k;
-      ws.vstat.(k) <- st_basic
-    done;
-    art_ub := 0.0;
-    (* snap nonbasics onto the current bounds *)
-    for j = 0 to nt - 1 do
-      let st = ws.vstat.(j) in
-      if st <> st_basic then begin
-        let l = c.C.lb.(j) and u = c.C.ub.(j) in
-        let st =
-          if l = neg_infinity && u = infinity then st_fr
-          else if st = st_lo then if l > neg_infinity then st_lo else st_up
-          else if st = st_up then if u < infinity then st_up else st_lo
-          else if l > neg_infinity then st_lo
-          else st_up
-        in
-        ws.vstat.(j) <- st;
-        ws.xval.(j) <-
-          (if st = st_lo then l else if st = st_up then u else 0.0)
-      end
-    done;
-    if not (refactor ()) then raise Fallback;
-    compute_xb ();
-    set_phase2_cost ();
-    Array.fill ws.refw 0 ncols 1.0;
-    btran ();
-    let dual_ok = ref true in
-    for j = 0 to nt - 1 do
-      let st = ws.vstat.(j) in
-      if st <> st_basic && lbx j < ubx j then begin
-        let d = reduced_cost j in
-        ws.dj.(j) <- d;
-        if
-          (d < -.eps && (st = st_lo || st = st_fr))
-          || (d > eps && (st = st_up || st = st_fr))
-        then dual_ok := false
-      end
-    done;
-    if not !dual_ok then
-      if primal_feasible () then phase2_and_finish () else raise Fallback;
-    (* dual simplex loop *)
-    let max_dual = (2 * m) + 200 in
-    let iters = ref 0 in
-    let continue_dual = ref true in
-    while !continue_dual do
-      if !iters > max_dual then raise Fallback;
-      if !iters >= max_iter then raise (limit 2);
-      if need_refactor () then begin
-        if not (refactor ()) then raise Fallback;
-        compute_xb ()
-      end;
-      let r = ref (-1) and viol = ref feas_tol and need_up = ref false in
-      for i = 0 to m - 1 do
-        let k = ws.basis.(i) in
-        let below = lbx k -. ws.xb.(i) and above = ws.xb.(i) -. ubx k in
-        if below > !viol then begin
-          viol := below;
-          r := i;
-          need_up := true
-        end;
-        if above > !viol then begin
-          viol := above;
-          r := i;
-          need_up := false
-        end
-      done;
-      if !r < 0 then continue_dual := false
-      else begin
-        let r = !r in
-        btran ();
-        for j = 0 to nt - 1 do
-          if ws.vstat.(j) <> st_basic then ws.dj.(j) <- reduced_cost j
-        done;
-        pivot_row r;
-        let e = ref (-1) and best = ref infinity in
-        for j = 0 to nt - 1 do
-          let st = ws.vstat.(j) in
-          if st <> st_basic && lbx j < ubx j then begin
-            let a = ws.alpha.(j) in
-            let good =
-              if !need_up then
-                (a < -.piv_tol && (st = st_lo || st = st_fr))
-                || (a > piv_tol && (st = st_up || st = st_fr))
-              else
-                (a > piv_tol && (st = st_lo || st = st_fr))
-                || (a < -.piv_tol && (st = st_up || st = st_fr))
-            in
-            if good then begin
-              let ratio = Float.abs ws.dj.(j) /. Float.abs a in
-              if
-                ratio < !best -. 1e-12
-                || (ratio < !best +. 1e-12
-                   && !e >= 0
-                   && Float.abs a > Float.abs ws.alpha.(!e))
-              then begin
-                if ratio < !best then best := ratio;
-                e := j
+          let span = ubx e -. lbx e in
+          let best_t = ref span
+          and leave_r = ref (-1)
+          and leave_up = ref false in
+          for i = 0 to m - 1 do
+            let a = dir *. ws.w.(i) in
+            if a > piv_tol then begin
+              let l = lbx ws.basis.(i) in
+              if l > neg_infinity then begin
+                let t = Float.max 0.0 ((ws.xb.(i) -. l) /. a) in
+                if
+                  t < !best_t -. rtol
+                  || (t < !best_t +. rtol
+                     && !leave_r >= 0
+                     &&
+                     if !bland then ws.basis.(i) < ws.basis.(!leave_r)
+                     else Float.abs ws.w.(i) > Float.abs ws.w.(!leave_r))
+                then begin
+                  if t < !best_t then best_t := t;
+                  leave_r := i;
+                  leave_up := false
+                end
               end
             end
+            else if a < -.piv_tol then begin
+              let u = ubx ws.basis.(i) in
+              if u < infinity then begin
+                let t = Float.max 0.0 ((u -. ws.xb.(i)) /. -.a) in
+                if
+                  t < !best_t -. rtol
+                  || (t < !best_t +. rtol
+                     && !leave_r >= 0
+                     &&
+                     if !bland then ws.basis.(i) < ws.basis.(!leave_r)
+                     else Float.abs ws.w.(i) > Float.abs ws.w.(!leave_r))
+                then begin
+                  if t < !best_t then best_t := t;
+                  leave_r := i;
+                  leave_up := true
+                end
+              end
+            end
+          done;
+          if !best_t = infinity then finished := Some `Unbounded
+          else if !leave_r < 0 then begin
+            (* entering variable runs to its opposite bound: no basis change *)
+            let t = !best_t in
+            ws.xval.(e) <- (if dir > 0.0 then ubx e else lbx e);
+            ws.vstat.(e) <- (if dir > 0.0 then st_up else st_lo);
+            flops := !flops + (2 * m);
+            for i = 0 to m - 1 do
+              ws.xb.(i) <- ws.xb.(i) -. (dir *. t *. ws.w.(i))
+            done;
+            incr flips;
+            incr iters
+          end
+          else begin
+            let r = !leave_r in
+            if Float.abs ws.w.(r) < 1e-10 then begin
+              (* numerically hopeless pivot: refresh the factorization and
+                 retry; if it is already fresh, give up (cold restart when
+                 warm-started, Iter_limit otherwise) *)
+              if B.updates bs > 0 then begin
+                if not (refactor ()) then raise (Stuck phase);
+                compute_xb ()
+              end
+              else raise (Stuck phase)
+            end
+            else begin
+              let t = !best_t in
+              let k = ws.basis.(r) in
+              let leave_st = if !leave_up then st_up else st_lo in
+              let leave_val = if !leave_up then ubx k else lbx k in
+              devex_update r e;
+              flops := !flops + (2 * m);
+              for i = 0 to m - 1 do
+                if i <> r then ws.xb.(i) <- ws.xb.(i) -. (dir *. t *. ws.w.(i))
+              done;
+              let ve = ws.xval.(e) +. (dir *. t) in
+              apply_pivot r e ~ve ~leave_st ~leave_val;
+              incr iters;
+              incr primal_pivots;
+              if !bland then incr blands
+            end
+          end
+        end
+      done;
+      match !finished with Some r -> r | None -> assert false
+    in
+    (* ---- phase transitions -------------------------------------------- *)
+    let set_phase2_cost () =
+      Array.fill ws.cost 0 ncols 0.0;
+      let sgn = match c.C.sense with Model.Minimize -> 1.0 | Maximize -> -1.0 in
+      for j = 0 to n - 1 do
+        ws.cost.(j) <- sgn *. c.C.obj.(j)
+      done
+    in
+    let drive_out_artificials () =
+      for i = 0 to m - 1 do
+        if ws.basis.(i) >= nt then begin
+          pivot_row i;
+          let best = ref (-1) and bestv = ref 1e-7 in
+          for j = 0 to nt - 1 do
+            if ws.vstat.(j) <> st_basic then begin
+              let a = Float.abs ws.alpha.(j) in
+              if a > !bestv then begin
+                bestv := a;
+                best := j
+              end
+            end
+          done;
+          if !best >= 0 then begin
+            (* degenerate pivot: swap the artificial out without moving x *)
+            let e = !best in
+            ftran e;
+            apply_pivot i e ~ve:ws.xval.(e) ~leave_st:st_lo ~leave_val:0.0;
+            incr primal_pivots
+          end
+          (* else: redundant row; the artificial stays basic, pinned at 0
+             once art_ub drops to 0 *)
+        end
+      done
+    in
+    let finish () =
+      if m > 0 then begin
+        if
+          not
+            (dense_solve c ~rows:ws.basis ~sign:ws.art_sign ~stat:ws.vstat
+               ~xval:ws.xval ~fact:ws.fact ~binv:ws.binv ~rw:ws.rw ~xb:ws.xb
+               ~flops)
+        then raise (Stuck 2)
+      end;
+      let values = Array.make n 0.0 in
+      for j = 0 to n - 1 do
+        if ws.vstat.(j) <> st_basic then values.(j) <- ws.xval.(j)
+      done;
+      for i = 0 to m - 1 do
+        let k = ws.basis.(i) in
+        if k < n then values.(k) <- ws.xb.(i)
+      done;
+      let obj = ref c.C.obj_const in
+      for j = 0 to n - 1 do
+        obj := !obj +. (c.C.obj.(j) *. values.(j))
+      done;
+      let b_stat = Bytes.create nt in
+      for j = 0 to nt - 1 do
+        Bytes.unsafe_set b_stat j (Char.unsafe_chr ws.vstat.(j))
+      done;
+      let b =
+        {
+          b_n = n;
+          b_m = m;
+          b_stat;
+          b_rows = Array.sub ws.basis 0 m;
+          b_sign = Array.sub ws.art_sign 0 m;
+        }
+      in
+      raise (Stop (Optimal { objective = !obj; values }, Some b))
+    in
+    let phase2_and_finish () =
+      set_phase2_cost ();
+      Array.fill ws.refw 0 ncols 1.0;
+      match primal_phase ~phase:2 with
+      | `Optimal -> finish ()
+      | `Unbounded -> raise (Stop (Unbounded, None))
+      | `Limit -> raise (limit 2)
+    in
+    (* ---- cold start ---------------------------------------------------- *)
+    let cold () =
+      art_ub := infinity;
+      Array.fill ws.art_sign 0 m 0.0;
+      Array.fill ws.vstat 0 ncols st_lo;
+      Array.fill ws.xval 0 ncols 0.0;
+      for j = 0 to nt - 1 do
+        if c.C.lb.(j) > c.C.ub.(j) then raise (Stop (Infeasible, None))
+      done;
+      for j = 0 to n - 1 do
+        let l = c.C.lb.(j) and u = c.C.ub.(j) in
+        if l > neg_infinity then begin
+          ws.vstat.(j) <- st_lo;
+          ws.xval.(j) <- l
+        end
+        else if u < infinity then begin
+          ws.vstat.(j) <- st_up;
+          ws.xval.(j) <- u
+        end
+        else begin
+          ws.vstat.(j) <- st_fr;
+          ws.xval.(j) <- 0.0
+        end
+      done;
+      (* residual of each row at the nonbasic point decides slack vs
+         artificial start *)
+      Array.blit c.C.rhs 0 ws.rw 0 m;
+      for j = 0 to n - 1 do
+        let x = ws.xval.(j) in
+        if x <> 0.0 then
+          for p = c.C.col_ptr.(j) to c.C.col_ptr.(j + 1) - 1 do
+            let r = c.C.col_row.(p) in
+            ws.rw.(r) <- ws.rw.(r) -. (c.C.col_val.(p) *. x)
+          done
+      done;
+      let need_art = ref false in
+      for i = 0 to m - 1 do
+        let sj = n + i in
+        let sl = c.C.lb.(sj) and su = c.C.ub.(sj) in
+        let r = ws.rw.(i) in
+        if r >= sl -. feas_tol && r <= su +. feas_tol then begin
+          ws.vstat.(sj) <- st_basic;
+          ws.basis.(i) <- sj;
+          ws.xb.(i) <- r
+        end
+        else begin
+          let sv = if r < sl then sl else su in
+          ws.vstat.(sj) <- (if r < sl then st_lo else st_up);
+          ws.xval.(sj) <- sv;
+          let resid = r -. sv in
+          ws.art_sign.(i) <- (if resid >= 0.0 then 1.0 else -1.0);
+          ws.basis.(i) <- nt + i;
+          ws.vstat.(nt + i) <- st_basic;
+          ws.xb.(i) <- Float.abs resid;
+          need_art := true
+        end
+      done;
+      (* The initial basis is a diagonal of +-1 entries: never singular. *)
+      if not (refactor ()) then raise (Stuck 1);
+      if !need_art then begin
+        Array.fill ws.cost 0 ncols 0.0;
+        for i = 0 to m - 1 do
+          if ws.art_sign.(i) <> 0.0 then ws.cost.(nt + i) <- 1.0
+        done;
+        Array.fill ws.refw 0 ncols 1.0;
+        (match primal_phase ~phase:1 with
+        | `Optimal -> ()
+        | `Unbounded ->
+          (* a sum of nonnegative artificials cannot be unbounded below:
+             numerical trouble, reported as a budget stop *)
+          raise (limit 1)
+        | `Limit -> raise (limit 1));
+        let z1 = current_z () in
+        if z1 > eps *. 10.0 *. rhs_scale then raise (Stop (Infeasible, None));
+        drive_out_artificials ()
+      end;
+      art_ub := 0.0;
+      phase2_and_finish ()
+    in
+    (* ---- warm start: dual reoptimization ------------------------------- *)
+    let primal_feasible () =
+      let ok = ref true in
+      for i = 0 to m - 1 do
+        let k = ws.basis.(i) in
+        if ws.xb.(i) < lbx k -. feas_tol || ws.xb.(i) > ubx k +. feas_tol then
+          ok := false
+      done;
+      !ok
+    in
+    let warm b =
+      if b.b_n <> n || b.b_m <> m then raise Fallback;
+      for j = 0 to nt - 1 do
+        if c.C.lb.(j) > c.C.ub.(j) then raise (Stop (Infeasible, None))
+      done;
+      Array.fill ws.vstat 0 ncols st_lo;
+      Array.fill ws.xval 0 ncols 0.0;
+      Array.fill ws.art_sign 0 m 0.0;
+      for j = 0 to nt - 1 do
+        ws.vstat.(j) <- Char.code (Bytes.get b.b_stat j)
+      done;
+      for i = 0 to m - 1 do
+        let k = b.b_rows.(i) in
+        if k < 0 || k >= ncols then raise Fallback;
+        if k >= nt then begin
+          if k <> nt + i || b.b_sign.(i) = 0.0 then raise Fallback;
+          ws.art_sign.(i) <- b.b_sign.(i)
+        end;
+        ws.basis.(i) <- k;
+        ws.vstat.(k) <- st_basic
+      done;
+      art_ub := 0.0;
+      (* snap nonbasics onto the current bounds *)
+      for j = 0 to nt - 1 do
+        let st = ws.vstat.(j) in
+        if st <> st_basic then begin
+          let l = c.C.lb.(j) and u = c.C.ub.(j) in
+          let st = snap st ~l ~u in
+          ws.vstat.(j) <- st;
+          ws.xval.(j) <- pinned st ~l ~u
+        end
+      done;
+      if not (refactor ()) then raise Fallback;
+      compute_xb ();
+      set_phase2_cost ();
+      Array.fill ws.refw 0 ncols 1.0;
+      btran ();
+      let dual_ok = ref true in
+      for j = 0 to nt - 1 do
+        let st = ws.vstat.(j) in
+        if st <> st_basic && lbx j < ubx j then begin
+          let d = reduced_cost j in
+          ws.dj.(j) <- d;
+          if
+            (d < -.eps && (st = st_lo || st = st_fr))
+            || (d > eps && (st = st_up || st = st_fr))
+          then dual_ok := false
+        end
+      done;
+      if not !dual_ok then
+        if primal_feasible () then phase2_and_finish () else raise Fallback;
+      (* dual simplex loop *)
+      let max_dual = (2 * m) + 200 in
+      let iters = ref 0 in
+      let continue_dual = ref true in
+      while !continue_dual do
+        if !iters > max_dual then raise Fallback;
+        if !iters >= max_iter then raise (limit 2);
+        if B.needs_refactor bs then begin
+          if not (refactor ()) then raise Fallback;
+          compute_xb ()
+        end;
+        let r = ref (-1) and viol = ref feas_tol and need_up = ref false in
+        for i = 0 to m - 1 do
+          let k = ws.basis.(i) in
+          let below = lbx k -. ws.xb.(i) and above = ws.xb.(i) -. ubx k in
+          if below > !viol then begin
+            viol := below;
+            r := i;
+            need_up := true
+          end;
+          if above > !viol then begin
+            viol := above;
+            r := i;
+            need_up := false
           end
         done;
-        if !e < 0 then
-          (* the violated row cannot be repaired within the nonbasic
-             bounds: primal infeasible *)
-          raise (Stop (Infeasible, None));
-        let e = !e in
-        ftran e;
-        if Float.abs ws.w.(r) < 1e-10 then raise Fallback;
-        let k = ws.basis.(r) in
-        let target = if !need_up then lbx k else ubx k in
-        let dx = (ws.xb.(r) -. target) /. ws.w.(r) in
-        flops := !flops + (2 * m);
-        for i = 0 to m - 1 do
-          if i <> r then ws.xb.(i) <- ws.xb.(i) -. (dx *. ws.w.(i))
-        done;
-        let ve = ws.xval.(e) +. dx in
-        let leave_st = if !need_up then st_lo else st_up in
-        apply_pivot r e ~ve ~leave_st ~leave_val:target;
-        incr dual_pivots;
-        incr iters
-      end
-    done;
-    (* primal feasible again; a (usually pivot-free) primal phase 2
-       verifies optimality and covers residual dual infeasibility *)
-    phase2_and_finish ()
-  in
-  let st, b =
-    try
-      match hint with
-      | Some b -> ( try warm b with Fallback | Stuck _ -> cold ())
-      | None -> cold ()
-    with
-    | Stop (st, b) -> (st, b)
-    | Stuck phase -> (Iter_limit { phase; iterations = total_pivots () }, None)
-  in
-  (st, b, stats ())
+        if !r < 0 then continue_dual := false
+        else begin
+          let r = !r in
+          btran ();
+          for j = 0 to nt - 1 do
+            if ws.vstat.(j) <> st_basic then ws.dj.(j) <- reduced_cost j
+          done;
+          pivot_row r;
+          let e = ref (-1) and best = ref infinity in
+          for j = 0 to nt - 1 do
+            let st = ws.vstat.(j) in
+            if st <> st_basic && lbx j < ubx j then begin
+              let a = ws.alpha.(j) in
+              let good =
+                if !need_up then
+                  (a < -.piv_tol && (st = st_lo || st = st_fr))
+                  || (a > piv_tol && (st = st_up || st = st_fr))
+                else
+                  (a > piv_tol && (st = st_lo || st = st_fr))
+                  || (a < -.piv_tol && (st = st_up || st = st_fr))
+              in
+              if good then begin
+                let ratio = Float.abs ws.dj.(j) /. Float.abs a in
+                if
+                  ratio < !best -. 1e-12
+                  || (ratio < !best +. 1e-12
+                     && !e >= 0
+                     && Float.abs a > Float.abs ws.alpha.(!e))
+                then begin
+                  if ratio < !best then best := ratio;
+                  e := j
+                end
+              end
+            end
+          done;
+          if !e < 0 then
+            (* the violated row cannot be repaired within the nonbasic
+               bounds: primal infeasible *)
+            raise (Stop (Infeasible, None));
+          let e = !e in
+          ftran e;
+          if Float.abs ws.w.(r) < 1e-10 then raise Fallback;
+          let k = ws.basis.(r) in
+          let target = if !need_up then lbx k else ubx k in
+          let dx = (ws.xb.(r) -. target) /. ws.w.(r) in
+          flops := !flops + (2 * m);
+          for i = 0 to m - 1 do
+            if i <> r then ws.xb.(i) <- ws.xb.(i) -. (dx *. ws.w.(i))
+          done;
+          let ve = ws.xval.(e) +. dx in
+          let leave_st = if !need_up then st_lo else st_up in
+          apply_pivot r e ~ve ~leave_st ~leave_val:target;
+          incr dual_pivots;
+          incr iters
+        end
+      done;
+      (* primal feasible again; a (usually pivot-free) primal phase 2
+         verifies optimality and covers residual dual infeasibility *)
+      phase2_and_finish ()
+    in
+    let st, b =
+      try
+        match hint with
+        | Some b -> ( try warm b with Fallback | Stuck _ -> cold ())
+        | None -> cold ()
+      with
+      | Stop (st, b) -> (st, b)
+      | Stuck phase ->
+        (Iter_limit { phase; iterations = total_pivots () }, None)
+    in
+    (st, b, stats ())
+
+  let solve_ext ?max_iter ?basis m =
+    solve_compiled ?max_iter ?basis (Compiled.of_model m)
+
+  let solve ?max_iter m =
+    let st, _, _ = solve_ext ?max_iter m in
+    st
+
+  let solve_from_basis ?max_iter basis m =
+    let st, _, _ = solve_ext ?max_iter ~basis m in
+    st
+end
+
+include Make (Lu_eta)
 
 (* ---- basis surgery ---------------------------------------------------- *)
 
@@ -1213,7 +936,8 @@ let extend_basis (b : basis) ~rows =
 
 (* A factorized snapshot of a basis against a compiled model's current
    bounds and rhs.  Not a solving path: built once per separation round
-   (root of the search), so a fresh dense inverse is fine. *)
+   (root of the search) on the same dense solve a simplex run finishes
+   on, so the tableau reproduces that run's vertex exactly. *)
 type tableau = {
   t_c : C.t;
   t_binv : float array;  (* m*m row-major B^-1 *)
@@ -1236,107 +960,21 @@ let tableau c (b : basis) =
       stat.(j) <- Char.code (Bytes.get b.b_stat j)
     done;
     Array.iter (fun k -> stat.(k) <- st_basic) b.b_rows;
-    (* Snap nonbasic columns onto the current bounds, exactly as the warm
-       start does, so the tableau reproduces the vertex the caller's
-       solve finished on. *)
     let xval = Array.make nt 0.0 in
     for j = 0 to nt - 1 do
       if stat.(j) <> st_basic then begin
         let l = c.C.lb.(j) and u = c.C.ub.(j) in
-        let st =
-          if l = neg_infinity && u = infinity then st_fr
-          else if stat.(j) = st_lo then if l > neg_infinity then st_lo else st_up
-          else if stat.(j) = st_up then if u < infinity then st_up else st_lo
-          else if l > neg_infinity then st_lo
-          else st_up
-        in
+        let st = snap stat.(j) ~l ~u in
         stat.(j) <- st;
-        xval.(j) <- (if st = st_lo then l else if st = st_up then u else 0.0)
+        xval.(j) <- pinned st ~l ~u
       end
     done;
-    (* Dense B and Gauss-Jordan inverse with partial pivoting. *)
-    let fact = Array.make (m * m) 0.0 in
-    let binv = Array.make (m * m) 0.0 in
-    for i = 0 to m - 1 do
-      let k = b.b_rows.(i) in
-      if k < n then
-        for p = c.C.col_ptr.(k) to c.C.col_ptr.(k + 1) - 1 do
-          fact.((c.C.col_row.(p) * m) + i) <- c.C.col_val.(p)
-        done
-      else fact.(((k - n) * m) + i) <- 1.0;
-      binv.((i * m) + i) <- 1.0
-    done;
-    let singular = ref false in
-    (try
-       for col = 0 to m - 1 do
-         let best = ref col
-         and bestv = ref (Float.abs fact.((col * m) + col)) in
-         for r = col + 1 to m - 1 do
-           let v = Float.abs fact.((r * m) + col) in
-           if v > !bestv then begin
-             best := r;
-             bestv := v
-           end
-         done;
-         if !bestv < 1e-11 then begin
-           singular := true;
-           raise Exit
-         end;
-         if !best <> col then begin
-           let oa = col * m and ob = !best * m in
-           for q = 0 to m - 1 do
-             let t = fact.(oa + q) in
-             fact.(oa + q) <- fact.(ob + q);
-             fact.(ob + q) <- t;
-             let t = binv.(oa + q) in
-             binv.(oa + q) <- binv.(ob + q);
-             binv.(ob + q) <- t
-           done
-         end;
-         let off = col * m in
-         let ipiv = 1.0 /. fact.(off + col) in
-         for q = 0 to m - 1 do
-           fact.(off + q) <- fact.(off + q) *. ipiv;
-           binv.(off + q) <- binv.(off + q) *. ipiv
-         done;
-         for r = 0 to m - 1 do
-           if r <> col then begin
-             let f = fact.((r * m) + col) in
-             if f <> 0.0 then begin
-               let offr = r * m in
-               for q = 0 to m - 1 do
-                 fact.(offr + q) <- fact.(offr + q) -. (f *. fact.(off + q));
-                 binv.(offr + q) <- binv.(offr + q) -. (f *. binv.(off + q))
-               done
-             end
-           end
-         done
-       done
-     with Exit -> ());
-    if !singular then None
-    else begin
-      (* xb = B^-1 (rhs - N x_N) *)
-      let rw = Array.copy c.C.rhs in
-      for j = 0 to nt - 1 do
-        if stat.(j) <> st_basic && xval.(j) <> 0.0 then begin
-          let x = xval.(j) in
-          if j < n then
-            for p = c.C.col_ptr.(j) to c.C.col_ptr.(j + 1) - 1 do
-              let r = c.C.col_row.(p) in
-              rw.(r) <- rw.(r) -. (c.C.col_val.(p) *. x)
-            done
-          else rw.(j - n) <- rw.(j - n) -. x
-        end
-      done;
-      let xb = Array.make m 0.0 in
-      for i = 0 to m - 1 do
-        let off = i * m in
-        let s = ref 0.0 in
-        for k = 0 to m - 1 do
-          s := !s +. (binv.(off + k) *. rw.(k))
-        done;
-        xb.(i) <- !s
-      done;
+    let binv = Array.make (m * m) 0.0 and xb = Array.make m 0.0 in
+    if
+      dense_solve c ~rows:b.b_rows ~sign:b.b_sign ~stat ~xval
+        ~fact:(Array.make (m * m) 0.0) ~binv ~rw:(Array.make m 0.0) ~xb
+        ~flops:(ref 0)
+    then
       Some
         {
           t_c = c;
@@ -1346,7 +984,7 @@ let tableau c (b : basis) =
           t_xval = xval;
           t_xb = xb;
         }
-    end
+    else None
   end
 
 let tableau_rows t = t.t_c.C.m
@@ -1383,17 +1021,3 @@ let tableau_row t r alpha =
          else t.t_binv.(off + (j - n)))
     else alpha.(j) <- 0.0
   done
-
-(* ---- Model.t entry points -------------------------------------------- *)
-
-let solve_ext ?max_iter ?eps ?backend ?refactor ?basis m =
-  solve_compiled ?max_iter ?eps ?backend ?refactor ?basis
-    (Compiled.of_model m)
-
-let solve ?max_iter ?eps ?backend m =
-  let st, _, _ = solve_ext ?max_iter ?eps ?backend m in
-  st
-
-let solve_from_basis ?max_iter ?eps ?backend basis m =
-  let st, _, _ = solve_ext ?max_iter ?eps ?backend ~basis m in
-  st

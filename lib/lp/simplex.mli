@@ -3,27 +3,25 @@
     The kernel is a bounded-variable revised simplex: every model
     variable keeps its own [lb, ub] range (branch-and-bound branch
     decisions are bound changes, which here cost a bound flip or a dual
-    reoptimization, never a new row), the basis representation is
-    maintained incrementally and refactorized by policy
-    ({!refactor_policy}), and all per-iteration state lives in a
-    caller-reusable {!workspace} so the pivot loop allocates nothing
-    beyond eta-file growth.
+    reoptimization, never a new row), and all per-iteration state lives
+    in a caller-reusable {!workspace} so the pivot loop allocates nothing
+    beyond the basis representation's update storage.
 
-    Two interchangeable basis backends ({!basis_kind}) carry the solve:
-    the default {!Lu} keeps a sparse LU factorization of the basis
-    (Markowitz pivot ordering with threshold partial pivoting, see
-    {!Lu.factor}) plus a product-form eta file — one eta per pivot —
-    with FTRAN/BTRAN as hypersparse scatter-form triangular solves;
-    {!Dense} keeps the historical explicit dense inverse and survives
-    as the correctness oracle and ablation leg.  Both backends share
-    every pricing/ratio/phase decision and finish on the same dense
-    factorization, so identical pivot sequences yield bit-identical
-    solutions.
+    The kernel is a functor over the basis representation ({!Make},
+    {!Basis.S}): the basis module factors the basis columns, solves
+    against them and absorbs one column exchange per pivot, while the
+    kernel makes every pricing, ratio-test and phase decision.  This
+    module is [Make (Lu_eta)] — a sparse LU factorization (Markowitz
+    ordering, threshold partial pivoting, see {!Lu.factor}) plus a
+    product-form eta file, refactorized when the eta file outgrows the
+    factorization.  Whatever the basis module, a solve finishes on one
+    dense factorization of the final basis, so two instances that walk
+    the same pivot sequence report bit-identical solutions; the test
+    suite checks this one against an explicit dense inverse.
 
-    Pricing is selectable ({!pricing}): devex-style steepest edge by
-    default, Dantzig, or Bland; the first two fall back to Bland's rule
-    automatically after a stretch of stalled (degenerate) iterations, so
-    cycling cannot happen silently.
+    Pricing is devex-style steepest edge, falling back to Bland's rule
+    after 200 stalled (degenerate) iterations, so cycling cannot happen
+    silently.
 
     Integrality markers on variables are ignored — this solves the
     relaxation; {!Dvs_milp} adds branch and bound on top.
@@ -71,112 +69,76 @@ type basis
     child of the same compiled model — and to any model compiling to
     the same shape. *)
 
-type pricing =
-  | Bland  (** least-index; slow but cycle-proof *)
-  | Dantzig  (** most-negative reduced cost *)
-  | Steepest_edge  (** devex reference-weight approximation (default) *)
-
-type basis_kind =
-  | Lu
-      (** sparse LU factorization + product-form eta file (default) *)
-  | Dense  (** explicit dense inverse; correctness oracle / ablation *)
-
-type refactor_policy =
-  | Pivots of int
-      (** refactorize after this many pivots (the historical behavior;
-          the dense default is [Pivots 128]) *)
-  | Eta_fill of { max_pivots : int; growth : float }
-      (** refactorize when the eta file holds more than
-          [growth * (factor nnz + m)] entries, or after [max_pivots]
-          pivots, whichever comes first.  The LU default is
-          [Eta_fill { max_pivots = 256; growth = 2.0 }]; on the dense
-          backend (which has no eta file) only [max_pivots] applies. *)
-
-val default_refactor : basis_kind -> refactor_policy
-(** The refactorization policy each backend uses when none is given. *)
-
 type stats = {
   pivots : int;  (** total basis changes (primal + dual) *)
-  phase1_pivots : int;  (** pivots spent reaching feasibility *)
   dual_pivots : int;  (** pivots spent in dual reoptimization *)
   bound_flips : int;  (** ratio tests resolved without a basis change *)
-  refactorizations : int;  (** basis rebuilds, either backend *)
   bland_pivots : int;  (** pivots taken under the Bland fallback *)
   flops : int;
-      (** floating-point work actually performed (2 per entry touched
-          on either backend — no dense m^2/m^3 formulas), comparable
-          across backends *)
-  lu_refactorizations : int;  (** sparse LU factorizations built *)
+      (** floating-point work actually performed (2 per entry touched —
+          no dense m^2/m^3 formulas), comparable across basis modules *)
+  lu_refactorizations : int;
+      (** factorizations built by the basis module ({!Basis.counters}) *)
   lu_fill_in_nnz : int;
-      (** total factor entries beyond the basis nnz, summed over LU
-          refactorizations *)
+      (** total factor entries beyond the basis nnz, summed over
+          factorizations *)
   lu_eta_nnz : int;  (** total eta-file entries appended *)
   ftran_sparse_hits : int;
       (** FTRAN solve steps skipped because the running component was
-          exactly zero (hypersparsity wins; LU backend only) *)
+          exactly zero (hypersparsity wins) *)
   btran_sparse_hits : int;  (** same, for BTRAN *)
 }
 
-type workspace
-(** Reusable scratch buffers (basis inverse, pricing vectors, column
-    states).  One per worker thread; grown on demand, never shrunk.
-    Not thread-safe — do not share a workspace across domains. *)
+(** The solving entry points, one set per basis representation. *)
+module type S = sig
+  type workspace
+  (** Reusable scratch buffers (pricing vectors, column states, the
+      basis module's state).  One per worker thread; grown on demand,
+      never shrunk.  Not thread-safe — do not share a workspace across
+      domains. *)
 
-val workspace : unit -> workspace
+  val workspace : unit -> workspace
 
-val solve :
-  ?max_iter:int -> ?eps:float -> ?backend:basis_kind -> Model.t -> status
-(** [eps] is the master tolerance (default [1e-7]): reduced-cost threshold
-    and (scaled) feasibility threshold.  [max_iter] bounds pivots per phase
-    (default 100000); Bland's rule engages after 200 stalled iterations,
-    so running out of budget yields {!Iter_limit} rather than silently
-    looping. *)
+  val solve : ?max_iter:int -> Model.t -> status
+  (** [max_iter] bounds pivots per phase (default 100000); Bland's rule
+      engages after 200 stalled iterations, so running out of budget
+      yields {!Iter_limit} rather than silently looping.  Reduced costs
+      and (scaled) feasibility are judged to [1e-7]. *)
 
-val solve_ext :
-  ?max_iter:int ->
-  ?eps:float ->
-  ?backend:basis_kind ->
-  ?refactor:refactor_policy ->
-  ?basis:basis ->
-  Model.t ->
-  status * basis option * stats
-(** Like {!solve}, additionally returning the optimal basis (when the
-    status is [Optimal]) and pivot statistics.  [basis] warm starts the
-    search from a previous solve's basis: correctness is unaffected (an
-    unusable hint falls back to a cold solve), but related re-solves
-    converge in far fewer pivots.  Compiles the model first; callers
-    solving many related instances should compile once and use
-    {!solve_compiled}. *)
+  val solve_ext :
+    ?max_iter:int -> ?basis:basis -> Model.t -> status * basis option * stats
+  (** Like {!solve}, additionally returning the optimal basis (when the
+      status is [Optimal]) and pivot statistics.  [basis] warm starts the
+      search from a previous solve's basis: correctness is unaffected (an
+      unusable hint falls back to a cold solve), but related re-solves
+      converge in far fewer pivots.  Compiles the model first; callers
+      solving many related instances should compile once and use
+      {!solve_compiled}. *)
 
-val solve_compiled :
-  ?pricing:pricing ->
-  ?max_iter:int ->
-  ?eps:float ->
-  ?backend:basis_kind ->
-  ?refactor:refactor_policy ->
-  ?basis:basis ->
-  ?ws:workspace ->
-  Compiled.t ->
-  status * basis option * stats
-(** The core entry point: solve a compiled model under its {e current}
-    bounds.  The compiled structure is read-only; only
-    [Compiled.set_bounds] state distinguishes calls.  With [basis], the
-    solve is a dual-simplex reoptimization from that basis.  With [ws],
-    all scratch state is reused across calls (the intended mode for
-    branch and bound: one workspace per worker).  [backend] selects the
-    basis representation (default {!Lu}) and [refactor] overrides that
-    backend's {!default_refactor} policy; neither affects which vertex
-    is found, only how the linear algebra behind it is carried. *)
+  val solve_compiled :
+    ?max_iter:int ->
+    ?basis:basis ->
+    ?ws:workspace ->
+    Compiled.t ->
+    status * basis option * stats
+  (** The core entry point: solve a compiled model under its {e current}
+      bounds.  The compiled structure is read-only; only
+      [Compiled.set_bounds] state distinguishes calls.  With [basis], the
+      solve is a dual-simplex reoptimization from that basis.  With [ws],
+      all scratch state is reused across calls (the intended mode for
+      branch and bound: one workspace per worker). *)
 
-val solve_from_basis :
-  ?max_iter:int ->
-  ?eps:float ->
-  ?backend:basis_kind ->
-  basis ->
-  Model.t ->
-  status
-(** [solve_from_basis b m] is [solve m] warm started from basis [b]
-    (typically obtained from {!solve_ext} on a closely related model). *)
+  val solve_from_basis : ?max_iter:int -> basis -> Model.t -> status
+  (** [solve_from_basis b m] is [solve m] warm started from basis [b]
+      (typically obtained from {!solve_ext} on a closely related
+      model). *)
+end
+
+module Make (B : Basis.S) : S
+(** The kernel over basis representation [B]. *)
+
+include S
+(** [Make (Lu_eta)]. *)
 
 val extend_basis : basis -> rows:int -> basis
 (** [extend_basis b ~rows] adapts a basis to a model that gained [rows]
@@ -190,8 +152,9 @@ val extend_basis : basis -> rows:int -> basis
 
     Read-only access to the simplex tableau of a given basis against a
     compiled model's current bounds and rhs — what Gomory cut separation
-    needs.  Built once per separation round via a fresh dense
-    factorization; not a solving path. *)
+    needs.  Built once per separation round on the same dense
+    factorization every solve finishes on, so the tableau reproduces the
+    solve's vertex exactly; not a solving path. *)
 
 type tableau
 

@@ -42,7 +42,7 @@ let violation c x =
   | Model.Ge -> c.rhs -. lhs
   | Model.Eq -> Float.abs (lhs -. c.rhs)
 
-let satisfied ?(tol = 1e-6) c x = violation c x <= tol
+let satisfied c x = violation c x <= 1e-6
 
 let add_to_model m c =
   Model.add_constraint ~name:"cut" m
@@ -367,11 +367,12 @@ module Pool = struct
     tbl : (string, entry) Hashtbl.t;
     mutable items : entry list;  (* newest first *)
     mutable n : int;
-    max_cuts : int;
   }
 
-  let create ?(max_cuts = 1024) () =
-    { tbl = Hashtbl.create 64; items = []; n = 0; max_cuts }
+  (* Pool capacity: once full, new cuts are rejected. *)
+  let max_cuts = 1024
+
+  let create () = { tbl = Hashtbl.create 64; items = []; n = 0 }
 
   (* Structural key: direction-normalized ([Ge]) and scaled so the
      largest coefficient magnitude is 1, rounded to 9 decimal digits so
@@ -400,7 +401,7 @@ module Pool = struct
         e.c <- { e.c with valid_le = c.valid_le };
       false
     | None ->
-      if t.n >= t.max_cuts then false
+      if t.n >= max_cuts then false
       else begin
         let e = { c } in
         Hashtbl.add t.tbl k e;

@@ -47,8 +47,8 @@ val violation : t -> float array -> float
 (** Amount by which a point (indexed by {!Model.var}) violates the cut;
     [<= 0] when satisfied. *)
 
-val satisfied : ?tol:float -> t -> float array -> bool
-(** [violation] within tolerance (default [1e-6]). *)
+val satisfied : t -> float array -> bool
+(** [violation] within [1e-6]. *)
 
 val add_to_model : Model.t -> t -> unit
 (** Append the cut as an ordinary constraint row (named ["cut"]). *)
@@ -109,9 +109,9 @@ module Pool : sig
 
   type t
 
-  val create : ?max_cuts:int -> unit -> t
-  (** [max_cuts] caps the pool size (default 1024); once full, {!add}
-      rejects new cuts. *)
+  val create : unit -> t
+  (** An empty pool of at most 1024 cuts; once full, {!add} rejects new
+      cuts. *)
 
   val add : t -> cut -> bool
   (** [true] if the cut is new; [false] if a structurally identical cut

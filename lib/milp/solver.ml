@@ -20,11 +20,11 @@
    objective): a node is fathomed only when its parent-relaxation bound
    is within gap_rel slack of the current incumbent, and the incumbent
    only improves over time, so no fathoming can discard a solution more
-   than gap_rel better than the final incumbent — in particular, with the
-   default gap (1e-9 relative) the optimum itself always survives to be
-   found.  Cacheable (shallow) relaxations are additionally solved
-   without the basis hint, so a cached entry is a pure function of its
-   key and never depends on which worker computed it first. *)
+   than gap_rel better than the final incumbent — in particular, with a
+   1e-9 relative gap the optimum itself always survives to be found.
+   Cacheable (shallow) relaxations are additionally solved without the
+   basis hint, so a cached entry is a pure function of its key and never
+   depends on which worker computed it first. *)
 
 open Dvs_lp
 
@@ -33,17 +33,10 @@ module Config = struct
     | Fractional
     | Pseudocost_gub
 
-  type node_order =
-    | Best_bound
-    | Depth_first
-
   type t = {
     jobs : int;
     max_nodes : int;
-    int_tol : float;
-    gap_rel : float;
     time_limit : float option;
-    rounding : bool;
     sos1 : Model.var list list;
     warm_start : (Model.var * float) list;
     warm_solution : Simplex.solution option;
@@ -54,40 +47,22 @@ module Config = struct
     fault : Fault.t option;
     obs : Dvs_obs.t;
     presolve : bool;
-    pricing : Simplex.pricing;
-    basis : Simplex.basis_kind;
-    refactor : Simplex.refactor_policy option;
     fixings : (Model.var * float) list;
     branching : branching;
-    node_order : node_order;
-    reliability : int;
   }
 
-  let make ?jobs ?(max_nodes = 200_000) ?time_limit ?(gap_rel = 1e-9)
-      ?(int_tol = 1e-6) ?(rounding = true) ?log ?cache ?(cache_depth = 4)
-      ?fault ?(obs = Dvs_obs.disabled) ?(presolve = true)
-      ?(pricing = Simplex.Steepest_edge) ?(basis = Simplex.Lu) ?refactor
-      ?(branching = Fractional) ?(node_order = Best_bound) ?(reliability = 4)
-      () =
+  let make ?jobs ?(max_nodes = 200_000) ?time_limit ?log ?cache
+      ?(cache_depth = 4) ?fault ?(obs = Dvs_obs.disabled) ?(presolve = true)
+      ?(branching = Fractional) () =
     let jobs =
       match jobs with
       | Some j when j >= 1 -> j
       | Some _ -> invalid_arg "Solver.Config.make: jobs must be >= 1"
       | None -> Domain.recommended_domain_count ()
     in
-    if reliability < 0 then
-      invalid_arg "Solver.Config.make: reliability must be >= 0";
-    (match refactor with
-    | Some (Simplex.Pivots k) when k < 1 ->
-      invalid_arg "Solver.Config.make: refactor pivot trigger must be >= 1"
-    | Some (Simplex.Eta_fill { max_pivots; growth })
-      when max_pivots < 1 || not (Float.is_finite growth) || growth <= 0.0 ->
-      invalid_arg "Solver.Config.make: refactor eta trigger must be positive"
-    | _ -> ());
-    { jobs; max_nodes; int_tol; gap_rel; time_limit; rounding; sos1 = [];
-      warm_start = []; warm_solution = None; root_bound = None; log; cache;
-      cache_depth; fault; obs; presolve; pricing; basis; refactor;
-      fixings = []; branching; node_order; reliability }
+    { jobs; max_nodes; time_limit; sos1 = []; warm_start = [];
+      warm_solution = None; root_bound = None; log; cache; cache_depth; fault;
+      obs; presolve; fixings = []; branching }
 
   let default = make ()
 
@@ -96,8 +71,6 @@ module Config = struct
     { t with jobs }
 
   let with_branching branching t = { t with branching }
-
-  let with_node_order node_order t = { t with node_order }
 
   let with_sos1 sos1 t = { t with sos1 }
 
@@ -112,12 +85,6 @@ module Config = struct
 
   let with_presolve presolve t = { t with presolve }
 
-  let with_pricing pricing t = { t with pricing }
-
-  let with_basis basis t = { t with basis }
-
-  let with_refactor refactor t = { t with refactor = Some refactor }
-
   let with_fixings fixings t = { t with fixings }
 
   let with_log log t = { t with log = Some log }
@@ -128,6 +95,16 @@ module Config = struct
 
   let with_obs obs t = { t with obs }
 end
+
+let gap_rel = 1e-9
+
+(* Integrality tolerance of relaxation values. *)
+let int_tol = 1e-6
+
+(* Pseudocost reliability threshold: an entity with fewer observed gains
+   per direction is probed with a pivot-capped LP before its score is
+   trusted. *)
+let reliability = 4
 
 type stop_reason = Node_limit | Time_limit | Iter_limit
 
@@ -244,7 +221,7 @@ let canonical_fixings overrides =
   Hashtbl.fold (fun v (lb, ub) acc -> (v, lb, ub) :: acc) tbl []
   |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
 
-let most_fractional ~int_tol int_vars (sol : Simplex.solution) =
+let most_fractional int_vars (sol : Simplex.solution) =
   let best = ref None in
   List.iter
     (fun v ->
@@ -374,18 +351,11 @@ let solve ?(config = Config.default) model =
   let c_bland_pivots =
     Dvs_obs.Metrics.counter mx ~stability:Volatile "lp.pivots_bland"
   in
-  let c_pricing_pivots =
-    Dvs_obs.Metrics.counter mx ~stability:Volatile
-      (match config.pricing with
-      | Simplex.Steepest_edge -> "lp.pivots_steepest_edge"
-      | Simplex.Dantzig -> "lp.pivots_dantzig"
-      | Simplex.Bland -> "lp.pivots_bland_rule")
-  in
   let c_flips =
     Dvs_obs.Metrics.counter mx ~stability:Volatile "lp.bound_flips"
   in
   let c_flops = Dvs_obs.Metrics.counter mx ~stability:Volatile "lp.flops" in
-  (* LU-backend audit trail: how often the basis was refactorized, how
+  (* LU basis audit trail: how often the basis was refactorized, how
      much fill the factorizations carried, how large the eta files grew,
      and how much solve work hypersparsity skipped outright. *)
   let c_lu_refacts =
@@ -521,7 +491,7 @@ let solve ?(config = Config.default) model =
     let inc = Atomic.get inc_obj in
     Float.is_finite inc
     &&
-    let slack = config.gap_rel *. Float.max 1.0 (Float.abs inc) in
+    let slack = gap_rel *. Float.max 1.0 (Float.abs inc) in
     match sense with
     | Model.Minimize -> bound >= inc -. slack
     | Maximize -> bound <= inc +. slack
@@ -530,7 +500,7 @@ let solve ?(config = Config.default) model =
     List.for_all
       (fun v ->
         let x = s.values.(v) in
-        Float.abs (x -. Float.round x) <= config.int_tol)
+        Float.abs (x -. Float.round x) <= int_tol)
       int_vars
   in
   (* LP solves, with pivot accounting; shallow node relaxations are
@@ -563,8 +533,7 @@ let solve ?(config = Config.default) model =
     let fixings = canonical_fixings overrides in
     List.iter (fun (v, lb, ub) -> Compiled.set_bounds sc v ~lb ~ub) fixings;
     let st, b, (sst : Simplex.stats) =
-      Simplex.solve_compiled ~pricing:config.pricing ~backend:config.basis
-        ?refactor:config.refactor ?max_iter ?basis ~ws:workspaces.(wid) sc
+      Simplex.solve_compiled ?max_iter ?basis ~ws:workspaces.(wid) sc
     in
     List.iter (fun (v, _, _) -> Compiled.reset_bounds sc v) fixings;
     ignore (Atomic.fetch_and_add lp_pivots sst.Simplex.pivots);
@@ -624,7 +593,7 @@ let solve ?(config = Config.default) model =
     fun v -> Hashtbl.mem tbl v
   in
   let rounding_pass ~wid path overrides (s : Simplex.solution) =
-    if config.rounding && int_vars <> [] then begin
+    if int_vars <> [] then begin
       (* Rounded fixings are consed onto the node's overrides; consing
          later means innermost, so they win in [effective_bounds] and in
          [canonical_fixings] inside [lp_solve]. *)
@@ -659,7 +628,7 @@ let solve ?(config = Config.default) model =
           if not (in_sos1 v) then begin
             let lb, ub = bounds_of v in
             let x = Float.max lb (Float.min ub (Float.round s.values.(v))) in
-            if Float.abs (x -. Float.round x) <= config.int_tol then
+            if Float.abs (x -. Float.round x) <= int_tol then
               fixes := (v, x, x) :: !fixes
             else ok := false
           end)
@@ -682,7 +651,7 @@ let solve ?(config = Config.default) model =
       if !budget <= 0 then ()
       else begin
         decr budget;
-        match most_fractional ~int_tol:config.int_tol int_vars s with
+        match most_fractional int_vars s with
         | None -> try_incumbent path s
         | Some v ->
           let lb, ub = effective_bounds wm overrides v in
@@ -765,22 +734,15 @@ let solve ?(config = Config.default) model =
   in
   let pseudocost_branches = Atomic.make 0 in
   (* ---- worker pool ---- *)
+  (* Best bound first; ties go to the deeper node, then the smaller
+     branch path. *)
   let cmp_nodes a b =
-    let bound_cmp () =
+    let c =
       match sense with
       | Model.Minimize -> Float.compare a.bound b.bound
       | Maximize -> Float.compare b.bound a.bound
     in
-    let depth_cmp () = compare b.depth a.depth in
-    let c =
-      match config.node_order with
-      | Config.Best_bound ->
-        let c = bound_cmp () in
-        if c <> 0 then c else depth_cmp ()
-      | Config.Depth_first ->
-        let c = depth_cmp () in
-        if c <> 0 then c else bound_cmp ()
-    in
+    let c = if c <> 0 then c else compare b.depth a.depth in
     if c <> 0 then c else path_compare a.path b.path
   in
   let queues = Array.init n_workers (fun _ -> Work_queue.create ~cmp:cmp_nodes) in
@@ -802,7 +764,7 @@ let solve ?(config = Config.default) model =
   (* Classic most-fractional variable dichotomy — the default, and the
      fallback when the entity view finds nothing to branch on. *)
   let branch_fractional wid n (s : Simplex.solution) basis =
-    match most_fractional ~int_tol:config.int_tol int_vars s with
+    match most_fractional int_vars s with
     | None -> try_incumbent n.path s
     | Some v ->
       let x = s.values.(v) in
@@ -815,7 +777,7 @@ let solve ?(config = Config.default) model =
   in
   (* GUB dichotomy over mode groups + pseudocost entity selection with
      reliability initialization: an entity whose pseudocosts rest on
-     fewer than [reliability] observations per direction is probed with
+     fewer than [reliability] (4) observations per direction is probed with
      two pivot-capped child LPs (the probes also seed its pseudocosts);
      reliable entities are scored by the product of their average
      objective degradations.  A group branches by splitting its member
@@ -836,7 +798,7 @@ let solve ?(config = Config.default) model =
     in
     let candidates = ref [] in
     for e = n_entities - 1 downto 0 do
-      if frac_of e > config.int_tol then candidates := e :: !candidates
+      if frac_of e > int_tol then candidates := e :: !candidates
     done;
     match !candidates with
     | [] -> branch_fractional wid n s basis
@@ -861,7 +823,7 @@ let solve ?(config = Config.default) model =
           for i = 0 to k - 1 do
             let xi = s.values.(vars.(i)) in
             total := !total +. xi;
-            if xi > config.int_tol then begin
+            if xi > int_tol then begin
               if !first < 0 then first := i;
               last := i
             end
@@ -912,7 +874,7 @@ let solve ?(config = Config.default) model =
           let down, up = child_sets e in
           let d_avg, u_avg, cnt = pc_read e in
           let score =
-            if cnt < config.reliability && !probes_left > 0 then begin
+            if cnt < reliability && !probes_left > 0 then begin
               decr probes_left;
               let probe dir = function
                 | None -> 1e12
@@ -1152,8 +1114,6 @@ let solve ?(config = Config.default) model =
     Mc.add c_saved_warm ~slot:0 (Atomic.get a_saved);
     Mc.add c_dual_pivots ~slot:0 (Atomic.get a_dual);
     Mc.add c_bland_pivots ~slot:0 (Atomic.get a_bland);
-    Mc.add c_pricing_pivots ~slot:0
-      (stats.lp_pivots - Atomic.get a_bland - Atomic.get a_dual);
     Mc.add c_flips ~slot:0 (Atomic.get a_flips);
     Mc.add c_flops ~slot:0 (Atomic.get a_flops);
     Mc.add c_lu_refacts ~slot:0 (Atomic.get a_lu_refacts);

@@ -12,7 +12,7 @@
 
     {b Determinism.} The reported objective is reproducible regardless of
     worker count: fathoming only ever discards subtrees whose bound is
-    within [gap_rel] slack of an incumbent (so nothing meaningfully
+    within {!gap_rel} slack of an incumbent (so nothing meaningfully
     better than the final incumbent is lost), incumbent merging is
     tie-broken by the lexicographically smallest branch path, and cached
     relaxations are solved without the basis hint so cache contents never
@@ -42,20 +42,13 @@ module Config : sig
         (** branch on SOS1 mode groups (GUB dichotomy splitting the
             group's fractional mass) and leftover integer variables,
             scored by pseudocosts with reliability initialization
-            (pivot-capped probe LPs until an entity has
-            [reliability] observations per direction) *)
-
-  type node_order =
-    | Best_bound  (** explore smallest-bound nodes first (default) *)
-    | Depth_first  (** dive: deepest nodes first, bound as tie-break *)
+            (pivot-capped probe LPs until an entity has 4 observations
+            per direction) *)
 
   type t = {
     jobs : int;  (** worker domains; default [Domain.recommended_domain_count ()] *)
     max_nodes : int;  (** node budget; default 200_000 *)
-    int_tol : float;  (** integrality tolerance; default 1e-6 *)
-    gap_rel : float;  (** relative optimality gap to stop at; default 1e-9 *)
     time_limit : float option;  (** wall-clock seconds *)
-    rounding : bool;  (** run the rounding heuristic (root and spine) *)
     sos1 : Dvs_lp.Model.var list list;
         (** groups whose binaries sum to 1; guides the rounding heuristic
             (the one-mode-per-edge structure of the DVS formulation) *)
@@ -89,46 +82,20 @@ module Config : sig
             compiling; default [true].  Solutions are postsolved back to
             the original variable space, so results are indistinguishable
             except faster. *)
-    pricing : Dvs_lp.Simplex.pricing;
-        (** simplex pricing rule for every relaxation; default
-            {!Dvs_lp.Simplex.Steepest_edge} *)
-    basis : Dvs_lp.Simplex.basis_kind;
-        (** simplex basis backend for every relaxation; default
-            {!Dvs_lp.Simplex.Lu} (sparse LU + eta file).
-            {!Dvs_lp.Simplex.Dense} keeps the explicit dense inverse —
-            the correctness oracle and CI ablation leg.  Either backend
-            finds the same vertex; only the linear-algebra cost
-            differs. *)
-    refactor : Dvs_lp.Simplex.refactor_policy option;
-        (** basis refactorization trigger override; [None] (default)
-            uses {!Dvs_lp.Simplex.default_refactor} for the selected
-            backend *)
     fixings : (Dvs_lp.Model.var * float) list;
         (** externally implied variable fixings (e.g.
             [Dvs_core.Formulation.implied_fixings] from the edge filter),
             fed to presolve as exact bounds before the first round *)
     branching : branching;
         (** branching rule; default {!Fractional} (see {!branching}) *)
-    node_order : node_order;
-        (** node selection order within each worker queue; default
-            {!Best_bound} *)
-    reliability : int;
-        (** pseudocost reliability threshold: entities with fewer than
-            this many observed gains per direction are probed with a
-            pivot-capped LP before trusting their score; default 4 *)
   }
 
   val make :
-    ?jobs:int -> ?max_nodes:int -> ?time_limit:float -> ?gap_rel:float ->
-    ?int_tol:float -> ?rounding:bool -> ?log:(string -> unit) ->
-    ?cache:Lp_cache.t -> ?cache_depth:int -> ?fault:Fault.t ->
-    ?obs:Dvs_obs.t -> ?presolve:bool -> ?pricing:Dvs_lp.Simplex.pricing ->
-    ?basis:Dvs_lp.Simplex.basis_kind ->
-    ?refactor:Dvs_lp.Simplex.refactor_policy ->
-    ?branching:branching -> ?node_order:node_order -> ?reliability:int ->
-    unit -> t
-  (** Raises [Invalid_argument] if [jobs < 1], [reliability < 0], or the
-      [refactor] policy has a non-positive trigger. *)
+    ?jobs:int -> ?max_nodes:int -> ?time_limit:float ->
+    ?log:(string -> unit) -> ?cache:Lp_cache.t -> ?cache_depth:int ->
+    ?fault:Fault.t -> ?obs:Dvs_obs.t -> ?presolve:bool ->
+    ?branching:branching -> unit -> t
+  (** Raises [Invalid_argument] if [jobs < 1]. *)
 
   val default : t
   (** [make ()]. *)
@@ -146,17 +113,9 @@ module Config : sig
 
   val with_presolve : bool -> t -> t
 
-  val with_pricing : Dvs_lp.Simplex.pricing -> t -> t
-
-  val with_basis : Dvs_lp.Simplex.basis_kind -> t -> t
-
-  val with_refactor : Dvs_lp.Simplex.refactor_policy -> t -> t
-
   val with_fixings : (Dvs_lp.Model.var * float) list -> t -> t
 
   val with_branching : branching -> t -> t
-
-  val with_node_order : node_order -> t -> t
 
   val with_log : (string -> unit) -> t -> t
 
@@ -166,6 +125,12 @@ module Config : sig
 
   val with_obs : Dvs_obs.t -> t -> t
 end
+
+val gap_rel : float
+(** Relative optimality gap the search stops at ([1e-9]): a node whose
+    bound is within [gap_rel * max 1 |incumbent|] of the incumbent is
+    fathomed.  Open nodes are explored best bound first; integrality is
+    judged to [1e-6]. *)
 
 type stop_reason =
   | Node_limit

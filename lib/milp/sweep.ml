@@ -32,9 +32,11 @@ let locked lock f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
-let run ?config ?(instances = 1) ?(cut_rounds = 3) ?(max_cuts_per_round = 16)
-    ?pool ?per_point ?point_bound ?point_seed ~model ~deadline_row ~deadlines
-    () =
+(* Gomory cuts kept per separation round. *)
+let max_cuts_per_round = 16
+
+let run ?config ?(instances = 1) ?(cut_rounds = 3) ?pool ?per_point
+    ?point_bound ?point_seed ~model ~deadline_row ~deadlines () =
   let config =
     match config with
     | Some c -> c
@@ -44,7 +46,6 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?(max_cuts_per_round = 16)
   in
   if instances < 1 then invalid_arg "Sweep.run: instances < 1";
   if cut_rounds < 0 then invalid_arg "Sweep.run: cut_rounds < 0";
-  if max_cuts_per_round < 0 then invalid_arg "Sweep.run: max_cuts_per_round < 0";
   let np = Array.length deadlines in
   if np = 0 then invalid_arg "Sweep.run: empty deadlines";
   Array.iter
@@ -139,7 +140,7 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?(max_cuts_per_round = 16)
         let cfg = Solver.Config.with_warm_solution sol cfg in
         let obj = sol.Simplex.objective in
         let slack =
-          config.Solver.Config.gap_rel *. Float.max 1.0 (Float.abs obj)
+          Solver.gap_rel *. Float.max 1.0 (Float.abs obj)
         in
         let fixings =
           match (seed, sense) with
@@ -176,9 +177,7 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?(max_cuts_per_round = 16)
        reoptimization. *)
     Compiled.set_rhs c0 deadline_row d;
     let st0, b0, lstats0 =
-      Simplex.solve_compiled ~pricing:config.Solver.Config.pricing
-        ~backend:config.Solver.Config.basis
-        ?refactor:config.Solver.Config.refactor ?basis:!chain ~ws c0
+      Simplex.solve_compiled ?basis:!chain ~ws c0
     in
     root_pivots := !root_pivots + lstats0.Simplex.pivots;
     (match b0 with Some _ -> chain := b0 | None -> ());
@@ -196,9 +195,7 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?(max_cuts_per_round = 16)
               Option.map (fun b -> Simplex.extend_basis b ~rows:n_pooled) b0
             in
             let st, bc, ls =
-              Simplex.solve_compiled ~pricing:config.Solver.Config.pricing
-                ~backend:config.Solver.Config.basis
-                ?refactor:config.Solver.Config.refactor ?basis ~ws cp
+              Simplex.solve_compiled ?basis ~ws cp
             in
             root_pivots := !root_pivots + ls.Simplex.pivots;
             match bc with Some b -> Some (cp, b, st) | None -> None
@@ -219,14 +216,12 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?(max_cuts_per_round = 16)
           | Some (cp, bc, Simplex.Optimal sol) when r < cut_rounds ->
               let x = sol.Simplex.values in
               let gom =
-                if max_cuts_per_round = 0 then []
-                else
-                  match Simplex.tableau cp bc with
-                  | None -> []
-                  | Some tab ->
-                      Cuts.gomory ~compiled:cp ~tableau:tab ~x ~deadline:d
-                        ~row_valid_le:(row_valid_le cp) ~bounds_pristine:true
-                        ~max_cuts:max_cuts_per_round
+                match Simplex.tableau cp bc with
+                | None -> []
+                | Some tab ->
+                    Cuts.gomory ~compiled:cp ~tableau:tab ~x ~deadline:d
+                      ~row_valid_le:(row_valid_le cp) ~bounds_pristine:true
+                      ~max_cuts:max_cuts_per_round
               in
               let cov = Cuts.covers ~row:cover_row ~deadline:d ~x in
               let gub = Cuts.gub_covers ~groups:gub_groups ~deadline:d ~x in
@@ -244,9 +239,7 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?(max_cuts_per_round = 16)
                   Simplex.extend_basis bc ~rows:(List.length fresh)
                 in
                 let st, bc', ls =
-                  Simplex.solve_compiled ~pricing:config.Solver.Config.pricing
-                    ~backend:config.Solver.Config.basis
-                    ?refactor:config.Solver.Config.refactor ~basis ~ws cp'
+                  Simplex.solve_compiled ~basis ~ws cp'
                 in
                 root_pivots := !root_pivots + ls.Simplex.pivots;
                 match bc' with
@@ -276,7 +269,7 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?(max_cuts_per_round = 16)
           | Some cb ->
               let obj = sol.Simplex.objective in
               let slack =
-                config.Solver.Config.gap_rel *. Float.max 1.0 (Float.abs obj)
+                Solver.gap_rel *. Float.max 1.0 (Float.abs obj)
               in
               let certifies =
                 match sense with

@@ -22,7 +22,7 @@
     - {b Dual-bound pre-pruning.}  When the caller supplies
       [point_bound] (e.g. the exact continuous-schedule relaxation of
       {!Dvs_core.Relaxation}) and its bound already certifies the lifted
-      incumbent optimal within [config.gap_rel], the point is answered
+      incumbent optimal within {!Solver.gap_rel}, the point is answered
       from the lift directly: zero cuts, zero LP solves, zero nodes.
       The pruned point's solution is the lifted object itself — the
       bits a full solve would return, since a seeded incumbent is only
@@ -87,7 +87,6 @@ val run :
   ?config:Solver.Config.t ->
   ?instances:int ->
   ?cut_rounds:int ->
-  ?max_cuts_per_round:int ->
   ?pool:Cuts.Pool.t ->
   ?per_point:(int -> float -> Solver.Config.t -> Solver.Config.t) ->
   ?point_bound:(int -> float -> float option) ->
@@ -109,8 +108,8 @@ val run :
     [instances] (default 1) runs that many sweep points concurrently on
     separate domains — each point's own solve still uses [config.jobs]
     workers.  [cut_rounds] (default 3) bounds the root cutting loop per
-    point and [max_cuts_per_round] (default 16) the Gomory cuts kept per
-    round; [cut_rounds = 0] disables separation (pooled cuts from
+    point, each round keeping at most 16 Gomory cuts;
+    [cut_rounds = 0] disables separation (pooled cuts from
     [pool] are still applied).  [pool] shares a cut pool across
     successive sweeps (default: a private pool per call).  [per_point i
     d cfg] customizes the configuration of point [i] (input order,
@@ -131,7 +130,7 @@ val run :
     fixings replace [config.warm_start] as the materialized incumbent;
     on a lifted point they are materialized {e in addition to} the seed
     only when their objective strictly beats the lift beyond the
-    [config.gap_rel] slack — so a certifiable point never gains an
+    {!Solver.gap_rel} slack — so a certifiable point never gains an
     extra solve and pruned/unpruned sweeps stay bit-identical.  When a
     lift exists, the configured [warm_start] fixing itself is dropped:
     a lifted optimum is never worse than a generic feasibility fixing,

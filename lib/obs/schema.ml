@@ -251,12 +251,11 @@ let bench_summary ?(experiment_walls = []) ~metrics ~experiments
       ("lp_pivots", Json.Int lp_pivots);
       (* Linear-algebra work actually performed inside the simplex kernel
          (PR 10): floating-point operations charged per entry touched, so
-         the sparse-LU backend's savings over the dense inverse are
-         visible even when pivot counts are bit-identical. *)
+         per-pivot linear-algebra cost is visible even when pivot counts
+         are bit-identical. *)
       ("lp_flops", Json.Int lp_flops);
-      (* Sparse-LU basis activity (PR 10): all zeros under the dense
-         ablation backend; optional in the validator so pre-PR 10
-         baselines stay diffable. *)
+      (* Sparse-LU basis activity: optional in the validator so baselines
+         written before these counters existed stay diffable. *)
       ( "lu",
         Json.Obj
           [ ("refactorizations", Json.Int (total "lu.refactorizations"));

@@ -53,7 +53,7 @@ val bench_summary :
     reported into: totals of the [solver.nodes] (as [bb_nodes]),
     [solver.lp_solves], [solver.lp_pivots], [lp.flops] (as [lp_flops]:
     linear-algebra operations per entry actually touched, the number the
-    sparse-LU basis backend exists to shrink), [solver.solves] and
+    sparse-LU basis exists to shrink), [solver.solves] and
     [lp_cache.*] counters, the [solver.solve_seconds] histogram's sum as
     aggregate solve time, and derived [nodes_per_second] /
     [lp_solves_per_second] throughput (0 when no solve time was
@@ -63,6 +63,6 @@ val bench_summary :
     The [store] section totals the experiment store's volatile
     [store.*] counters (hits and misses per artifact kind, plus
     stale/corrupt/eviction counts) — all zero when no store was
-    active.  The [lu] section totals the sparse-LU basis backend's
-    [lu.*] counters (refactorizations, fill-in, eta-file growth, scatter
-    sparsity hits) — all zero under the dense ablation backend. *)
+    active.  The [lu] section totals the sparse-LU basis's [lu.*]
+    counters (refactorizations, fill-in, eta-file growth, scatter
+    sparsity hits). *)

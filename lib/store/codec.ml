@@ -515,43 +515,17 @@ let bool_component b = Key.I (if b then 1 else 0)
 let solver_components (c : Solver.Config.t) =
   [ ("solver.jobs", Key.I c.Solver.Config.jobs);
     ("solver.max_nodes", Key.I c.Solver.Config.max_nodes);
-    ("solver.int_tol", Key.F c.Solver.Config.int_tol);
-    ("solver.gap_rel", Key.F c.Solver.Config.gap_rel);
     ( "solver.time_limit",
       match c.Solver.Config.time_limit with
       | None -> Key.L []
       | Some t -> Key.L [ Key.F t ] );
-    ("solver.rounding", bool_component c.Solver.Config.rounding);
     ("solver.cache_depth", Key.I c.Solver.Config.cache_depth);
     ("solver.presolve", bool_component c.Solver.Config.presolve);
-    ( "solver.pricing",
-      Key.S
-        (match c.Solver.Config.pricing with
-        | Simplex.Bland -> "bland"
-        | Simplex.Dantzig -> "dantzig"
-        | Simplex.Steepest_edge -> "steepest_edge") );
     ( "solver.branching",
       Key.S
         (match c.Solver.Config.branching with
         | Solver.Config.Fractional -> "fractional"
-        | Solver.Config.Pseudocost_gub -> "pseudocost_gub") );
-    ( "solver.node_order",
-      Key.S
-        (match c.Solver.Config.node_order with
-        | Solver.Config.Best_bound -> "best_bound"
-        | Solver.Config.Depth_first -> "depth_first") );
-    ( "solver.basis",
-      Key.S
-        (match c.Solver.Config.basis with
-        | Simplex.Lu -> "lu"
-        | Simplex.Dense -> "dense") );
-    ( "solver.refactor",
-      match c.Solver.Config.refactor with
-      | None -> Key.L []
-      | Some (Simplex.Pivots k) -> Key.L [ Key.S "pivots"; Key.I k ]
-      | Some (Simplex.Eta_fill { max_pivots; growth }) ->
-        Key.L [ Key.S "eta_fill"; Key.I max_pivots; Key.F growth ] );
-    ("solver.reliability", Key.I c.Solver.Config.reliability) ]
+        | Solver.Config.Pseudocost_gub -> "pseudocost_gub") ) ]
 
 let pipeline_components (c : Pipeline.Config.t) =
   let r = c.Pipeline.Config.resilience in

@@ -1,16 +1,17 @@
-(* Dense-vs-LU basis backend equivalence.
+(* The LP kernel against its dense oracle.
 
-   The sparse-LU + eta-file backend must be indistinguishable from the
-   dense-inverse oracle in everything except linear-algebra cost: same
-   statuses, same pivot counts, bit-identical solutions (both backends
-   share every pricing/ratio decision and finish on the same dense
-   factorization), and the same typed fault behavior under injected
-   crashes and pivot exhaustion. *)
+   Simplex is Simplex.Make (Lu_eta): a sparse LU + eta-file basis.  The
+   oracle instantiates the same kernel over an explicit dense inverse
+   (Dense_basis).  Both share every pricing and ratio-test decision and
+   finish on the same dense solve, so they must be indistinguishable in
+   everything but linear-algebra cost: same statuses, same objectives,
+   and on generic data nearly always the same pivot counts.  The MILP
+   layer above is checked against brute-force enumeration. *)
 
 open Dvs_lp
 module Solver = Dvs_milp.Solver
-module Fault = Dvs_milp.Fault
 module Rng = Dvs_workloads.Rng
+module Dense = Simplex.Make (Dense_basis)
 
 (* ---- seeded LP instances ------------------------------------------- *)
 
@@ -55,9 +56,7 @@ let seeded_lp seed =
     (Expr.of_terms (List.init n (fun j -> (frac (-4.0) 4.0, vars.(j)))));
   m
 
-let solve_both ?refactor m =
-  let go backend = Simplex.solve_ext ~backend ?refactor m in
-  (go Simplex.Lu, go Simplex.Dense)
+let solve_both m = (Simplex.solve_ext m, Dense.solve_ext m)
 
 let check_objective ~what (a : Simplex.solution) (b : Simplex.solution) =
   let oa = a.Simplex.objective and ob = b.Simplex.objective in
@@ -98,41 +97,62 @@ let test_lp_backends_agree () =
       !diverged
 
 (* Refactorization cadence changes linear-algebra bookkeeping (and its
-   roundoff), never the answer: every policy must reach the same status
-   and objective as the default cadence on both backends. *)
+   roundoff), never the answer: the LU basis rebuilt after every pivot,
+   every 7 pivots, and on an eta-fill trigger capped at 1 pivot or at a
+   growth of 0.01 must reach the default cadence's status and
+   objective. *)
+let cadences : (string * (module Basis.S)) list =
+  [ ( "every pivot",
+      (module struct
+        include Lu_eta
+
+        let needs_refactor t = updates t >= 1
+      end) );
+    ( "every 7 pivots",
+      (module struct
+        include Lu_eta
+
+        let needs_refactor t = updates t >= 7
+      end) );
+    ( "eta fill, 1 pivot",
+      (module struct
+        include Lu_eta
+
+        let needs_refactor = eta_fill_due ~max_updates:1 ~growth:2.0
+      end) );
+    ( "eta fill, growth 0.01",
+      (module struct
+        include Lu_eta
+
+        let needs_refactor = eta_fill_due ~max_updates:256 ~growth:0.01
+      end) ) ]
+
 let test_refactor_policy_equivalent () =
-  let policies =
-    [ Simplex.Pivots 1;
-      Simplex.Pivots 7;
-      Simplex.Eta_fill { max_pivots = 1; growth = 2.0 };
-      Simplex.Eta_fill { max_pivots = 256; growth = 0.01 } ]
-  in
   for seed = 1 to 5 do
     let m = seeded_lp seed in
-    let (ref_lu, _, _), _ = solve_both m in
+    let reference, _, _ = Simplex.solve_ext m in
     List.iter
-      (fun refactor ->
-        let (st_lu, _, _), (st_de, _, _) = solve_both ~refactor m in
-        match (ref_lu, st_lu, st_de) with
-        | Simplex.Optimal r, Simplex.Optimal a, Simplex.Optimal b ->
-          let what = Printf.sprintf "seed %d (policy)" seed in
-          check_objective ~what r a;
-          check_objective ~what r b
-        | Simplex.Infeasible, Simplex.Infeasible, Simplex.Infeasible
-        | Simplex.Unbounded, Simplex.Unbounded, Simplex.Unbounded ->
+      (fun (name, b) ->
+        let module S = Simplex.Make ((val b : Basis.S)) in
+        let st, _, _ = S.solve_ext m in
+        match (reference, st) with
+        | Simplex.Optimal r, Simplex.Optimal a ->
+          check_objective ~what:(Printf.sprintf "seed %d (%s)" seed name) r a
+        | Simplex.Infeasible, Simplex.Infeasible
+        | Simplex.Unbounded, Simplex.Unbounded ->
           ()
-        | _ -> Alcotest.failf "seed %d: status drift under the policy" seed)
-      policies
+        | _ -> Alcotest.failf "seed %d: status drift under %s" seed name)
+      cadences
   done
 
-(* The LU backend actually does sparse work: on a model with plenty of
-   rows the dense backend's per-pivot m^2 updates must cost measurably
+(* The LU basis actually does sparse work: on a model with plenty of
+   rows the dense oracle's per-pivot m^2 updates must cost measurably
    more charged flops than factorization + eta updates. *)
 let test_lu_saves_flops () =
   let m = seeded_lp 3 in
   let (_, _, s_lu), (_, _, s_de) = solve_both m in
   if s_lu.Simplex.lu_refactorizations < 1 then
-    Alcotest.fail "LU backend built no factorization";
+    Alcotest.fail "LU basis built no factorization";
   if s_lu.Simplex.flops >= s_de.Simplex.flops then
     Alcotest.failf "LU flops %d not below dense flops %d"
       s_lu.Simplex.flops s_de.Simplex.flops
@@ -141,8 +161,8 @@ let test_lu_saves_flops () =
 
 (* Basis from a well-conditioned model applied to a same-shape model
    whose corresponding basis matrix is singular (duplicate columns):
-   both backends must detect the singularity, fall back to a cold
-   solve, and still return the optimum. *)
+   both bases must detect the singularity, fall back to a cold solve,
+   and still return the optimum. *)
 let singular_pair scale =
   let build c10 c11 obj_y =
     let m = Model.create () in
@@ -172,14 +192,14 @@ let test_singular_hint_falls_back scale () =
     | _ -> Alcotest.fail "model A must solve with both vars basic"
   in
   List.iter
-    (fun backend ->
+    (fun (module S : Simplex.S) ->
       let cold =
-        match Simplex.solve ~backend b with
+        match S.solve b with
         | Simplex.Optimal s -> s
         | st ->
           Alcotest.failf "cold solve of B: %a" Simplex.pp_status st
       in
-      match Simplex.solve_from_basis ~backend basis b with
+      match S.solve_from_basis basis b with
       | Simplex.Optimal warm ->
         if
           Float.abs (warm.Simplex.objective -. cold.Simplex.objective)
@@ -190,149 +210,150 @@ let test_singular_hint_falls_back scale () =
       | st ->
         Alcotest.failf "singular hint must fall back to optimal, got %a"
           Simplex.pp_status st)
-    [ Simplex.Lu; Simplex.Dense ]
+    [ (module Simplex : Simplex.S); (module Dense) ]
 
-(* ---- MILP-level agreement ------------------------------------------ *)
+(* ---- MILP against enumeration ------------------------------------- *)
 
-(* Same DVS-shaped seeded instances as the presolve property: SOS1 mode
-   groups, a shared budget row, distinct fractional costs (unique
-   optimum, so schedules are comparable bit for bit). *)
-let seeded_dvs_milp seed =
-  let rng = Rng.create seed in
-  let groups = 3 + Rng.int rng 4 and modes = 2 + Rng.int rng 2 in
-  let m = Model.create () in
-  let k =
-    Array.init groups (fun _ -> Array.init modes (fun _ -> Model.binary m))
+(* Cheapest one-mode-per-group assignment within the budget, over all
+   modes^groups of them (at most 3^6).  The budget test carries a 1e-9
+   relative tolerance, the LP's own feasibility slack: grid data can put
+   an assignment's time exactly on the budget. *)
+let enumerate ~cost ~time ~budget =
+  let groups = Array.length cost and modes = Array.length cost.(0) in
+  let pick = Array.make groups 0 in
+  let best = ref None in
+  let rec go g c t =
+    if g = groups then begin
+      if t <= budget +. (1e-9 *. Float.max 1.0 budget) then
+        match !best with
+        | Some (bc, _) when bc <= c -> ()
+        | _ -> best := Some (c, Array.copy pick)
+    end
+    else
+      for j = 0 to modes - 1 do
+        pick.(g) <- j;
+        go (g + 1) (c +. cost.(g).(j)) (t +. time.(g).(j))
+      done
   in
-  let cost =
-    Array.init groups (fun _ ->
-        Array.init modes (fun _ ->
-            1.0 +. (float_of_int (Rng.int rng 100_000) /. 97.0)))
-  in
-  let time =
-    Array.init groups (fun g ->
-        Array.init modes (fun j ->
-            float_of_int (modes - j)
-            +. (float_of_int (Rng.int rng 100) /. 400.0)
-            +. (0.25 *. float_of_int (g mod 3))))
-  in
-  for g = 0 to groups - 1 do
-    Model.add_constraint m
-      (Expr.of_terms (List.init modes (fun j -> (1.0, k.(g).(j)))))
-      Model.Eq 1.0
-  done;
-  let sum_by pick =
-    Array.to_list time
-    |> List.fold_left (fun acc row -> acc +. pick row) 0.0
-  in
-  let tmin = sum_by (Array.fold_left Float.min infinity)
-  and tmax = sum_by (Array.fold_left Float.max neg_infinity) in
-  let budget =
-    tmin
-    +. ((tmax -. tmin)
-        *. (0.15 +. (float_of_int (Rng.int rng 60) /. 100.0)))
-  in
-  let all w =
-    Expr.of_terms
-      (List.concat_map
-         (fun g -> List.init modes (fun j -> (w.(g).(j), k.(g).(j))))
-         (List.init groups Fun.id))
-  in
-  Model.add_constraint m (all time) Model.Le budget;
-  Model.set_objective m Model.Minimize (all cost);
-  (m, List.map Array.to_list (Array.to_list k))
+  go 0 0.0 0.0;
+  !best
 
-let milp_solve ?fault ~basis ~jobs (m, sos1) =
-  (* No shared Lp_cache across backends: a hit computed by one backend
-     answering the other would mask a divergence. Config.make creates a
-     private cache per solve, which is exactly what we want. *)
-  let config =
-    Solver.Config.make ~jobs ~basis ?fault ()
-    |> Solver.Config.with_sos1 sos1
-  in
-  Solver.solve ~config m
-
-let check_milp_agree ~what instance (r_lu : Solver.result)
-    (r_de : Solver.result) =
-  if r_lu.Solver.outcome <> r_de.Solver.outcome then
-    Alcotest.failf "%s: outcome %a (lu) vs %a (dense)" what
-      Solver.pp_outcome r_lu.Solver.outcome Solver.pp_outcome
-      r_de.Solver.outcome;
-  match (r_lu.Solver.solution, r_de.Solver.solution) with
-  | None, None -> ()
-  | Some a, Some b ->
-    let oa = a.Simplex.objective and ob = b.Simplex.objective in
-    if Float.abs (oa -. ob) > 1e-9 *. Float.max 1.0 (Float.abs ob) then
-      Alcotest.failf "%s: objective %.15g (lu) vs %.15g (dense)" what oa
-        ob;
-    let _, sos1 = instance in
-    List.iteri
-      (fun g group ->
-        List.iteri
-          (fun j v ->
-            let xa = Float.round a.Simplex.values.(v)
-            and xb = Float.round b.Simplex.values.(v) in
-            if Int64.bits_of_float xa <> Int64.bits_of_float xb then
-              Alcotest.failf "%s: group %d mode %d differs (%g vs %g)"
-                what g j xa xb)
-          group)
-      sos1
-  | _ -> Alcotest.failf "%s: solution presence differs" what
-
+(* Solver and enumeration are two MILP backends: on the seeded DVS
+   instances of the presolve property, at jobs 1 and 4, the solver must
+   return enumeration's objective and, mode for mode, its schedule. *)
 let test_milp_backends_agree () =
   for seed = 1 to 25 do
-    let instance = seeded_dvs_milp seed in
+    let m, k, cost, time, budget = Test_milp.seeded_dvs_milp seed in
+    let sos1 = List.map Array.to_list (Array.to_list k) in
+    let expected = enumerate ~cost ~time ~budget in
     List.iter
       (fun jobs ->
-        let r_lu = milp_solve ~basis:Simplex.Lu ~jobs instance in
-        let r_de = milp_solve ~basis:Simplex.Dense ~jobs instance in
-        check_milp_agree
-          ~what:(Printf.sprintf "seed %d jobs %d" seed jobs)
-          instance r_lu r_de)
+        let what = Printf.sprintf "seed %d jobs %d" seed jobs in
+        let config =
+          Solver.Config.make ~jobs () |> Solver.Config.with_sos1 sos1
+        in
+        let r = Solver.solve ~config m in
+        match (expected, r.Solver.outcome, r.Solver.solution) with
+        | None, Solver.Infeasible, None -> ()
+        | Some (obj, pick), Solver.Optimal, Some s ->
+          let got = s.Simplex.objective in
+          if Float.abs (got -. obj) > 1e-9 *. Float.max 1.0 (Float.abs obj)
+          then
+            Alcotest.failf "%s: objective %.15g vs enumerated %.15g" what
+              got obj;
+          Array.iteri
+            (fun g vars ->
+              Array.iteri
+                (fun j v ->
+                  let x = Float.round s.Simplex.values.(v)
+                  and want = if pick.(g) = j then 1.0 else 0.0 in
+                  if x <> want then
+                    Alcotest.failf
+                      "%s: group %d mode %d is %g, enumeration says %g" what
+                      g j x want)
+                vars)
+            k
+        | _ ->
+          Alcotest.failf "%s: outcome %a, enumeration %s" what
+            Solver.pp_outcome r.Solver.outcome
+            (if expected = None then "infeasible" else "feasible"))
       [ 1; 4 ]
   done
 
-(* Injected faults fire on node/LP ordinals, not on anything the basis
-   representation touches — so both backends must degrade identically:
-   same typed outcome, same incumbent. *)
-let test_fault_agreement () =
-  let specs =
-    [ ("crash", fun () -> Fault.make ~crash_at_nodes:[ 1 ] ());
-      ("exhaust", fun () -> Fault.make ~exhaust_pivots_every:2 ()) ]
-  in
-  for seed = 1 to 5 do
-    let instance = seeded_dvs_milp seed in
-    List.iter
-      (fun (name, fresh) ->
-        let r_lu =
-          milp_solve ~fault:(fresh ()) ~basis:Simplex.Lu ~jobs:1 instance
-        in
-        let r_de =
-          milp_solve ~fault:(fresh ()) ~basis:Simplex.Dense ~jobs:1
-            instance
-        in
-        check_milp_agree
-          ~what:(Printf.sprintf "seed %d fault %s" seed name)
-          instance r_lu r_de)
-      specs
-  done
+(* ---- real models ---------------------------------------------------- *)
 
-(* ---- config plumbing ----------------------------------------------- *)
-
-let test_refactor_validation () =
-  Alcotest.check_raises "Pivots must be >= 1"
-    (Invalid_argument
-       "Solver.Config.make: refactor pivot trigger must be >= 1")
-    (fun () ->
-      ignore (Solver.Config.make ~refactor:(Simplex.Pivots 0) ()));
-  Alcotest.check_raises "Eta_fill growth must be positive"
-    (Invalid_argument
-       "Solver.Config.make: refactor eta trigger must be positive")
-    (fun () ->
-      ignore
-        (Solver.Config.make
-           ~refactor:(Simplex.Eta_fill { max_pivots = 8; growth = 0.0 })
-           ()))
+(* The paper's six programs, each prepared exactly as the Table-4
+   pipeline solves it (edge filter on) at its tightest and loosest grid
+   deadline.  On each, the root LP and then a seeded chain of warm
+   starts — one binary fixed per step, hinted with the previous step's
+   basis, an infeasible fixing undone — must give the LU kernel and the
+   dense oracle the same status and objective at every step. *)
+let test_real_model_oracle () =
+  let regulator = Dvs_power.Switch_cost.regulator ~capacitance:0.4e-6 () in
+  let machine = Dvs_workloads.Workload.eval_config ~regulator () in
+  List.iter
+    (fun name ->
+      let w = Dvs_workloads.Workload.find name in
+      let cfg, _, mem =
+        Dvs_workloads.Workload.load w
+          ~input:(Dvs_workloads.Workload.default_input w)
+      in
+      let p = Dvs_profile.Profile.collect machine cfg ~memory:mem in
+      let ds = Dvs_workloads.Deadlines.of_profile p in
+      List.iter
+        (fun d ->
+          let deadline = ds.(d) in
+          let prep =
+            Dvs_core.Pipeline.prepare ~regulator
+              [ { Dvs_core.Formulation.profile = p; weight = 1.0; deadline } ]
+          in
+          let model =
+            prep.Dvs_core.Pipeline.prep_formulation
+              .Dvs_core.Formulation.model
+          in
+          let c = Compiled.of_model model in
+          let binaries = Array.of_list (Model.integer_vars model) in
+          let rng = Rng.create (Hashtbl.hash (name, d)) in
+          let ws_lu = Simplex.workspace () and ws_de = Dense.workspace () in
+          let check step (st_lu, _, _) (st_de, _, _) =
+            let what = Printf.sprintf "%s deadline %d step %d" name d step in
+            match (st_lu, st_de) with
+            | Simplex.Optimal a, Simplex.Optimal b ->
+              check_objective ~what a b
+            | Simplex.Infeasible, Simplex.Infeasible
+            | Simplex.Unbounded, Simplex.Unbounded ->
+              ()
+            | a, b ->
+              Alcotest.failf "%s: %a (lu) vs %a (dense)" what
+                Simplex.pp_status a Simplex.pp_status b
+          in
+          let lu = Simplex.solve_compiled ~ws:ws_lu c
+          and de = Dense.solve_compiled ~ws:ws_de c in
+          check 0 lu de;
+          let rec chain step ((st, b_lu, _) as lu) ((_, b_de, _) as de) =
+            if step <= 10 && Array.length binaries > 0 then begin
+              let v = binaries.(Rng.int rng (Array.length binaries)) in
+              let x =
+                match st with
+                | Simplex.Optimal s when Rng.int rng 4 > 0 ->
+                  Float.round s.Simplex.values.(v)
+                | _ -> float_of_int (Rng.int rng 2)
+              in
+              let lb, ub = (c.Compiled.lb.(v), c.Compiled.ub.(v)) in
+              Compiled.set_bounds c v ~lb:x ~ub:x;
+              let lu' = Simplex.solve_compiled ?basis:b_lu ~ws:ws_lu c
+              and de' = Dense.solve_compiled ?basis:b_de ~ws:ws_de c in
+              check step lu' de';
+              match lu' with
+              | Simplex.Optimal _, Some _, _ -> chain (step + 1) lu' de'
+              | _ ->
+                Compiled.set_bounds c v ~lb ~ub;
+                chain (step + 1) lu de
+            end
+          in
+          chain 1 lu de)
+        [ 0; Array.length ds - 1 ])
+    [ "adpcm"; "epic"; "gsm"; "mpeg"; "ghostscript"; "mpg123" ]
 
 let suite =
   [ Alcotest.test_case "LP backends agree over 25 seeds" `Quick
@@ -347,7 +368,5 @@ let suite =
       (test_singular_hint_falls_back (1.0 +. 1e-13));
     Alcotest.test_case "MILP backends agree over 25 seeds x jobs {1,4}"
       `Quick test_milp_backends_agree;
-    Alcotest.test_case "fault injection agrees across backends" `Quick
-      test_fault_agreement;
-    Alcotest.test_case "refactor config validation" `Quick
-      test_refactor_validation ]
+    Alcotest.test_case "LU = dense on six programs' warm LP chains" `Quick
+      test_real_model_oracle ]

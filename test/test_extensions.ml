@@ -311,9 +311,13 @@ let test_block_based_no_better_than_edges () =
       ~regulator:machine.Dvs_machine.Config.regulator
       [ { Dvs_core.Formulation.profile; weight = 1.0; deadline } ]
   in
-  let block_milp = Dvs_milp.Branch_bound.solve block_form.Dvs_core.Formulation.model in
+  let block_milp =
+    Dvs_milp.Solver.solve
+      ~config:(Dvs_milp.Solver.Config.make ~jobs:1 ())
+      block_form.Dvs_core.Formulation.model
+  in
   match (edge_r.Dvs_core.Pipeline.predicted_energy,
-         block_milp.Dvs_milp.Branch_bound.solution)
+         block_milp.Dvs_milp.Solver.solution)
   with
   | Some edge_e, Some s ->
     let block_e = s.Dvs_lp.Simplex.objective /. 1e6 in

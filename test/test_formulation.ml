@@ -28,6 +28,10 @@ let cfg =
 
 let machine = Dvs_workloads.Workload.eval_config ()
 
+(* The sequential search: one worker. *)
+let solve1 m =
+  Dvs_milp.Solver.solve ~config:(Dvs_milp.Solver.Config.make ~jobs:1 ()) m
+
 let n_modes = 3
 
 (* Hand-made per-block per-invocation costs: block i at mode m.  The
@@ -161,8 +165,7 @@ let solve_milp deadline =
     Formulation.build ~regulator
       [ { Formulation.profile; weight = 1.0; deadline } ]
   in
-  let r = Dvs_milp.Branch_bound.solve f.Formulation.model in
-  match r.Dvs_milp.Branch_bound.solution with
+  match (solve1 f.Formulation.model).Dvs_milp.Solver.solution with
   | Some s -> Some (s.Dvs_lp.Simplex.objective /. 1e6)
   | None -> None
 
@@ -197,8 +200,7 @@ let test_transition_costs_matter () =
     Formulation.build ~regulator:expensive
       [ { Formulation.profile; weight = 1.0; deadline = d } ]
   in
-  let r = Dvs_milp.Branch_bound.solve f.Formulation.model in
-  match r.Dvs_milp.Branch_bound.solution with
+  match (solve1 f.Formulation.model).Dvs_milp.Solver.solution with
   | None -> Alcotest.fail "no solution"
   | Some s ->
     let sched = Schedule.of_solution f s in
@@ -303,10 +305,7 @@ let test_multi_category_matches_brute_force () =
         { Formulation.profile = profile2; weight = w2; deadline = d2 } ]
   in
   let milp =
-    match
-      (Dvs_milp.Branch_bound.solve f.Formulation.model)
-        .Dvs_milp.Branch_bound.solution
-    with
+    match (solve1 f.Formulation.model).Dvs_milp.Solver.solution with
     | Some s -> s.Dvs_lp.Simplex.objective /. 1e6
     | None -> Alcotest.fail "multi-category MILP found nothing"
   in
@@ -416,9 +415,8 @@ let test_lp_roundtrip () =
         Alcotest.failf "objective term %s %g became %s %g" v1 a1 v2 a2)
     (oterms m obj1) (oterms m2 obj2);
   (* And the parsed model solves to the same optimum. *)
-  let r1 = Dvs_milp.Branch_bound.solve m in
-  let r2 = Dvs_milp.Branch_bound.solve m2 in
-  match (r1.Dvs_milp.Branch_bound.solution, r2.Dvs_milp.Branch_bound.solution)
+  match
+    ((solve1 m).Dvs_milp.Solver.solution, (solve1 m2).Dvs_milp.Solver.solution)
   with
   | Some s1, Some s2 ->
     if

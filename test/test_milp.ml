@@ -5,19 +5,14 @@ let check_float ?(eps = 1e-6) what expected actual =
   if Float.abs (expected -. actual) > eps then
     Alcotest.failf "%s: expected %.9g, got %.9g" what expected actual
 
+(* The sequential search: one worker. *)
+let solve1 m = Solver.solve ~config:(Solver.Config.make ~jobs:1 ()) m
+
 let solve_opt m =
-  let r = Branch_bound.solve m in
-  match (r.Branch_bound.outcome, r.solution) with
-  | Branch_bound.Optimal, Some s -> s
-  | o, _ ->
-    Alcotest.failf "expected optimal, got %s"
-      (match o with
-      | Branch_bound.Optimal -> "optimal"
-      | Feasible _ -> "feasible"
-      | Infeasible -> "infeasible"
-      | Unbounded -> "unbounded"
-      | No_solution _ -> "no_solution"
-      | Degraded _ -> "degraded")
+  let r = solve1 m in
+  match (r.Solver.outcome, r.Solver.solution) with
+  | Solver.Optimal, Some s -> s
+  | o, _ -> Alcotest.failf "expected optimal, got %a" Solver.pp_outcome o
 
 (* 0/1 knapsack: values 60,100,120; weights 10,20,30; cap 50 -> 220. *)
 let test_knapsack () =
@@ -60,17 +55,15 @@ let test_integer_infeasible () =
   let m = Model.create () in
   let x = Model.add_var ~integer:true ~lb:0.4 ~ub:0.6 m in
   Model.set_objective m Model.Minimize (Expr.var x);
-  let r = Branch_bound.solve m in
-  Alcotest.(check bool) "infeasible" true
-    (r.Branch_bound.outcome = Branch_bound.Infeasible)
+  let r = solve1 m in
+  Alcotest.(check bool) "infeasible" true (r.Solver.outcome = Solver.Infeasible)
 
 let test_unbounded () =
   let m = Model.create () in
   let x = Model.add_var ~integer:true m in
   Model.set_objective m Model.Maximize (Expr.var x);
-  let r = Branch_bound.solve m in
-  Alcotest.(check bool) "unbounded" true
-    (r.Branch_bound.outcome = Branch_bound.Unbounded)
+  let r = solve1 m in
+  Alcotest.(check bool) "unbounded" true (r.Solver.outcome = Solver.Unbounded)
 
 (* SOS1-shaped model mimicking the DVS formulation: per group exactly one
    mode on, costs differ, a shared budget constraint. *)
@@ -154,7 +147,7 @@ let qcheck_milp_vs_enumeration =
       in
       (* Branch and bound answer. *)
       let m, _ = build () in
-      let r = Branch_bound.solve m in
+      let r = solve1 m in
       (* Enumeration answer: fix binaries, LP-complete. *)
       let best = ref None in
       for mask = 0 to (1 lsl nbin) - 1 do
@@ -170,9 +163,9 @@ let qcheck_milp_vs_enumeration =
           | _ -> best := Some s.objective)
         | _ -> ()
       done;
-      match (r.Branch_bound.outcome, r.solution, !best) with
-      | Branch_bound.Infeasible, _, None -> true
-      | Branch_bound.Optimal, Some s, Some o ->
+      match (r.Solver.outcome, r.Solver.solution, !best) with
+      | Solver.Infeasible, _, None -> true
+      | Solver.Optimal, Some s, Some o ->
         Float.abs (s.objective -. o) <= 1e-5 *. Float.max 1.0 (Float.abs o)
       | _ -> false)
 
@@ -194,7 +187,7 @@ let qcheck_solution_is_integral =
       done;
       Model.set_objective m Model.Minimize
         (Expr.of_terms (List.init n (fun j -> (c.(j), vars.(j)))));
-      match (Branch_bound.solve m).Branch_bound.solution with
+      match (solve1 m).Solver.solution with
       | None -> true
       | Some s ->
         List.for_all
@@ -299,6 +292,26 @@ let test_stats_accounting () =
   let u = Solver.worker_utilization st in
   Alcotest.(check bool) "utilization in [0,1]" true (u >= 0.0 && u <= 1.0)
 
+(* Regression: max x + y s.t. 2x + 2y <= 7, x and y integer in [0, 10].
+   The relaxation's optimum (3.5) forces branching on the same variable
+   twice down one path; the true optimum is x + y = 3. *)
+let test_rebranching () =
+  let m = Model.create () in
+  let x = Model.add_var ~integer:true ~lb:0.0 ~ub:10.0 m in
+  let y = Model.add_var ~integer:true ~lb:0.0 ~ub:10.0 m in
+  Model.add_constraint m
+    Expr.(add (scale 2.0 (var x)) (scale 2.0 (var y)))
+    Model.Le 7.0;
+  Model.set_objective m Model.Maximize Expr.(add (var x) (var y));
+  List.iter
+    (fun jobs ->
+      let config = Solver.Config.make ~jobs ~max_nodes:10_000 () in
+      check_float
+        (Printf.sprintf "objective at jobs=%d" jobs)
+        3.0
+        (objective_of (Solver.solve ~config m)))
+    [ 1; 4 ]
+
 let test_config_validation () =
   Alcotest.check_raises "jobs must be >= 1"
     (Invalid_argument "Solver.Config.make: jobs must be >= 1") (fun () ->
@@ -307,8 +320,9 @@ let test_config_validation () =
 (* --- Presolve/postsolve property: reductions never change the answer --- *)
 
 (* DVS-shaped instance from a seed: SOS1 mode groups, a shared budget
-   row, distinct fractional costs (so the optimum is unique and the
-   schedule comparison below is meaningful). *)
+   row, distinct fractional costs (so the optimum is unique and schedules
+   are comparable mode for mode).  Returns the model, its mode variables
+   per group, and the cost, time and budget data they were built from. *)
 let seeded_dvs_milp seed =
   let module Rng = Dvs_workloads.Rng in
   let rng = Rng.create seed in
@@ -356,11 +370,12 @@ let seeded_dvs_milp seed =
   in
   Model.add_constraint m (all time) Model.Le budget;
   Model.set_objective m Model.Minimize (all cost);
-  (m, List.map Array.to_list (Array.to_list k))
+  (m, k, cost, time, budget)
 
 let test_presolve_equivalence () =
   for seed = 1 to 50 do
-    let m, sos1 = seeded_dvs_milp seed in
+    let m, k, _, _, _ = seeded_dvs_milp seed in
+    let sos1 = List.map Array.to_list (Array.to_list k) in
     let solve ~presolve ~jobs =
       let config =
         Solver.Config.make ~jobs ~presolve () |> Solver.Config.with_sos1 sos1
@@ -419,4 +434,5 @@ let suite =
       test_presolve_equivalence;
     QCheck_alcotest.to_alcotest qcheck_milp_vs_enumeration;
     QCheck_alcotest.to_alcotest qcheck_solution_is_integral;
-    QCheck_alcotest.to_alcotest qcheck_parallel_determinism ]
+    QCheck_alcotest.to_alcotest qcheck_parallel_determinism;
+    Alcotest.test_case "re-branching on one variable" `Quick test_rebranching ]

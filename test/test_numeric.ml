@@ -35,52 +35,6 @@ let test_vec_extremes () =
   check_float "norm_inf" 7.0 (Vec.norm_inf v)
 
 (* ------------------------------------------------------------------ *)
-(* Matrix *)
-
-let test_matrix_mul_vec () =
-  let a = Matrix.init 2 3 (fun i j -> float_of_int ((i * 3) + j + 1)) in
-  let y = Matrix.mul_vec a [| 1.0; 0.0; -1.0 |] in
-  check_float "mul_vec.0" (-2.0) y.(0);
-  check_float "mul_vec.1" (-2.0) y.(1)
-
-let test_matrix_solve () =
-  let a = Matrix.init 3 3 (fun i j ->
-      match (i, j) with
-      | 0, 0 -> 2.0 | 0, 1 -> 1.0 | 0, 2 -> -1.0
-      | 1, 0 -> -3.0 | 1, 1 -> -1.0 | 1, 2 -> 2.0
-      | 2, 0 -> -2.0 | 2, 1 -> 1.0 | _ -> 2.0)
-  in
-  match Matrix.solve a [| 8.0; -11.0; -3.0 |] with
-  | None -> Alcotest.fail "solve: unexpectedly singular"
-  | Some x ->
-    check_float ~eps:1e-9 "x0" 2.0 x.(0);
-    check_float ~eps:1e-9 "x1" 3.0 x.(1);
-    check_float ~eps:1e-9 "x2" (-1.0) x.(2)
-
-let test_matrix_solve_singular () =
-  let a = Matrix.init 2 2 (fun _ _ -> 1.0) in
-  Alcotest.(check bool) "singular" true (Matrix.solve a [| 1.0; 2.0 |] = None)
-
-let qcheck_solve_roundtrip =
-  QCheck.Test.make ~name:"matrix solve round-trips a*x"
-    ~count:200
-    QCheck.(
-      let entry = float_range (-5.0) 5.0 in
-      pair (array_of_size (Gen.return 9) entry)
-        (array_of_size (Gen.return 3) entry))
-    (fun (entries, x) ->
-      let a = Matrix.init 3 3 (fun i j -> entries.((i * 3) + j)) in
-      (* Make it safely diagonally dominant so the solve succeeds. *)
-      for i = 0 to 2 do
-        Matrix.set a i i (Matrix.get a i i +. 20.0)
-      done;
-      let b = Matrix.mul_vec a x in
-      match Matrix.solve a b with
-      | None -> false
-      | Some x' ->
-        Array.for_all2 (fun u v -> Float.abs (u -. v) < 1e-6) x x')
-
-(* ------------------------------------------------------------------ *)
 (* Optimize *)
 
 let test_golden_quadratic () =
@@ -125,10 +79,6 @@ let suite =
     Alcotest.test_case "vec axpy" `Quick test_vec_axpy;
     Alcotest.test_case "vec linspace" `Quick test_vec_linspace;
     Alcotest.test_case "vec extremes" `Quick test_vec_extremes;
-    Alcotest.test_case "matrix mul_vec" `Quick test_matrix_mul_vec;
-    Alcotest.test_case "matrix solve 3x3" `Quick test_matrix_solve;
-    Alcotest.test_case "matrix solve singular" `Quick test_matrix_solve_singular;
-    QCheck_alcotest.to_alcotest qcheck_solve_roundtrip;
     Alcotest.test_case "golden section quadratic" `Quick test_golden_quadratic;
     Alcotest.test_case "grid minimize multimodal" `Quick test_grid_multimodal;
     Alcotest.test_case "bisect" `Quick test_bisect;
