@@ -825,25 +825,31 @@ let stats_cmd =
     let str k =
       Option.value ~default:"?" (Option.bind (member k j) to_string_opt)
     in
-    let payload = member "payload" j in
-    (* The envelope's checksum is FNV-1a over the rendered payload, the
-       same function the store itself applies on every read. *)
-    let computed =
-      Option.map (fun p -> Dvs_store.Key.hash_hex (to_string p)) payload
+    (* The check every store lookup applies: the checksum against the
+       payload bytes as they sit in the file, and a live epoch. *)
+    let verdict =
+      match Dvs_store.Store.read_entry file with
+      | Error e -> Error e
+      | Ok e when e.Dvs_store.Store.en_epoch <> Dvs_store.Store.format_epoch
+        ->
+        Error
+          (Printf.sprintf "stale epoch (this build reads epoch %d)"
+             Dvs_store.Store.format_epoch)
+      | Ok _ -> Ok ()
     in
-    let checksum_ok = computed = Some (str "checksum") in
     Format.printf "store entry: kind %s, epoch %d@." (str "kind")
       (Option.value ~default:0 (Option.bind (member "epoch" j) to_int));
     Format.printf "  key       %s@." (str "key");
     Format.printf "  checksum  %s (%s)@." (str "checksum")
-      (if checksum_ok then "ok" else "MISMATCH");
-    (match payload with
+      (match verdict with Ok () -> "ok" | Error e -> "rejected: " ^ e);
+    (match member "payload" j with
     | Some (Obj kvs) ->
       Format.printf "  payload   %d members: %s@." (List.length kvs)
         (String.concat ", " (List.map fst kvs))
     | _ -> ());
-    if check && not checksum_ok then
-      fail "%s: payload checksum mismatch" file
+    match verdict with
+    | Error e when check -> fail "%s: %s" file e
+    | _ -> ()
   in
   let run metrics trace service store check =
     if metrics = None && trace = None && service = None && store = None
@@ -872,7 +878,8 @@ let stats_cmd =
       & info [ "store" ] ~docv:"FILE"
           ~doc:
             "dvs-store/v1 experiment-store entry to pretty-print; \
-             $(b,--check) also recomputes its payload checksum.")
+             $(b,--check) also applies the store's own entry check \
+             (payload checksum over the bytes as written, live epoch).")
   in
   Cmd.v
     (Cmd.info "stats"

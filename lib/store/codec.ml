@@ -65,6 +65,41 @@ let dints what j = dlist what j |> List.map (dint what) |> Array.of_list
 
 let dfloats what j = dlist what j |> List.map (dflo what) |> Array.of_list
 
+(* ---- memory images ---------------------------------------------------- *)
+
+(* A run's final memory image is most of an artifact's bytes (40,964
+   words for mpeg), and it repeats: every mode run of a profile and every
+   verified point of a sweep ends with the same memory.  Encoders intern
+   each distinct image once into a table that the top-level object writes
+   as its "images" member; a run records its image's index. *)
+type images = { mutable rev : int array list; mutable n : int }
+
+let images () = { rev = []; n = 0 }
+
+let intern imgs mem =
+  let rec find i = function
+    | [] -> None
+    | m :: rest -> if m == mem || m = mem then Some i else find (i - 1) rest
+  in
+  match find (imgs.n - 1) imgs.rev with
+  | Some i -> i
+  | None ->
+    imgs.rev <- mem :: imgs.rev;
+    imgs.n <- imgs.n + 1;
+    imgs.n - 1
+
+let images_to_json imgs = Json.List (List.rev_map jints imgs.rev)
+
+let images_of what j =
+  dlist what (mem what "images" j) |> List.map (dints what) |> Array.of_list
+
+(* Each run gets its own copy: decoded runs never alias one another. *)
+let image_of what images j =
+  let i = dint what j in
+  if i < 0 || i >= Array.length images then
+    fail "%s: image index %d out of range" what i;
+  Array.copy images.(i)
+
 (* ---- simulator artifacts ---------------------------------------------- *)
 
 let cache_stats_to_json (s : Cache.stats) =
@@ -78,7 +113,7 @@ let cache_stats_of what j =
     hits = dint what (mem what "hits" j);
     misses = dint what (mem what "misses" j) }
 
-let run_stats_to_json (r : Cpu.run_stats) =
+let run_stats_to_json imgs (r : Cpu.run_stats) =
   Json.Obj
     [ ("time", jf r.Cpu.time);
       ("energy", jf r.Cpu.energy);
@@ -94,9 +129,9 @@ let run_stats_to_json (r : Cpu.run_stats) =
       ("miss_busy_time", jf r.Cpu.miss_busy_time);
       ("stall_time", jf r.Cpu.stall_time);
       ("registers", jints r.Cpu.registers);
-      ("memory", jints r.Cpu.memory) ]
+      ("memory", Json.Int (intern imgs r.Cpu.memory)) ]
 
-let run_stats_of what j =
+let run_stats_of what images j =
   { Cpu.time = dflo what (mem what "time" j);
     energy = dflo what (mem what "energy" j);
     dyn_instrs = dint what (mem what "dyn_instrs" j);
@@ -111,9 +146,7 @@ let run_stats_of what j =
     miss_busy_time = dflo what (mem what "miss_busy_time" j);
     stall_time = dflo what (mem what "stall_time" j);
     registers = dints what (mem what "registers" j);
-    memory = dints what (mem what "memory" j) }
-
-let run_stats_of_json j = wrap (run_stats_of "run_stats") j
+    memory = image_of what images (mem what "memory" j) }
 
 let path_to_json (p : Profile.path) =
   Json.Obj
@@ -127,6 +160,10 @@ let path_of what j =
     succ = dint what (mem what "succ" j) }
 
 let profile_to_json (p : Profile.t) =
+  let imgs = images () in
+  let runs =
+    Array.to_list p.Profile.runs |> List.map (run_stats_to_json imgs)
+  in
   Json.Obj
     [ ("exec_count", jints p.Profile.exec_count);
       ("edge_count", jints p.Profile.edge_count);
@@ -143,14 +180,14 @@ let profile_to_json (p : Profile.t) =
       ( "total_energy",
         Json.List (Array.to_list p.Profile.total_energy |> List.map jfloats)
       );
-      ( "runs",
-        Json.List
-          (Array.to_list p.Profile.runs |> List.map run_stats_to_json) ) ]
+      ("runs", Json.List runs);
+      ("images", images_to_json imgs) ]
 
 let profile_of_json ~cfg ~config j =
   let what = "profile" in
   wrap
     (fun j ->
+      let images = images_of what j in
       { Profile.cfg;
         config;
         exec_count = dints what (mem what "exec_count" j);
@@ -171,7 +208,7 @@ let profile_of_json ~cfg ~config j =
           |> Array.of_list;
         runs =
           dlist what (mem what "runs" j)
-          |> List.map (run_stats_of what)
+          |> List.map (run_stats_of what images)
           |> Array.of_list })
     j
 
@@ -190,16 +227,16 @@ let schedule_of what j =
   { Schedule.edge_mode = dints what (mem what "edge_mode" j);
     entry_mode = dint what (mem what "entry_mode" j) }
 
-let report_to_json (v : Verify.report) =
+let report_to_json imgs (v : Verify.report) =
   Json.Obj
-    [ ("stats", run_stats_to_json v.Verify.stats);
+    [ ("stats", run_stats_to_json imgs v.Verify.stats);
       ("deadline", jf v.Verify.deadline);
       ("meets_deadline", Json.Bool v.Verify.meets_deadline);
       ("predicted_energy", jf v.Verify.predicted_energy);
       ("energy_error", jf v.Verify.energy_error) ]
 
-let report_of what j =
-  { Verify.stats = run_stats_of what (mem what "stats" j);
+let report_of what images j =
+  { Verify.stats = run_stats_of what images (mem what "stats" j);
     deadline = dflo what (mem what "deadline" j);
     meets_deadline = dbool what (mem what "meets_deadline" j);
     predicted_energy = dflo what (mem what "predicted_energy" j);
@@ -395,35 +432,41 @@ let result_of_essence ~categories ~formulation ~independent_edges e =
     descents = e.e_descents;
     continuous_bound = e.e_continuous_bound }
 
-let essence_to_json e =
-  Json.Obj
-    [ ("outcome", outcome_to_json e.e_outcome);
-      ("solution", jopt solution_to_json e.e_solution);
-      ("bound", jf e.e_bound);
-      ("stats", solver_stats_to_json e.e_stats);
-      ("predicted_energy", jopt jf e.e_predicted_energy);
-      ("schedule", jopt schedule_to_json e.e_schedule);
-      ("verification", jopt report_to_json e.e_verification);
-      ("solve_seconds", jf e.e_solve_seconds);
-      ("rung", jopt rung_to_json e.e_rung);
-      ("descents", Json.List (List.map descent_to_json e.e_descents));
-      ("continuous_bound", jopt jf e.e_continuous_bound) ]
+let essence_fields imgs e =
+  [ ("outcome", outcome_to_json e.e_outcome);
+    ("solution", jopt solution_to_json e.e_solution);
+    ("bound", jf e.e_bound);
+    ("stats", solver_stats_to_json e.e_stats);
+    ("predicted_energy", jopt jf e.e_predicted_energy);
+    ("schedule", jopt schedule_to_json e.e_schedule);
+    ("verification", jopt (report_to_json imgs) e.e_verification);
+    ("solve_seconds", jf e.e_solve_seconds);
+    ("rung", jopt rung_to_json e.e_rung);
+    ("descents", Json.List (List.map descent_to_json e.e_descents));
+    ("continuous_bound", jopt jf e.e_continuous_bound) ]
 
-let essence_of what j =
+let essence_to_json e =
+  let imgs = images () in
+  let fields = essence_fields imgs e in
+  Json.Obj (fields @ [ ("images", images_to_json imgs) ])
+
+let essence_of what images j =
   { e_outcome = outcome_of what (mem what "outcome" j);
     e_solution = dopt (solution_of what) (mem what "solution" j);
     e_bound = dflo what (mem what "bound" j);
     e_stats = solver_stats_of what (mem what "stats" j);
     e_predicted_energy = dopt (dflo what) (mem what "predicted_energy" j);
     e_schedule = dopt (schedule_of what) (mem what "schedule" j);
-    e_verification = dopt (report_of what) (mem what "verification" j);
+    e_verification =
+      dopt (report_of what images) (mem what "verification" j);
     e_solve_seconds = dflo what (mem what "solve_seconds" j);
     e_rung = dopt (rung_of what) (mem what "rung" j);
     e_descents =
       dlist what (mem what "descents" j) |> List.map (descent_of what);
     e_continuous_bound = dopt (dflo what) (mem what "continuous_bound" j) }
 
-let essence_of_json j = wrap (essence_of "solve") j
+let essence_of_json j =
+  wrap (fun j -> essence_of "solve" (images_of "solve" j) j) j
 
 type sweep_essence = {
   se_points : solve_essence array;
@@ -451,33 +494,68 @@ let sweep_stats_of what j =
     points_pruned_by_bound =
       dint what (mem what "points_pruned_by_bound" j) }
 
+(* One image table for the whole grid: every verified point shares it. *)
 let sweep_to_json s =
+  let imgs = images () in
+  let points =
+    Array.to_list s.se_points
+    |> List.map (fun e -> Json.Obj (essence_fields imgs e))
+  in
   Json.Obj
-    [ ( "points",
-        Json.List (Array.to_list s.se_points |> List.map essence_to_json) );
-      ("stats", sweep_stats_to_json s.se_stats) ]
+    [ ("points", Json.List points);
+      ("stats", sweep_stats_to_json s.se_stats);
+      ("images", images_to_json imgs) ]
 
 let sweep_of_json j =
   let what = "sweep" in
   wrap
     (fun j ->
+      let images = images_of what j in
       { se_points =
           dlist what (mem what "points" j)
-          |> List.map (essence_of what)
+          |> List.map (essence_of what images)
           |> Array.of_list;
         se_stats = sweep_stats_of what (mem what "stats" j) })
     j
 
 (* ---- key components --------------------------------------------------- *)
 
+(* FNV-1a of the concatenated [string_of_int w ^ ","] of every word, fed
+   into the hash state byte by byte instead of built as one string.  Keys
+   and file names depend on this exact value.  Each word is rendered
+   backwards into [buf] from its non-positive magnitude, so [min_int]
+   needs no special case; the longest rendering is "-4611686018427387904,". *)
 let memory_fingerprint mem =
-  let b = Buffer.create (Array.length mem * 4) in
-  Array.iter
-    (fun w ->
-      Buffer.add_string b (string_of_int w);
-      Buffer.add_char b ',')
-    mem;
-  Key.hash_hex (Buffer.contents b)
+  let buf = Bytes.create 21 in
+  let last = Bytes.length buf - 1 in
+  Bytes.set buf last ',';
+  let h = ref Key.fnv_offset in
+  for i = 0 to Array.length mem - 1 do
+    let w = Array.unsafe_get mem i in
+    let m = ref (if w > 0 then -w else w) in
+    let pos = ref last in
+    (* At least one digit, so 0 renders as "0". *)
+    decr pos;
+    Bytes.set buf !pos (Char.unsafe_chr (48 - (!m mod 10)));
+    m := !m / 10;
+    while !m <> 0 do
+      decr pos;
+      Bytes.set buf !pos (Char.unsafe_chr (48 - (!m mod 10)));
+      m := !m / 10
+    done;
+    if w < 0 then begin
+      decr pos;
+      Bytes.set buf !pos '-'
+    end;
+    for j = !pos to last do
+      h :=
+        Int64.mul
+          (Int64.logxor !h
+             (Int64.of_int (Char.code (Bytes.unsafe_get buf j))))
+          Key.fnv_prime
+    done
+  done;
+  Key.hex64 !h
 
 let geometry_component (g : Dvs_machine.Config.cache_geometry) =
   Key.L

@@ -5,14 +5,20 @@
     value — including non-finite bounds — round-trips bit-exactly
     (the plain JSON [Float] printer maps non-finite values to [null]).
     Decoders are total: any shape mismatch is an [Error], never an
-    exception, so a damaged payload downgrades to a store miss. *)
+    exception, so a damaged payload downgrades to a store miss.
+
+    {b Image table.}  A run's final memory image is most of an
+    artifact's bytes and repeats across runs (every mode run of a
+    profile, every verified point of a sweep).  Each top-level encoding
+    ({!profile_to_json}, {!essence_to_json}, {!sweep_to_json}) therefore
+    carries an ["images"] member listing every distinct image once, and
+    each run's ["memory"] member is an index into it.  A 3-mode profile
+    carries one image, not three; a 7-point sweep one, not seven.
+    Decoding gives every run its own copy of its image (runs never
+    alias one another); a missing ["images"] member or an index out of
+    range is an [Error]. *)
 
 (** {2 Simulator artifacts} *)
-
-val run_stats_to_json : Dvs_machine.Cpu.run_stats -> Dvs_obs.Json.t
-
-val run_stats_of_json :
-  Dvs_obs.Json.t -> (Dvs_machine.Cpu.run_stats, string) result
 
 val profile_to_json : Dvs_profile.Profile.t -> Dvs_obs.Json.t
 (** The measured data only — [cfg] and [config] are part of the cache

@@ -13,13 +13,20 @@ let fnv_offset = 0xcbf29ce484222325L
 
 let fnv_prime = 0x100000001b3L
 
+let hex64 h = Printf.sprintf "%016Lx" h
+
+(* An indexed loop over a local ref, with no closure capturing it and no
+   call taking or returning the state: ocamlopt keeps [h] unboxed, so
+   hashing allocates only the hex digits. *)
 let hash_hex s =
   let h = ref fnv_offset in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
-  Printf.sprintf "%016Lx" !h
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        fnv_prime
+  done;
+  hex64 !h
 
 let kind_ok k =
   k <> ""

@@ -35,4 +35,18 @@ val filename : t -> string
 
 val hash_hex : string -> string
 (** 64-bit FNV-1a of a string as 16 hex digits.  Also used by the store
-    for per-entry payload checksums. *)
+    for per-entry payload checksums.  Allocates only the result. *)
+
+(** {2 Incremental FNV-1a}
+
+    For hashing bytes that are never materialized as one string
+    ({!Codec.memory_fingerprint}): starting from [h = fnv_offset], each
+    byte [c] steps [h <- (h lxor c) * fnv_prime]; {!hex64} renders the
+    result as {!hash_hex} does.  Keep [h] in a local [ref] that no
+    closure or call sees, so ocamlopt leaves it unboxed. *)
+
+val fnv_offset : int64
+
+val fnv_prime : int64
+
+val hex64 : int64 -> string

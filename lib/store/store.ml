@@ -1,7 +1,7 @@
 module Json = Dvs_obs.Json
 module Metrics = Dvs_obs.Metrics
 
-let format_epoch = 3
+let format_epoch = 4
 
 let default_root = "_store"
 
@@ -111,39 +111,77 @@ let read_file path =
 
 let remove_quiet path = try Sys.remove path with Sys_error _ -> ()
 
+(* The envelope renders its members in a fixed order with the payload
+   last, so a file is its header members, then this separator, then the
+   payload bytes, then the closing brace.  No header string can contain
+   the separator: a '"' inside a JSON string is always escaped. *)
+let payload_sep = ",\"payload\":"
+
+let find_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i j = j = m || (s.[i + j] = sub.[j] && at i (j + 1)) in
+  let rec go i =
+    if i + m > n then None else if at i 0 then Some i else go (i + 1)
+  in
+  go 0
+
+type entry = {
+  en_key : string;
+  en_epoch : int;
+  en_payload : Json.t;
+}
+
+let not_envelope = Error "not a dvs-store/v1 envelope"
+
+(* The header and the payload are parsed separately, and the payload that
+   is returned is the parse of exactly the bytes that were checksummed. *)
+let read_entry path =
+  match read_file path with
+  | None -> Error "unreadable"
+  | Some s -> (
+    let n = String.length s in
+    match find_sub s payload_sep with
+    | None -> not_envelope
+    | Some _ when s.[n - 1] <> '}' -> not_envelope
+    | Some i -> (
+      let p0 = i + String.length payload_sep in
+      match Json.of_string (String.sub s 0 i ^ "}") with
+      | Error e -> Error ("parse: " ^ e)
+      | Ok h -> (
+        match
+          ( Json.member "schema" h, Json.member "key" h, Json.member "kind" h,
+            Json.member "epoch" h, Json.member "checksum" h )
+        with
+        | ( Some (Json.String tag), Some (Json.String en_key),
+            Some (Json.String _), Some (Json.Int en_epoch),
+            Some (Json.String sum) )
+          when tag = schema_tag -> (
+          let body = String.sub s p0 (n - 1 - p0) in
+          if sum <> Key.hash_hex body then Error "checksum mismatch"
+          else
+            match Json.of_string body with
+            | Error e -> Error ("parse: " ^ e)
+            | Ok en_payload ->
+              Ok { en_key; en_epoch; en_payload })
+        | _ -> not_envelope)))
+
 (* Classify one on-disk entry.  [expect] carries the canonical key when
    the caller looked the file up by name (a mismatch there is a
    filename-hash collision: valid data for some other key). *)
 type status =
-  | Entry of string * Json.t  (** kind, payload *)
+  | Entry of Json.t  (** the payload *)
   | Other_key  (** checksummed fine but belongs to a different canonical key *)
   | Stale_entry
   | Corrupt_entry of string
 
 let classify ~epoch ?expect path =
-  match read_file path with
-  | None -> Corrupt_entry "unreadable"
-  | Some s -> (
-    match Json.of_string s with
-    | Error e -> Corrupt_entry ("parse: " ^ e)
-    | Ok j -> (
-      match
-        ( Json.member "schema" j, Json.member "key" j, Json.member "kind" j,
-          Json.member "epoch" j, Json.member "checksum" j,
-          Json.member "payload" j )
-      with
-      | ( Some (Json.String tag), Some (Json.String key),
-          Some (Json.String kind), Some (Json.Int e),
-          Some (Json.String sum), Some payload )
-        when tag = schema_tag ->
-        if sum <> Key.hash_hex (Json.to_string payload) then
-          Corrupt_entry "checksum mismatch"
-        else if e <> epoch then Stale_entry
-        else (
-          match expect with
-          | Some canonical when canonical <> key -> Other_key
-          | _ -> Entry (kind, payload))
-      | _ -> Corrupt_entry "not a dvs-store/v1 envelope"))
+  match read_entry path with
+  | Error e -> Corrupt_entry e
+  | Ok e when e.en_epoch <> epoch -> Stale_entry
+  | Ok e -> (
+    match expect with
+    | Some canonical when canonical <> e.en_key -> Other_key
+    | _ -> Entry e.en_payload)
 
 let touch path =
   try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> ()
@@ -157,7 +195,7 @@ let get t key ~decode =
   end
   else
     match classify ~epoch:t.epoch ~expect:(Key.canonical key) path with
-    | Entry (_, payload) -> (
+    | Entry payload -> (
       match decode payload with
       | Ok v ->
         touch path;
@@ -233,14 +271,14 @@ let enforce_bounds t =
 
 let put t key payload =
   let body = Json.to_string payload in
-  let envelope =
-    Json.Obj
-      [ ("schema", Json.String schema_tag);
-        ("key", Json.String (Key.canonical key));
-        ("kind", Json.String (Key.kind key));
-        ("epoch", Json.Int t.epoch);
-        ("checksum", Json.String (Key.hash_hex body));
-        ("payload", payload) ]
+  let header =
+    Json.to_string
+      (Json.Obj
+         [ ("schema", Json.String schema_tag);
+           ("key", Json.String (Key.canonical key));
+           ("kind", Json.String (Key.kind key));
+           ("epoch", Json.Int t.epoch);
+           ("checksum", Json.String (Key.hash_hex body)) ])
   in
   let tick =
     locked t (fun () ->
@@ -255,7 +293,15 @@ let put t key payload =
   | exception Sys_error _ -> ()
   | oc ->
     let wrote =
-      match Json.to_channel oc envelope with
+      (* The header without its closing brace, then the payload member
+         spliced in as the very bytes that were checksummed: the file is
+         [Json.to_string] of the whole envelope, rendered once. *)
+      match
+        output_substring oc header 0 (String.length header - 1);
+        output_string oc payload_sep;
+        output_string oc body;
+        output_char oc '}'
+      with
       | () ->
         close_out_noerr oc;
         true

@@ -3,12 +3,19 @@
     One flat directory of JSON entries, one artifact per file, named by
     {!Key.filename}.  Every entry is a [dvs-store/v1] envelope carrying
     the full canonical key, the store-format {!format_epoch} it was
-    written under, and an FNV-1a checksum of its payload:
+    written under, and an FNV-1a checksum of the payload bytes as
+    written:
 
     {v
-    {"schema":"dvs-store/v1","key":"...","kind":"sim","epoch":1,
+    {"schema":"dvs-store/v1","key":"...","kind":"sim","epoch":4,
      "checksum":"...","payload":{...}}
     v}
+
+    [put] renders the payload once, checksums those bytes and writes
+    them as the last member, so the file is exactly [Json.to_string] of
+    the whole envelope.  Lookups check the checksum against the payload
+    bytes as they sit in the file and decode exactly those bytes; no
+    parsed payload is ever re-rendered.
 
     Guarantees:
     - {b atomicity}: entries are written to a temp file in the store
@@ -30,10 +37,11 @@
 type t
 
 val format_epoch : int
-(** The store-format epoch compiled into this binary.  Bump it whenever
-    entry payload semantics change (simulator cost model, solver
-    semantics, codec layout): every entry written under an older epoch
-    becomes stale everywhere at once. *)
+(** The store-format epoch compiled into this binary (4: payloads carry
+    a {!Codec} image table, each run's memory an index into it).  Bump
+    it whenever entry payload semantics change (simulator cost model,
+    solver semantics, codec layout): every entry written under an older
+    epoch becomes stale everywhere at once. *)
 
 val default_root : string
 (** ["_store"] — the conventional per-checkout location (gitignored). *)
@@ -62,6 +70,21 @@ val open_ :
 val root : t -> string
 
 val epoch : t -> int
+
+type entry = {
+  en_key : string;  (** the canonical key the entry was written for *)
+  en_epoch : int;
+  en_payload : Dvs_obs.Json.t;
+}
+
+val read_entry : string -> (entry, string) result
+(** Read one entry file and check it exactly as {!get}, {!gc} and
+    {!verify} do: the header must be a [dvs-store/v1] envelope, and the
+    payload bytes, as they sit in the file, must hash to its checksum;
+    the payload returned is the parse of those bytes.  The epoch and the
+    key are returned, not judged: the entry is live when [en_epoch] is
+    the store's epoch.  [dvstool stats --store FILE --check] applies this
+    same check. *)
 
 val get : t -> Key.t -> decode:(Dvs_obs.Json.t -> ('a, string) result) -> 'a option
 (** Look up an entry and decode its payload.  Any failure along the way

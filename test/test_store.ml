@@ -1,8 +1,10 @@
-(* Experiment-store tests (DESIGN.md section 14): canonical keys,
-   envelope round-trips, corruption-as-miss (including a seeded random
-   corruption property), the LRU bound, epoch invalidation, two-process
-   concurrency, stable-instrument capture/replay, and the end-to-end
-   cold-vs-warm equivalence of a store-backed solve. *)
+(* Experiment-store tests (DESIGN.md section 14): canonical keys and the
+   FNV-1a hashes against their old string-building versions, envelope
+   round-trips and the bytes [put] writes, corruption-as-miss (including
+   a seeded random corruption property), the codec's image table, the
+   LRU bound, epoch invalidation, two-process concurrency,
+   stable-instrument capture/replay, and the end-to-end cold-vs-warm
+   equivalence of a store-backed solve and sweep. *)
 
 module Store = Dvs_store.Store
 module Key = Dvs_store.Key
@@ -13,6 +15,8 @@ module Json = Dvs_obs.Json
 module Metrics = Dvs_obs.Metrics
 module Workload = Dvs_workloads.Workload
 module Profile = Dvs_profile.Profile
+module Pipeline = Dvs_core.Pipeline
+module Cpu = Dvs_machine.Cpu
 
 let rec rm_rf path =
   match (Unix.lstat path).Unix.st_kind with
@@ -76,6 +80,82 @@ let test_key () =
   Alcotest.(check string)
     "fnv-1a of empty string" "cbf29ce484222325" (Key.hash_hex "")
 
+(* --- FNV-1a ------------------------------------------------------------ *)
+
+(* The closure-based loop [Key.hash_hex] replaced (it boxed an Int64 per
+   byte), kept as the oracle for the unboxed one. *)
+let hash_hex_oracle s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+      h :=
+        Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    s;
+  Printf.sprintf "%016Lx" !h
+
+let qcheck_hash_hex =
+  QCheck.Test.make ~name:"hash_hex equals the String.iter FNV-1a" ~count:200
+    QCheck.(string_of_size Gen.(0 -- 2048))
+    (fun s -> Key.hash_hex s = hash_hex_oracle s)
+
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  (Gc.minor_words () -. w0, r)
+
+let test_hash_hex_alloc () =
+  let s = String.init (1 lsl 20) (fun i -> Char.chr ((i * 7919) land 0xff)) in
+  ignore (Key.hash_hex s);
+  let words, h = minor_words_of (fun () -> Key.hash_hex s) in
+  Alcotest.(check string) "same value as the oracle" (hash_hex_oracle s) h;
+  if words >= 1000.0 then
+    Alcotest.failf
+      "hash_hex allocated %.0f words on a 1 MB string (budget 1000)" words
+
+(* The string-building [memory_fingerprint] the streaming one replaced:
+   one decimal rendering and a comma per word, hashed as one string. *)
+let memory_fingerprint_oracle mem =
+  let b = Buffer.create (Array.length mem * 4) in
+  Array.iter
+    (fun w ->
+      Buffer.add_string b (string_of_int w);
+      Buffer.add_char b ',')
+    mem;
+  hash_hex_oracle (Buffer.contents b)
+
+let paper_programs = [ "adpcm"; "epic"; "gsm"; "mpeg"; "ghostscript"; "mpg123" ]
+
+let test_memory_fingerprint () =
+  List.iter
+    (fun name ->
+      let w = Workload.find name in
+      let _, _, mem = Workload.load w ~input:(Workload.default_input w) in
+      Alcotest.(check string)
+        (name ^ " image") (memory_fingerprint_oracle mem)
+        (Codec.memory_fingerprint mem))
+    paper_programs;
+  let rng = Random.State.make [| 15 |] in
+  let word () =
+    (* All 63 bits random, so about half the words are negative. *)
+    Random.State.bits rng
+    lxor (Random.State.bits rng lsl 30)
+    lxor (Random.State.bits rng lsl 60)
+  in
+  let edges =
+    [| 0; 1; -1; 9; -9; 10; -10; 99; -100; max_int; min_int; max_int - 1;
+       min_int + 1 |]
+  in
+  let seeded =
+    Array.concat [ edges; Array.init 2000 (fun _ -> word ()); edges ]
+  in
+  Alcotest.(check string)
+    "seeded words with 0, negatives, max_int, min_int"
+    (memory_fingerprint_oracle seeded)
+    (Codec.memory_fingerprint seeded);
+  Alcotest.(check string)
+    "empty image" (memory_fingerprint_oracle [||])
+    (Codec.memory_fingerprint [||])
+
 (* --- envelope round-trip ---------------------------------------------- *)
 
 let test_roundtrip () =
@@ -110,6 +190,64 @@ let test_roundtrip () =
   Alcotest.(check int) "one entry on disk" 1 d.Store.entries;
   Alcotest.(check (list (pair string int)))
     "kind breakdown" [ ("sim", 1) ] d.Store.by_kind;
+  rm_rf root
+
+let read_text path =
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  text
+
+let write_text path text =
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc
+
+(* [put] renders the payload once and writes the envelope around those
+   bytes: the file must be exactly the rendering of the whole envelope,
+   so [Schema.validate_store] and readers that parse the whole file
+   still read it. *)
+let test_put_bytes () =
+  let root = fresh_root () in
+  let st = Store.open_ ~root () in
+  let key = sample_key () in
+  Store.put st key sample_payload;
+  let path = entry_path st key in
+  let envelope =
+    Json.Obj
+      [ ("schema", Json.String "dvs-store/v1");
+        ("key", Json.String (Key.canonical key));
+        ("kind", Json.String (Key.kind key));
+        ("epoch", Json.Int Store.format_epoch);
+        ( "checksum",
+          Json.String (Key.hash_hex (Json.to_string sample_payload)) );
+        ("payload", sample_payload) ]
+  in
+  let text = read_text path in
+  Alcotest.(check string)
+    "file is the rendering of the whole envelope" (Json.to_string envelope)
+    text;
+  (match Store.read_entry path with
+  | Ok e ->
+    Alcotest.(check bool) "read_entry returns the payload" true
+      (Json.equal e.Store.en_payload sample_payload);
+    Alcotest.(check string) "and the key" (Key.canonical key) e.Store.en_key
+  | Error e -> Alcotest.failf "fresh entry rejected: %s" e);
+  (* Payload bytes that no longer match the checksum, though they parse
+     to the very same tree: the check is on the bytes as written. *)
+  let sep = "\"payload\":{" in
+  let i =
+    Str.search_forward (Str.regexp_string sep) text 0 + String.length sep
+  in
+  write_text path
+    (String.sub text 0 i ^ " " ^ String.sub text i (String.length text - i));
+  (match Store.read_entry path with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "re-spaced payload passed the byte checksum");
+  Alcotest.(check bool)
+    "re-spaced payload is a miss" true (Store.get_json st key = None);
+  Alcotest.(check int) "counted corrupt" 1 (Store.counts st).Store.corrupt;
+  Alcotest.(check bool) "and deleted" false (Sys.file_exists path);
   rm_rf root
 
 (* --- corruption is a miss --------------------------------------------- *)
@@ -188,6 +326,138 @@ let qcheck_corruption =
       in
       rm_rf root;
       ok)
+
+(* --- codec: one image per entry --------------------------------------- *)
+
+let xscale3 () = Workload.eval_config ~mode_table:Dvs_power.Mode.xscale3 ()
+
+(* adpcm's profile and Table-4 sweep grid (five points plus the two
+   saturation probes), shared by the codec and sweep tests. *)
+let adpcm =
+  lazy
+    (let w = Workload.find "adpcm" in
+     let cfg, _, mem = Workload.load w ~input:(Workload.default_input w) in
+     let machine = xscale3 () in
+     let p = Profile.collect machine cfg ~memory:mem in
+     (machine, cfg, mem, p, Dvs_workloads.Deadlines.sweep_of_profile p))
+
+let reparse j =
+  match Json.of_string (Json.to_string j) with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "codec output does not re-parse: %s" e
+
+let image_count j =
+  match Json.member "images" j with
+  | Some (Json.List l) -> List.length l
+  | _ -> Alcotest.fail "no images member"
+
+(* Equal to the originals, and every decoded run owns its memory: no
+   alias of the source, nor of another decoded run. *)
+let check_runs what (orig : Cpu.run_stats array) (back : Cpu.run_stats array)
+    =
+  Alcotest.(check int) (what ^ ": run count") (Array.length orig)
+    (Array.length back);
+  Array.iteri
+    (fun i (r : Cpu.run_stats) ->
+      if r <> back.(i) then Alcotest.failf "%s: run %d differs" what i;
+      if r.Cpu.memory == back.(i).Cpu.memory then
+        Alcotest.failf "%s: run %d aliases the source image" what i;
+      Array.iteri
+        (fun k (b : Cpu.run_stats) ->
+          if k < i && b.Cpu.memory == back.(i).Cpu.memory then
+            Alcotest.failf "%s: runs %d and %d share one image" what k i)
+        back)
+    orig
+
+let test_codec_profile_images () =
+  let machine, cfg, _, p, _ = Lazy.force adpcm in
+  Alcotest.(check int) "three mode runs" 3 (Array.length p.Profile.runs);
+  let j = Codec.profile_to_json p in
+  Alcotest.(check int) "one image for three runs" 1 (image_count j);
+  match Codec.profile_of_json ~cfg ~config:machine (reparse j) with
+  | Ok q -> check_runs "profile" p.Profile.runs q.Profile.runs
+  | Error e -> Alcotest.failf "profile does not round-trip: %s" e
+
+let verified_stats (results : Pipeline.result array) =
+  Array.to_list results
+  |> List.filter_map (fun (r : Pipeline.result) ->
+         Option.map
+           (fun (v : Dvs_core.Verify.report) -> v.Dvs_core.Verify.stats)
+           r.Pipeline.verification)
+  |> Array.of_list
+
+let test_codec_sweep_images () =
+  let machine, cfg, mem, p, deadlines = Lazy.force adpcm in
+  let sw =
+    Pipeline.optimize_sweep ~verify_config:machine ~profile:p machine cfg
+      ~memory:mem ~deadlines
+  in
+  let stats = verified_stats sw.Pipeline.results in
+  Alcotest.(check int) "seven verified points" 7 (Array.length stats);
+  let e =
+    { Codec.se_points = Array.map Codec.essence_of_result sw.Pipeline.results;
+      se_stats = sw.Pipeline.sweep }
+  in
+  let j = Codec.sweep_to_json e in
+  Alcotest.(check int) "one image for seven reports" 1 (image_count j);
+  match Codec.sweep_of_json (reparse j) with
+  | Ok d ->
+    let back =
+      Array.to_list d.Codec.se_points
+      |> List.filter_map (fun (e : Codec.solve_essence) ->
+             Option.map
+               (fun (v : Dvs_core.Verify.report) -> v.Dvs_core.Verify.stats)
+               e.Codec.e_verification)
+      |> Array.of_list
+    in
+    check_runs "sweep" stats back
+  | Error e -> Alcotest.failf "sweep does not round-trip: %s" e
+
+let map_member k f = function
+  | Json.Obj kvs ->
+    Json.Obj
+      (List.map (fun (k', v) -> if k' = k then (k', f v) else (k', v)) kvs)
+  | j -> j
+
+let drop_member k = function
+  | Json.Obj kvs -> Json.Obj (List.filter (fun (k', _) -> k' <> k) kvs)
+  | j -> j
+
+(* Point the first run's memory at image [i]. *)
+let with_first_image i =
+  map_member "runs" (function
+    | Json.List (r :: rest) ->
+      Json.List (map_member "memory" (fun _ -> Json.Int i) r :: rest)
+    | j -> j)
+
+let test_codec_bad_images () =
+  let machine, cfg, _, p, _ = Lazy.force adpcm in
+  let j = Codec.profile_to_json p in
+  let damaged =
+    [ ("negative image index", with_first_image (-1) j);
+      ("image index past the table", with_first_image (image_count j) j);
+      ("no images member", drop_member "images" j) ]
+  in
+  let decode = Codec.profile_of_json ~cfg ~config:machine in
+  let root = fresh_root () in
+  let st = Store.open_ ~root () in
+  List.iteri
+    (fun i (what, bad) ->
+      (match decode bad with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s decoded" what);
+      let key = sample_key ~salt:i () in
+      Store.put st key bad;
+      Alcotest.(check bool)
+        (what ^ ": a store miss") true
+        (Store.get st key ~decode = None);
+      Alcotest.(check int)
+        (what ^ ": counted corrupt") (i + 1) (Store.counts st).Store.corrupt;
+      Alcotest.(check bool)
+        (what ^ ": deleted") false
+        (Sys.file_exists (entry_path st key)))
+    damaged;
+  rm_rf root
 
 (* --- LRU bound -------------------------------------------------------- *)
 
@@ -405,15 +675,76 @@ let test_exec_cold_warm () =
        (Metrics.stable_subset (Metrics.snapshot (Dvs_obs.metrics obs_warm))));
   rm_rf root
 
+(* --- cold vs warm sweep ------------------------------------------------ *)
+
+let test_exec_sweep_cold_warm () =
+  let machine, cfg, mem, p, deadlines = Lazy.force adpcm in
+  let root = fresh_root () in
+  let run obs =
+    let store = Store.open_ ~obs ~root () in
+    let solver = Dvs_milp.Solver.Config.make ~obs () in
+    let config =
+      Pipeline.Config.make ~solver () |> Pipeline.Config.with_obs obs
+    in
+    Exec.optimize_sweep ~store ~config ~verify_config:machine ~profile:p
+      machine cfg ~memory:mem ~deadlines
+  in
+  let obs_cold = Dvs_obs.metrics_only () in
+  let r_cold = run obs_cold in
+  let obs_warm = Dvs_obs.metrics_only () in
+  let r_warm = run obs_warm in
+  let essence (r : Pipeline.sweep_result) =
+    Json.to_string
+      (Codec.sweep_to_json
+         { Codec.se_points =
+             Array.map Codec.essence_of_result r.Pipeline.results;
+           se_stats = r.Pipeline.sweep })
+  in
+  Alcotest.(check string)
+    "warm sweep bit-equal to cold" (essence r_cold) (essence r_warm);
+  let vol obs name =
+    Metrics.Counter.value
+      (Metrics.counter (Dvs_obs.metrics obs) ~stability:Metrics.Volatile
+         name)
+  in
+  Alcotest.(check int) "cold run missed" 1 (vol obs_cold "store.sweep_misses");
+  Alcotest.(check int) "warm run hit" 1 (vol obs_warm "store.sweep_hits");
+  Alcotest.(check bool)
+    "cold run solved LPs" true (vol obs_cold "solver.lp_solves" > 0);
+  Alcotest.(check int)
+    "warm run ran zero LP solves" 0 (vol obs_warm "solver.lp_solves");
+  Alcotest.(check int)
+    "warm run ran zero simulations" 0 (vol obs_warm "sim.summary_misses");
+  Alcotest.(check string)
+    "stable metric subsets bit-identical"
+    (Json.to_string
+       (Metrics.stable_subset (Metrics.snapshot (Dvs_obs.metrics obs_cold))))
+    (Json.to_string
+       (Metrics.stable_subset (Metrics.snapshot (Dvs_obs.metrics obs_warm))));
+  rm_rf root
+
 let suite =
   [ Alcotest.test_case "canonical keys" `Quick test_key;
+    QCheck_alcotest.to_alcotest qcheck_hash_hex;
+    Alcotest.test_case "hash_hex allocation budget" `Quick test_hash_hex_alloc;
+    Alcotest.test_case "memory fingerprint = string oracle" `Quick
+      test_memory_fingerprint;
     Alcotest.test_case "envelope round-trip" `Quick test_roundtrip;
+    Alcotest.test_case "put writes the envelope rendering" `Quick
+      test_put_bytes;
     Alcotest.test_case "corrupted entry is a miss" `Quick test_corrupt_entry;
     QCheck_alcotest.to_alcotest qcheck_corruption;
+    Alcotest.test_case "codec: one image per profile" `Quick
+      test_codec_profile_images;
+    Alcotest.test_case "codec: one image per sweep" `Quick
+      test_codec_sweep_images;
+    Alcotest.test_case "codec: bad image table is a miss" `Quick
+      test_codec_bad_images;
     Alcotest.test_case "LRU bound" `Quick test_lru_bound;
     Alcotest.test_case "epoch bump invalidates" `Quick test_epoch_bump;
     Alcotest.test_case "two-process concurrency" `Quick
       test_concurrent_processes;
     Alcotest.test_case "gc and verify" `Quick test_gc;
     Alcotest.test_case "capture/replay" `Quick test_capture_replay;
-    Alcotest.test_case "cold vs warm solve" `Quick test_exec_cold_warm ]
+    Alcotest.test_case "cold vs warm solve" `Quick test_exec_cold_warm;
+    Alcotest.test_case "cold vs warm sweep" `Quick test_exec_sweep_cold_warm ]
