@@ -1,7 +1,8 @@
 (* Bechamel micro-benchmarks of the core engines: the MILP stack (one
    representative DVS formulation solve), the raw simplex, the three
    machine kernels (cycle-level simulation, tape recording, tape replay),
-   a warm experiment-store replay, and the analytical optimizer.  These
+   one cold profile-and-sweep job, a warm experiment-store replay, and
+   the analytical optimizer.  These
    are the performance numbers behind the Figure 14/18 solve-time
    claims. *)
 
@@ -117,6 +118,21 @@ let tests ~store_root =
          Staged.stage (fun () ->
              ignore
                (Dvs_machine.Summary.replay session ~entry_mode:1 ~edge_mode)));
+      (* A whole cold Table-4 job with no store: profiling records the
+         program once, and the sweep verifies on that same recording. *)
+      Test.make ~name:"profile-sweep-adpcm"
+        (Staged.stage (fun () ->
+             let profile =
+               Dvs_store.Exec.profile
+                 ~source:
+                   ("adpcm:" ^ Dvs_workloads.Workload.default_input adpcm)
+                 machine cfg ~memory:mem
+             in
+             ignore
+               (Dvs_store.Exec.optimize_sweep ~verify_config:machine
+                  ~profile machine cfg ~memory:mem
+                  ~deadlines:
+                    (Dvs_workloads.Deadlines.sweep_of_profile profile))));
       Test.make ~name:"store-warm-mpeg" (store_warm_mpeg store_root);
       Test.make ~name:"milp-pipeline-ghostscript"
         (Staged.stage (fun () ->

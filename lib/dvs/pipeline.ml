@@ -191,6 +191,24 @@ let prepare ?config ~regulator categories =
   { prep_formulation = formulation;
     prep_independent_edges = independent_edges }
 
+(* Both pipeline entry points get their verification session here and
+   say where it came from.  Volatile: after a store [sim] hit the profile
+   holds no recording, so a warm run records where the cold one took
+   over. *)
+let verify_session ~config ?session vconfig profile ~memory =
+  let source, s =
+    Verify.Session.for_profile ?session ~cold:config.Config.cold_verify
+      vconfig profile ~memory
+  in
+  let obs = Config.obs config in
+  if Dvs_obs.enabled obs then
+    Dvs_obs.Trace.event (Dvs_obs.trace obs) "pipeline.session"
+      ~stability:Dvs_obs.Trace.Volatile
+      ~attrs:
+        [ ("source", Dvs_obs.Trace.String (Verify.Session.source_name source))
+        ];
+  s
+
 let optimize_multi ?config ?verify_config ?session ~regulator ~memory
     categories =
   let config = match config with Some c -> c | None -> Config.default in
@@ -277,17 +295,12 @@ let optimize_multi ?config ?verify_config ?session ~regulator ~memory
     | Some c -> c
     | None -> profile0.Dvs_profile.Profile.config
   in
-  (* One warm session for the whole call (created at first use unless the
-     caller shares one); successive rung verifications are incremental
-     against each other, so a ladder descent replays only what its
-     schedule change touches. *)
+  (* One warm session for the whole call: the caller's, else the
+     profile's own recording, else one recorded at first use.
+     Successive rung verifications are incremental against each other,
+     so a ladder descent replays only what its schedule change touches. *)
   let the_session =
-    lazy
-      (match session with
-      | Some s -> s
-      | None ->
-        Verify.Session.create ~cold:config.Config.cold_verify vconfig cfg0
-          ~memory)
+    verify_session ~config ?session vconfig profile0 ~memory
   in
   let last_report = ref None in
   let verify_run schedule predicted =
@@ -695,17 +708,13 @@ let optimize_sweep ?config ?verify_config ?profile ?session ?(instances = 1)
     | Some c -> c
     | None -> profile.Dvs_profile.Profile.config
   in
-  let cfg0 = profile.Dvs_profile.Profile.cfg in
   (* One summary session shared by every point (and every ladder
-     fallback): the whole 30-point sweep pays for one recorded
-     simulation.  Sessions are domain-safe, so the verification fan-out
-     below shares it freely. *)
+     fallback): usually the profile's own recording, so the whole
+     30-point sweep pays for no simulation beyond profiling.  Sessions
+     are domain-safe, so the verification fan-out below shares it
+     freely. *)
   let session =
-    match session with
-    | Some s -> s
-    | None ->
-      Verify.Session.create ~cold:config.Config.cold_verify vconfig cfg0
-        ~memory
+    Lazy.force (verify_session ~config ?session vconfig profile ~memory)
   in
   let point_result ~last i (p : Dvs_milp.Sweep.point) =
     let d = deadlines.(i) in

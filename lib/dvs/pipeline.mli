@@ -206,9 +206,13 @@ val optimize_multi :
     carrying [regulator] when sweeping transition costs, so the simulator
     charges the same costs the MILP modeled.  [session] supplies a warm
     {!Verify.Session} for the (machine, program, memory) triple so
-    repeated calls share the summary cache; without one, a session is
-    created on first verification ([Config.t.cold_verify] makes it
-    cycle-accurate).  Successive rung verifications within one call are
+    repeated calls share the summary cache.  Without one, the call takes
+    over the first profile's own recording when it fits
+    ({!Verify.Session.for_profile}), and otherwise records a session on
+    first verification ([Config.t.cold_verify] makes it cycle-accurate).
+    Either way the first profile's recording slot is empty afterwards,
+    and a volatile [pipeline.session] trace event names the session's
+    [source].  Successive rung verifications within one call are
     incremental against each other. *)
 
 val optimize :
@@ -250,11 +254,15 @@ val optimize_sweep :
     points concurrently; [cut_rounds] (default 3) bounds each point's
     root cutting loop.
 
-    All per-point verifications run through one shared {!Verify.Session}
-    ([session] if given, otherwise created internally — cycle-accurate
-    when [Config.t.cold_verify]), so the whole sweep pays for one
-    recording simulation; within each verification worker, consecutive
-    points re-verify incrementally against each other.
+    All per-point verifications run through one shared {!Verify.Session}:
+    [session] if given, otherwise the profile's own recording when it
+    fits ({!Verify.Session.for_profile}), otherwise one recorded here
+    (cycle-accurate when [Config.t.cold_verify]).  A freshly collected
+    profile therefore makes the whole sweep cost one recorded
+    simulation, the profiling one.  The profile's recording slot is
+    empty afterwards, and a volatile [pipeline.session] trace event
+    names the session's [source].  Within each verification worker,
+    consecutive points re-verify incrementally against each other.
 
     Raises [Invalid_argument] if [deadlines] is empty or contains a
     non-positive or non-finite value. *)

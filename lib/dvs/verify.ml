@@ -50,6 +50,43 @@ module Session = struct
 
   let cold t = t.cold
 
+  type source = Profile | Caller | Recorded | Cold
+
+  let source_name = function
+    | Profile -> "profile"
+    | Caller -> "caller"
+    | Recorded -> "recorded"
+    | Cold -> "cold"
+
+  (* A recording serves a verification exactly when replaying it is
+     replaying the run that verification would record: same machine,
+     same program, same input image. *)
+  let fits (r : Dvs_profile.Profile.recording) config
+      (p : Dvs_profile.Profile.t) ~memory =
+    r.rec_cfg == p.cfg && r.rec_config = config
+    && (r.rec_memory == memory || r.rec_memory = memory)
+
+  let profile_fits ~cold config p ~memory =
+    (not cold)
+    &&
+    match Dvs_profile.Profile.recording p with
+    | Some r -> fits r config p ~memory
+    | None -> false
+
+  (* The slot is emptied whatever the outcome, so a profile never pins a
+     tape after the first call that could have used it. *)
+  let for_profile ?session ~cold config (p : Dvs_profile.Profile.t) ~memory =
+    match (session, Dvs_profile.Profile.take_recording p) with
+    | Some s, _ -> (Caller, Lazy.from_val s)
+    | None, Some r when (not cold) && fits r config p ~memory ->
+      ( Profile,
+        Lazy.from_val
+          { config; cfg = r.rec_cfg; memory = r.rec_memory; fuel = None;
+            cold = false; summary = Some r.rec_summary } )
+    | None, _ ->
+      ( (if cold then Cold else Recorded),
+        lazy (create ~cold config p.cfg ~memory) )
+
   let edge_mode_of schedule =
     Array.map Option.some schedule.Schedule.edge_mode
 

@@ -11,7 +11,9 @@
     the execution once, then re-costs every candidate schedule by tape
     replay ({!Dvs_machine.Summary}) — bit-identical to the cycle-accurate
     simulator, held so by the test suite — so a 30-point deadline sweep
-    pays for one simulation, not thirty. *)
+    pays for one simulation, not thirty.  {!Session.for_profile} goes
+    further and takes over the recording the profiler already made, so
+    the sweep pays for no simulation beyond profiling. *)
 
 val deadline_tolerance : float
 (** Relative slack allowed on the measured completion time: a schedule
@@ -70,4 +72,34 @@ module Session : sig
       cached. *)
 
   val cold : t -> bool
+
+  (** Where {!for_profile}'s session came from. *)
+  type source =
+    | Profile  (** the profile's own recording, taken over *)
+    | Caller  (** the session the caller passed *)
+    | Recorded  (** a fresh recording ({!create}) *)
+    | Cold  (** a cold session: every check simulates *)
+
+  val source_name : source -> string
+  (** ["profile"], ["caller"], ["recorded"] or ["cold"]. *)
+
+  val for_profile :
+    ?session:t ->
+    cold:bool ->
+    Dvs_machine.Config.t -> Dvs_profile.Profile.t -> memory:int array ->
+    source * t Lazy.t
+  (** The session that verifies [profile]'s program on [memory] under
+      machine [config]: [session] when given; otherwise the profile's
+      recording ({!Dvs_profile.Profile.take_recording}) when [cold] is
+      off and it was recorded under an equal config, on the profile's
+      cfg and on an equal memory image; otherwise a session {!create}d
+      on first force.  The profile's slot is empty afterwards in every
+      case.  Taking over a recording does not re-simulate, and replays
+      on it are bit-identical to replays on a fresh recording. *)
+
+  val profile_fits :
+    cold:bool -> Dvs_machine.Config.t -> Dvs_profile.Profile.t ->
+    memory:int array -> bool
+  (** Whether {!for_profile} without a caller session would take over
+      the profile's recording right now.  Leaves the slot as it is. *)
 end

@@ -61,6 +61,8 @@ type t = {
   config : Config.t;
   static_blocks : int;
   tape : Tape.t;
+  l1 : Cache.stats;  (* the recording run's; schedule-independent *)
+  l2 : Cache.stats;
   n_modes : int;
   summaries : block_summary option Atomic.t array array;  (* [variant][mode] *)
   next_token : int Atomic.t;
@@ -75,12 +77,12 @@ let create ?fuel ?(obs = Dvs_obs.disabled) (config : Config.t) cfg ~memory =
   let rc = Cpu.Run_config.make ?fuel ~obs ~recorder () in
   let stats = Cpu.run ~rc config cfg ~memory in
   let tape =
-    Tape.create recorder ~dyn_instrs:stats.Cpu.dyn_instrs ~l1:stats.Cpu.l1
-      ~l2:stats.Cpu.l2 ~registers:stats.Cpu.registers
+    Tape.create recorder ~registers:stats.Cpu.registers
       ~memory:stats.Cpu.memory
   in
   let n_modes = Dvs_power.Mode.size config.mode_table in
-  { config; static_blocks = Array.length (Cfg.blocks cfg); tape; n_modes;
+  { config; static_blocks = Array.length (Cfg.blocks cfg); tape;
+    l1 = stats.Cpu.l1; l2 = stats.Cpu.l2; n_modes;
     summaries =
       Array.init
         (Array.length tape.Tape.variants)
@@ -89,7 +91,7 @@ let create ?fuel ?(obs = Dvs_obs.disabled) (config : Config.t) cfg ~memory =
 
 let tape t = t.tape
 
-let n_edges t = t.tape.Tape.n_edges
+let n_edges t = Tape.n_edges t.tape
 
 let positions t = Tape.positions t.tape
 
@@ -105,11 +107,12 @@ let init_state t ~entry_mode =
         t_energy = 0.0; busy_end = neg_infinity; miss_busy = 0.0;
         stall = 0.0 };
     mode = entry_mode; dyn = 0; transitions = 0; overlap = 0; dependent = 0;
-    cache_hit = 0; pending = Array.make t.tape.Tape.n_regs neg_infinity;
+    cache_hit = 0;
+    pending = Array.make (Array.length t.tape.Tape.registers) neg_infinity;
     blocks = 0; hits = 0; misses = 0 }
 
 let check_edge_mode t edge_mode =
-  if Array.length edge_mode <> t.tape.Tape.n_edges then
+  if Array.length edge_mode <> n_edges t then
     invalid_arg "Summary.replay: edge_mode length does not match CFG edges"
 
 let stride t = Int.max 64 (Tape.positions t.tape / 256)
@@ -284,17 +287,23 @@ let exec_range t obs st ~edge_mode ~from_pos ~stride ~attrib =
     end
   in
   let len = Tape.positions tape in
+  (* Decode the packed steps here rather than through [Tape.variant_at]
+     and [Tape.edge_at]: this loop runs once per position per replay,
+     and across modules those accessors are calls. *)
+  let steps = tape.Tape.steps and edge_bits = tape.Tape.edge_bits in
+  let edge_mask = (1 lsl edge_bits) - 1 in
   let cks = ref [] in
   for p = from_pos to len - 1 do
     if stride > 0 && p mod stride = 0 then
       cks := (p, copy_state st) :: !cks;
-    let e = tape.Tape.edge_of.(p) in
+    let step = steps.(p) in
+    let e = (step land edge_mask) - 1 in
     if e >= 0 then (
       (* A silent mode-set (the mode already holds) costs nothing. *)
       match edge_mode.(e) with
       | Some m when m <> st.mode -> set_mode m
       | Some _ | None -> ());
-    let vid = tape.Tape.seq.(p) in
+    let vid = step lsr edge_bits in
     (match attrib with
     | Some a ->
       attribute a;
@@ -316,8 +325,8 @@ let stats_of t st =
   let fs = st.f in
   { Cpu.time = fs.time; energy = fs.energy; dyn_instrs = st.dyn;
     mode_transitions = st.transitions; transition_time = fs.t_time;
-    transition_energy = fs.t_energy; l1 = t.tape.Tape.l1;
-    l2 = t.tape.Tape.l2; overlap_cycles = st.overlap;
+    transition_energy = fs.t_energy; l1 = t.l1; l2 = t.l2;
+    overlap_cycles = st.overlap;
     dependent_cycles = st.dependent; cache_hit_cycles = st.cache_hit;
     miss_busy_time = fs.miss_busy; stall_time = fs.stall;
     registers = Array.copy t.tape.Tape.registers;
@@ -483,7 +492,7 @@ let replay_pinned t ~mode ~time ~energy =
   let st = init_state t ~entry_mode:mode in
   ignore
     (exec_range t Dvs_obs.disabled st
-       ~edge_mode:(Array.make t.tape.Tape.n_edges None)
+       ~edge_mode:(Array.make (n_edges t) None)
        ~from_pos:0 ~stride:0
        ~attrib:(Some { a_time = time; a_energy = energy }));
   stats_of t st

@@ -57,24 +57,31 @@ end
    so the table hashes the ops rather than scanning a label's list. *)
 type recorder = {
   cfg : Cfg.t;
+  edge_bits : int;
   mutable vtab : variant array;  (* by id; the first [n_vars] are live *)
   mutable n_vars : int;
   v_hash : Ibuf.t;  (* per variant: full hash *)
   v_next : Ibuf.t;  (* per variant: next id in its bucket, -1 at end *)
   mutable buckets : int array;  (* head id per bucket, -1 when empty *)
-  seq : Ibuf.t;
+  steps : Ibuf.t;  (* packed (variant, incoming edge) per position *)
   cur : Ibuf.t;  (* ops of the block being recorded *)
   mutable cur_label : Cfg.label;
+  mutable prev_label : Cfg.label;  (* last sealed block; -1 before any *)
   mutable in_block : bool;
 }
 
 let no_variant = { label = -1; ops = [||]; dyn = 0; summarizable = false }
 
+(* Bits needed to hold [0 .. n]: a step's low field is the incoming edge
+   plus one, with 0 for the program entry. *)
+let rec bits_for n = if n = 0 then 0 else 1 + bits_for (n lsr 1)
+
 let recorder cfg =
-  { cfg; vtab = Array.make 64 no_variant; n_vars = 0;
+  { cfg; edge_bits = bits_for (Array.length (Cfg.edges cfg));
+    vtab = Array.make 64 no_variant; n_vars = 0;
     v_hash = Ibuf.create 64; v_next = Ibuf.create 64;
-    buckets = Array.make 64 (-1); seq = Ibuf.create 4096;
-    cur = Ibuf.create 64; cur_label = 0; in_block = false }
+    buckets = Array.make 64 (-1); steps = Ibuf.create 4096;
+    cur = Ibuf.create 64; cur_label = 0; prev_label = -1; in_block = false }
 
 let hash_ops label (b : Ibuf.t) =
   let h = ref (label + 0x2545f491) in
@@ -118,6 +125,10 @@ let add_variant r h =
       ops
   in
   let id = r.n_vars in
+  (* A step is [(id lsl edge_bits) lor (edge + 1)] in a non-negative
+     int. *)
+  if id lsr (Sys.int_size - 1 - r.edge_bits) <> 0 then
+    invalid_arg "Tape: variant index does not fit a packed step";
   if id = Array.length r.vtab then begin
     let vtab = Array.make (2 * id) no_variant in
     Array.blit r.vtab 0 vtab 0 id;
@@ -145,8 +156,18 @@ let flush_block r =
       | -1 -> add_variant r h
       | id -> id
     in
-    Ibuf.push r.seq id;
+    (* The incoming edge follows from the previous block's label; the
+       program entry, like any pair that is no CFG edge, stores 0. *)
+    let edge1 =
+      if r.prev_label < 0 then 0
+      else
+        match Cfg.edge_index_of r.cfg ~src:r.prev_label ~dst:r.cur_label with
+        | e -> e + 1
+        | exception Not_found -> 0
+    in
+    Ibuf.push r.steps ((id lsl r.edge_bits) lor edge1);
     Ibuf.clear r.cur;
+    r.prev_label <- r.cur_label;
     r.in_block <- false
   end
 
@@ -159,61 +180,46 @@ let record r tag payload = Ibuf.push r.cur ((payload lsl 3) lor tag)
 
 type t = {
   variants : variant array;
-  seq : int array;
-  edge_of : int array;
+  steps : int array;
+  edge_bits : int;
   first_edge_pos : int array;
-  n_edges : int;
-  n_regs : int;
-  dyn_instrs : int;
-  l1 : Cache.stats;
-  l2 : Cache.stats;
   registers : int array;
   memory : int array;
 }
 
-let create r ~dyn_instrs ~l1 ~l2 ~registers ~memory =
+let create r ~registers ~memory =
   flush_block r;
-  let seq = Ibuf.contents r.seq in
-  if Array.length seq = 0 then
+  let steps = Ibuf.contents r.steps in
+  if Array.length steps = 0 then
     invalid_arg "Tape.create: empty recording";
-  let variants = Array.sub r.vtab 0 r.n_vars in
-  (* Incoming edges follow from consecutive labels; deriving them here
-     rather than buffering them while recording keeps one growable
-     buffer fewer alive at the recording's peak. *)
-  let edge_of =
-    Array.mapi
-      (fun pos vid ->
-        if pos = 0 then -1
-        else
-          match
-            Cfg.edge_index_of r.cfg
-              ~src:variants.(seq.(pos - 1)).label
-              ~dst:variants.(vid).label
-          with
-          | idx -> idx
-          | exception Not_found -> -1)
-      seq
-  in
-  let n_edges = Array.length (Cfg.edges r.cfg) in
-  let first_edge_pos = Array.make n_edges max_int in
+  let mask = (1 lsl r.edge_bits) - 1 in
+  let first_edge_pos = Array.make (Array.length (Cfg.edges r.cfg)) max_int in
   Array.iteri
-    (fun pos e ->
+    (fun pos step ->
+      let e = (step land mask) - 1 in
       if e >= 0 && first_edge_pos.(e) = max_int then
         first_edge_pos.(e) <- pos)
-    edge_of;
-  { variants; seq; edge_of; first_edge_pos; n_edges;
-    n_regs = Array.length registers; dyn_instrs; l1; l2;
-    registers = Array.copy registers; memory = Array.copy memory }
+    steps;
+  { variants = Array.sub r.vtab 0 r.n_vars; steps; edge_bits = r.edge_bits;
+    first_edge_pos; registers = Array.copy registers;
+    memory = Array.copy memory }
 
-let positions t = Array.length t.seq
+let positions t = Array.length t.steps
+
+let n_edges t = Array.length t.first_edge_pos
+
+let variant_at t p = t.steps.(p) lsr t.edge_bits
+
+let edge_at t p = (t.steps.(p) land ((1 lsl t.edge_bits) - 1)) - 1
 
 let first_divergence t ~entry_changed ~edges =
   if entry_changed then Some 0
   else
+    let n_edges = n_edges t in
     let p =
       List.fold_left
         (fun acc e ->
-          if e >= 0 && e < t.n_edges then Int.min acc t.first_edge_pos.(e)
+          if e >= 0 && e < n_edges then Int.min acc t.first_edge_pos.(e)
           else acc)
         max_int edges
     in

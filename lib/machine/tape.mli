@@ -78,42 +78,49 @@ val recorder : Cfg.t -> recorder
 val enter_block : recorder -> label:Cfg.label -> unit
 (** Start the next dynamic block.  Seals the previous block, interning
     its variant without allocating when the (label, op sequence) was
-    seen before. *)
+    seen before, and appends its packed step ({!t.steps}).  Raises
+    [Invalid_argument] when a new variant's index would not fit beside
+    the CFG's [edge_bits]. *)
 
 val record : recorder -> int -> int -> unit
 (** [record r tag payload] appends one op to the current block. *)
 
 type t = {
   variants : variant array;
-  seq : int array;  (** variant index per dynamic block position *)
-  edge_of : int array;
-      (** incoming {!Cfg.edge_index} per position; [-1] at entry *)
+  steps : int array;
+      (** one packed word per dynamic block position: the variant index
+          above the low [edge_bits] bits, the incoming
+          {!Cfg.edge_index} plus one in them ([0] at the program entry);
+          decode with {!variant_at} and {!edge_at} *)
+  edge_bits : int;
+      (** bits that hold an incoming edge plus one: enough for
+          [0 .. n_edges] *)
   first_edge_pos : int array;
       (** per edge index, the first position entered through that edge
           ([max_int] when the edge was never traversed) *)
-  n_edges : int;
-  n_regs : int;
-  dyn_instrs : int;
-  l1 : Cache.stats;
-  l2 : Cache.stats;
   registers : int array;  (** final architectural registers *)
   memory : int array;  (** final memory image *)
 }
 
-val create :
-  recorder ->
-  dyn_instrs:int ->
-  l1:Cache.stats ->
-  l2:Cache.stats ->
-  registers:int array ->
-  memory:int array -> t
-(** Seal the recording, taking the schedule-independent final state
-    (registers, memory, cache stats, instruction count) from the
-    recording run's stats.  Raises [Invalid_argument] if the recorder
-    saw no blocks. *)
+val create : recorder -> registers:int array -> memory:int array -> t
+(** Seal the recording, taking the schedule-independent final
+    architectural state from the recording run's stats.  The packed
+    steps were built while recording, so sealing allocates only the
+    tape's own arrays.  Raises [Invalid_argument] if the recorder saw
+    no blocks. *)
 
 val positions : t -> int
 (** Dynamic blocks on the tape. *)
+
+val n_edges : t -> int
+(** Edges of the recorded CFG ({!Cfg.edges} order). *)
+
+val variant_at : t -> int -> int
+(** [variant_at t p] is the index into [t.variants] of position [p]. *)
+
+val edge_at : t -> int -> int
+(** [edge_at t p] is the {!Cfg.edge_index} through which position [p]
+    was entered, [-1] at the program entry. *)
 
 val first_divergence :
   t -> entry_changed:bool -> edges:int list -> int option

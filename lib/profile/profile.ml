@@ -7,6 +7,13 @@ type path = {
   succ : Cfg.label;
 }
 
+type recording = {
+  rec_config : Config.t;
+  rec_cfg : Cfg.t;
+  rec_memory : int array;
+  rec_summary : Summary.t;
+}
+
 type t = {
   cfg : Cfg.t;
   config : Config.t;
@@ -17,7 +24,14 @@ type t = {
   total_time : float array array;
   total_energy : float array array;
   runs : Cpu.run_stats array;
+  recording : recording option Atomic.t;
 }
+
+let no_recording () = Atomic.make None
+
+let recording p = Atomic.get p.recording
+
+let take_recording p = Atomic.exchange p.recording None
 
 (* Structural counts from the tape: per-position labels give
    [exec_count], the recorded incoming edges [edge_count] and
@@ -41,17 +55,17 @@ let structural cfg (tape : Tape.t) =
     (fun i (e : Cfg.edge) ->
       if out_base.(e.src) < 0 then out_base.(e.src) <- i)
     edges;
-  let label p = tape.Tape.variants.(tape.Tape.seq.(p)).Tape.label in
+  let label p = tape.Tape.variants.(Tape.variant_at tape p).Tape.label in
   let key p =
-    ((tape.Tape.edge_of.(p - 1) + 1) * 2)
-    + tape.Tape.edge_of.(p) - out_base.(label (p - 1))
+    ((Tape.edge_at tape (p - 1) + 1) * 2)
+    + Tape.edge_at tape p - out_base.(label (p - 1))
   in
   let path_count = Array.make (2 * (n_edges + 1)) 0 in
   let len = Tape.positions tape in
   for p = 0 to len - 1 do
     let j = label p in
     exec_count.(j) <- exec_count.(j) + 1;
-    let e = tape.Tape.edge_of.(p) in
+    let e = Tape.edge_at tape p in
     if e >= 0 then edge_count.(e) <- edge_count.(e) + 1
     else incr entry_count;
     if p > 0 then begin
@@ -79,8 +93,10 @@ let collect ?fuel config cfg ~memory =
   let n_modes = Dvs_power.Mode.size config.Config.mode_table in
   let n_blocks = Cfg.num_blocks cfg in
   (* One recorded execution serves every mode (Assumption 1: modes
-     change timing, not behavior).  The session stays local, so its tape
-     is garbage once the profile is built. *)
+     change timing, not behavior), and afterwards the verification of
+     this input's schedules: the profile holds it until a pipeline call
+     takes it. *)
+  let memory = Array.copy memory in
   let session = Summary.create ?fuel config cfg ~memory in
   let exec_count, edge_count, entry_count, paths =
     structural cfg (Summary.tape session)
@@ -93,7 +109,12 @@ let collect ?fuel config cfg ~memory =
           ~energy:total_energy.(m))
   in
   { cfg; config; exec_count; edge_count; entry_count; paths; total_time;
-    total_energy; runs }
+    total_energy; runs;
+    recording =
+      Atomic.make
+        (Some
+           { rec_config = config; rec_cfg = cfg; rec_memory = memory;
+             rec_summary = session }) }
 
 let block_time p ~mode j =
   if p.exec_count.(j) = 0 then 0.0

@@ -18,6 +18,12 @@
     bit-identical to simulating the mode (Assumption 1: modes change
     timing, not behavior).
 
+    That recording is also what verifying this input's schedules
+    replays, so the profile keeps it in a take-once slot
+    ({!take_recording}) for the first pipeline call that verifies on
+    it ([Dvs_core.Verify.Session.for_profile]); one (program, input)
+    then costs one recorded simulation end to end.
+
     The virtual {e entry context} is represented by [None] in path
     predecessors, and the entry block is charged through a virtual entry
     edge (see {!Dvs_core.Formulation}). *)
@@ -27,6 +33,16 @@ type path = {
       (** [None] for the program-entry invocation *)
   node : Dvs_ir.Cfg.label;
   succ : Dvs_ir.Cfg.label;
+}
+
+(** The recorded execution a profile was built from, with what it was
+    recorded on.  Its summary memo already holds every (variant, mode)
+    cost the pinned replays met. *)
+type recording = {
+  rec_config : Dvs_machine.Config.t;
+  rec_cfg : Dvs_ir.Cfg.t;  (** the profile's own [cfg] *)
+  rec_memory : int array;  (** a copy of the input image *)
+  rec_summary : Dvs_machine.Summary.t;
 }
 
 type t = {
@@ -43,13 +59,29 @@ type t = {
   total_energy : float array array;
   runs : Dvs_machine.Cpu.run_stats array;
       (** per mode, the whole pinned run's stats *)
+  recording : recording option Atomic.t;
+      (** take-once slot: {!collect} fills it, {!take_recording} empties
+          it.  Not part of the profile's content — the store neither
+          writes nor fingerprints it, and a decoded profile starts
+          empty.  Copies made with [{ p with ... }] share it. *)
 }
+
+val no_recording : unit -> recording option Atomic.t
+(** A fresh empty slot, for profiles built other than by {!collect}. *)
+
+val recording : t -> recording option
+(** The slot's content, left in place. *)
+
+val take_recording : t -> recording option
+(** Atomically empty the slot and return what it held: of any number of
+    concurrent takers, exactly one gets the recording. *)
 
 val collect :
   ?fuel:int -> Dvs_machine.Config.t -> Dvs_ir.Cfg.t -> memory:int array -> t
 (** One recorded simulation, then one pinned replay per mode in the
-    config's table.  Raises {!Dvs_machine.Cpu.Out_of_fuel} when the
-    recording run exhausts [fuel] blocks. *)
+    config's table; the recording stays in the result's slot.  Raises
+    {!Dvs_machine.Cpu.Out_of_fuel} when the recording run exhausts
+    [fuel] blocks. *)
 
 val block_time : t -> mode:int -> Dvs_ir.Cfg.label -> float
 (** Average per-invocation time (0 for never-executed blocks). *)

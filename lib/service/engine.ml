@@ -153,8 +153,8 @@ let machine_config (cfg : Config.t) =
     ~regulator:(Dvs_power.Switch_cost.regulator ~capacitance:cfg.capacitance ())
     ()
 
-(* Compile + profile + record the verification session once per
-   (workload, input); raises [Not_found] on an unknown workload name. *)
+(* Compile + profile + verification session once per (workload, input);
+   raises [Not_found] on an unknown workload name. *)
 let model_for t ~workload ~input =
   let w = Workload.find workload in
   let input =
@@ -177,7 +177,17 @@ let model_for t ~workload ~input =
           Dvs_store.Exec.profile ?store:t.store
             ~source:(workload ^ ":" ^ input) machine prog ~memory:mem
         in
-        let session = Verify.Session.create machine prog ~memory:mem in
+        (* Profiling in this process left its recording on the profile,
+           and the session takes it over; after a store hit it records.
+           Counted per source, under [models_mu]. *)
+        let source, session =
+          Verify.Session.for_profile ~cold:false machine profile ~memory:mem
+        in
+        Metrics.Counter.incr ~slot:0
+          (Metrics.counter (Dvs_obs.metrics t.obs)
+             ~stability:Metrics.Volatile
+             ("service.model_session." ^ Verify.Session.source_name source));
+        let session = Lazy.force session in
         let n = Dvs_power.Mode.size machine.Dvs_machine.Config.mode_table in
         let t_fast = Dvs_profile.Profile.pinned_time profile ~mode:(n - 1) in
         let t_slow = Dvs_profile.Profile.pinned_time profile ~mode:0 in

@@ -87,9 +87,13 @@ val obs : t -> Dvs_obs.t
 (** The (always enabled) metrics registry the service reports into. *)
 
 val warm : t -> (string * string option) list -> unit
-(** Pre-build warm state (compile, profile, record a verification
-    session) for the given (workload, input) pairs, so the first real
-    request does not pay for it.  Unknown names raise [Not_found]. *)
+(** Pre-build warm state (compile, profile, verification session) for
+    the given (workload, input) pairs, so the first real request does
+    not pay for it.  The session takes over the profile's own recording
+    when profiling ran in this process, and records afresh after a store
+    hit; the volatile counter [service.model_session.<source>] counts
+    each ({!Dvs_core.Verify.Session.source_name}).  Unknown names raise
+    [Not_found]. *)
 
 type handle
 

@@ -209,7 +209,8 @@ let profile_of_json ~cfg ~config j =
         runs =
           dlist what (mem what "runs" j)
           |> List.map (run_stats_of what images)
-          |> Array.of_list })
+          |> Array.of_list;
+        recording = Profile.no_recording () })
     j
 
 (* The profile's own JSON rendering is canonical (sorted construction,

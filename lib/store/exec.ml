@@ -2,6 +2,7 @@ module Json = Dvs_obs.Json
 module Profile = Dvs_profile.Profile
 module Pipeline = Dvs_core.Pipeline
 module Formulation = Dvs_core.Formulation
+module Verify = Dvs_core.Verify
 module Solver = Dvs_milp.Solver
 
 (* ---- cacheability ----------------------------------------------------- *)
@@ -80,6 +81,20 @@ let capture_around obs f =
   let after = Capture.state obs in
   (r, Capture.diff ~before ~after)
 
+(* The caller's session thunk, forced only when the pipeline cannot
+   take over the profile's own recording: after a [sim] hit, on a
+   profile whose recording is gone, or when the recording does not fit
+   the verification. *)
+let caller_session ~config session vconfig profile ~memory =
+  match session with
+  | Some f
+    when not
+           (Verify.Session.profile_fits
+              ~cold:config.Pipeline.Config.cold_verify vconfig profile
+              ~memory) ->
+    Some (f ())
+  | Some _ | None -> None
+
 (* ---- solve: optimize_multi -------------------------------------------- *)
 
 let optimize_multi ?store ?config ?verify_config ?session ~regulator ~memory
@@ -87,9 +102,13 @@ let optimize_multi ?store ?config ?verify_config ?session ~regulator ~memory
   let config =
     match config with Some c -> c | None -> Pipeline.Config.default
   in
+  let profile0 = (List.hd categories).Formulation.profile in
+  let vconfig =
+    match verify_config with Some c -> c | None -> profile0.Profile.config
+  in
   let run () =
     Pipeline.optimize_multi ~config ?verify_config
-      ?session:(Option.map (fun f -> f ()) session)
+      ?session:(caller_session ~config session vconfig profile0 ~memory)
       ~regulator ~memory categories
   in
   match store with
@@ -97,12 +116,6 @@ let optimize_multi ?store ?config ?verify_config ?session ~regulator ~memory
   | Some _ when not (solver_cacheable config.Pipeline.Config.solver) ->
     run ()
   | Some st -> (
-    let vconfig =
-      match verify_config with
-      | Some c -> c
-      | None ->
-        (List.hd categories).Formulation.profile.Profile.config
-    in
     let key =
       Key.make ~kind:"solve"
         (List.concat
@@ -119,6 +132,8 @@ let optimize_multi ?store ?config ?verify_config ?session ~regulator ~memory
       Store.get st key ~decode:(decode_with_counters Codec.essence_of_json)
     with
     | Some (essence, counters) ->
+      (* Nothing verifies here, so nothing may keep the recording. *)
+      ignore (Profile.take_recording profile0);
       let prep = Pipeline.prepare ~config ~regulator categories in
       Capture.replay obs counters;
       Codec.result_of_essence ~categories
@@ -140,27 +155,28 @@ let optimize_sweep ?store ?config ?verify_config ?profile:prof ?session
   let config =
     match config with Some c -> c | None -> Pipeline.Config.default
   in
-  let run profile =
-    Pipeline.optimize_sweep ~config ?verify_config ?profile ~instances
+  (* The profile pins the store key and decides whether the caller's
+     session is needed, so resolve it first (through the sim cache when
+     the caller has one wired; bench passes it in). *)
+  let p =
+    match prof with
+    | Some p -> p
+    | None -> Profile.collect machine cfg ~memory
+  in
+  let vconfig =
+    match verify_config with Some c -> c | None -> p.Profile.config
+  in
+  let run () =
+    Pipeline.optimize_sweep ~config ?verify_config ~profile:p ~instances
       ~cut_rounds
-      ?session:(Option.map (fun f -> f ()) session)
+      ?session:(caller_session ~config session vconfig p ~memory)
       machine cfg ~memory ~deadlines
   in
   match store with
-  | None -> run prof
+  | None -> run ()
   | Some _ when not (solver_cacheable config.Pipeline.Config.solver) ->
-    run prof
+    run ()
   | Some st -> (
-    (* The profile pins the key, so resolve it first (through the sim
-       cache when the caller has one wired; bench passes it in). *)
-    let p =
-      match prof with
-      | Some p -> p
-      | None -> Profile.collect machine cfg ~memory
-    in
-    let vconfig =
-      match verify_config with Some c -> c | None -> p.Profile.config
-    in
     let key =
       Key.make ~kind:"sweep"
         (List.concat
@@ -187,6 +203,7 @@ let optimize_sweep ?store ?config ?verify_config ?profile:prof ?session
     in
     match Store.get st key ~decode with
     | Some (sw, counters) ->
+      ignore (Profile.take_recording p);
       let regulator = machine.Dvs_machine.Config.regulator in
       let category d =
         { Formulation.profile = p; weight = 1.0; deadline = d }
@@ -206,7 +223,7 @@ let optimize_sweep ?store ?config ?verify_config ?profile:prof ?session
             sw.Codec.se_points;
         sweep = sw.Codec.se_stats }
     | None ->
-      let r, counters = capture_around obs (fun () -> run (Some p)) in
+      let r, counters = capture_around obs run in
       let storable =
         Array.for_all storable_result r.Pipeline.results
       in

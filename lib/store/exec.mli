@@ -41,9 +41,12 @@ val optimize_multi :
   Dvs_core.Formulation.category list ->
   Dvs_core.Pipeline.result
 (** Store-backed {!Dvs_core.Pipeline.optimize_multi}.  [session] is a
-    thunk, forced only on a miss — on a hit no verification session
-    (and hence no recording simulation) is ever created.  Artifact
-    kind: ["solve"]. *)
+    thunk, forced only on a miss and only when the first profile's own
+    recording cannot serve the verification
+    ({!Dvs_core.Verify.Session.profile_fits}): a profile collected in
+    this process needs no thunk, one decoded from a [sim] hit does.  On
+    a hit nothing verifies, no session is created, and the profile's
+    recording is dropped.  Artifact kind: ["solve"]. *)
 
 val optimize_sweep :
   ?store:Store.t ->
@@ -60,4 +63,6 @@ val optimize_sweep :
   Dvs_core.Pipeline.sweep_result
 (** Store-backed {!Dvs_core.Pipeline.optimize_sweep}: the whole deadline
     grid is one ["sweep"] entry, so a warm Table-4 grid costs one store
-    read. *)
+    read.  Without [profile] it profiles first.  [session] is forced
+    exactly as in {!optimize_multi}; on a hit the profile's recording is
+    dropped. *)

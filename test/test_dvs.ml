@@ -314,6 +314,182 @@ let test_optimize_sweep_infeasible_point () =
   | None -> Alcotest.fail "loose point should still solve"
   | Some _ -> ()
 
+(* ------------------------------------------------------------------ *)
+(* One recording per (program, input): the profile's recording is
+   handed over to the first call that verifies on it *)
+
+module Profile = Dvs_profile.Profile
+
+let has_recording p = Option.is_some (Profile.recording p)
+
+(* [f config], with a fresh traced registry threaded through [config];
+   also returns the [source] of every [pipeline.session] event. *)
+let with_sources ?(config = Pipeline.Config.default) f =
+  let obs = Dvs_obs.create () in
+  let r = f (Pipeline.Config.with_obs obs config) in
+  let sources =
+    Dvs_obs.Trace.entries (Dvs_obs.trace obs)
+    |> List.filter_map (fun (e : Dvs_obs.Trace.entry) ->
+           match
+             (e.Dvs_obs.Trace.name, List.assoc_opt "source" e.Dvs_obs.Trace.attrs)
+           with
+           | "pipeline.session", Some (Dvs_obs.Trace.String src) -> Some src
+           | _ -> None)
+  in
+  (r, sources)
+
+let check_source what expected sources =
+  match sources with
+  | src :: _ when src = expected -> ()
+  | _ ->
+    Alcotest.failf "%s: session source [%s], expected %s first" what
+      (String.concat "; " sources) expected
+
+let check_same_result what (a : Pipeline.result) (b : Pipeline.result) =
+  if a.Pipeline.schedule <> b.Pipeline.schedule then
+    Alcotest.failf "%s: schedules differ" what;
+  if a.Pipeline.rung <> b.Pipeline.rung then
+    Alcotest.failf "%s: rungs differ" what;
+  match (a.Pipeline.verification, b.Pipeline.verification) with
+  | Some va, Some vb ->
+    Test_summary.check_stats what va.Verify.stats vb.Verify.stats
+  | None, None -> ()
+  | _ -> Alcotest.failf "%s: only one side was verified" what
+
+let check_same_sweep what (a : Pipeline.sweep_result)
+    (b : Pipeline.sweep_result) =
+  Alcotest.(check int) (what ^ ": points")
+    (Array.length a.Pipeline.results)
+    (Array.length b.Pipeline.results);
+  Array.iteri
+    (fun i r ->
+      check_same_result
+        (Printf.sprintf "%s: point %d" what i)
+        r b.Pipeline.results.(i))
+    a.Pipeline.results
+
+let test_handover_six_programs () =
+  let machine = Dvs_workloads.Workload.eval_config () in
+  List.iter
+    (fun name ->
+      let w = Dvs_workloads.Workload.find name in
+      let cfg, _, memory =
+        Dvs_workloads.Workload.load w
+          ~input:(Dvs_workloads.Workload.default_input w)
+      in
+      let p = Profile.collect machine cfg ~memory in
+      let deadlines = Dvs_workloads.Deadlines.sweep_of_profile p in
+      let sweep ?session config =
+        Pipeline.optimize_sweep ~config ~profile:p ?session machine cfg
+          ~memory ~deadlines
+      in
+      let handed, sources = with_sources (fun config -> sweep config) in
+      check_source name "profile" sources;
+      if has_recording p then Alcotest.failf "%s: slot not emptied" name;
+      (* The oracle: a session recorded for the purpose. *)
+      let oracle, _ =
+        with_sources
+          (sweep ~session:(Verify.Session.create machine cfg ~memory))
+      in
+      check_same_sweep name handed oracle)
+    [ "adpcm"; "epic"; "gsm"; "mpeg"; "ghostscript"; "mpg123" ]
+
+let tiny_deadlines p =
+  let t_fast = Profile.pinned_time p ~mode:2 in
+  let t_slow = Profile.pinned_time p ~mode:0 in
+  Array.init 4 (fun i ->
+      t_fast +. ((0.15 +. (0.25 *. float_of_int i)) *. (t_slow -. t_fast)))
+
+let fresh_tiny_profile () =
+  let cfg, _ = Lazy.force compiled in
+  (cfg, Profile.collect tiny_config cfg ~memory:(memory ()))
+
+let test_handover_second_call_records () =
+  let cfg, p = fresh_tiny_profile () in
+  let deadlines = tiny_deadlines p in
+  let sweep config =
+    Pipeline.optimize_sweep ~config ~profile:p tiny_config cfg
+      ~memory:(memory ()) ~deadlines
+  in
+  let first, s1 = with_sources sweep in
+  check_source "first call" "profile" s1;
+  if has_recording p then Alcotest.fail "slot not emptied by the first call";
+  let second, s2 = with_sources sweep in
+  check_source "second call" "recorded" s2;
+  check_same_sweep "second call" first second
+
+(* Whenever the recording does not fit, the call verifies exactly as it
+   did before recordings were handed over — and still empties the
+   slot. *)
+let test_handover_no_fit () =
+  let memory2 = Array.map (fun x -> (x * 5) + 3) (memory ()) in
+  let other_regulator =
+    { tiny_config with
+      Config.regulator = Dvs_power.Switch_cost.regulator ~capacitance:1e-6 ()
+    }
+  in
+  let cold = Pipeline.Config.make ~cold_verify:true () in
+  List.iter
+    (fun (what, expected, config, vconfig, mem, caller) ->
+      let cfg, p = fresh_tiny_profile () in
+      let deadlines = tiny_deadlines p in
+      let sweep ?session config =
+        Pipeline.optimize_sweep ~config ~verify_config:vconfig ~profile:p
+          ?session tiny_config cfg ~memory:mem ~deadlines
+      in
+      let r, sources =
+        with_sources ~config (fun config ->
+            sweep
+              ?session:
+                (if caller then
+                   Some (Verify.Session.create vconfig cfg ~memory:mem)
+                 else None)
+              config)
+      in
+      check_source what expected sources;
+      if has_recording p then Alcotest.failf "%s: slot not emptied" what;
+      let oracle, _ =
+        with_sources ~config
+          (sweep
+             ~session:
+               (Verify.Session.create
+                  ~cold:config.Pipeline.Config.cold_verify vconfig cfg
+                  ~memory:mem))
+      in
+      check_same_sweep what r oracle)
+    [ ("other regulator", "recorded", Pipeline.Config.default,
+       other_regulator, memory (), false);
+      ("other input", "recorded", Pipeline.Config.default, tiny_config,
+       memory2, false);
+      ("caller session", "caller", Pipeline.Config.default, tiny_config,
+       memory (), true);
+      ("cold verify", "cold", cold, tiny_config, memory (), false) ]
+
+(* Concurrent callers race for the slot: exactly one takes it over, the
+   other records, and both verify correctly. *)
+let test_handover_two_domains () =
+  let cfg, p = fresh_tiny_profile () in
+  let deadline = (tiny_deadlines p).(1) in
+  let run ?session config =
+    Pipeline.optimize_multi ~config ?session
+      ~regulator:tiny_config.Config.regulator ~memory:(memory ())
+      [ { Formulation.profile = p; weight = 1.0; deadline } ]
+  in
+  let d = Domain.spawn (fun () -> with_sources (fun c -> run c)) in
+  let r1, s1 = with_sources (fun c -> run c) in
+  let r2, s2 = Domain.join d in
+  Alcotest.(check (list string))
+    "one take-over, one recording" [ "profile"; "recorded" ]
+    (List.sort compare (s1 @ s2));
+  if has_recording p then Alcotest.fail "slot not emptied";
+  let oracle =
+    run
+      ~session:(Verify.Session.create tiny_config cfg ~memory:(memory ()))
+      Pipeline.Config.default
+  in
+  check_same_result "this domain" r1 oracle;
+  check_same_result "spawned domain" r2 oracle
+
 let suite =
   [ Alcotest.test_case "profile counts consistent" `Quick
       test_profile_counts_consistent;
@@ -345,7 +521,15 @@ let suite =
     Alcotest.test_case "optimize_sweep infeasible point" `Quick
       test_optimize_sweep_infeasible_point;
     Alcotest.test_case "multi-category optimization" `Slow
-      test_multi_category ]
+      test_multi_category ;
+    Alcotest.test_case "handover: six programs = recorded oracle" `Slow
+      test_handover_six_programs;
+    Alcotest.test_case "handover: second call records again" `Quick
+      test_handover_second_call_records;
+    Alcotest.test_case "handover: no-fit cases record afresh" `Quick
+      test_handover_no_fit;
+    Alcotest.test_case "handover: two domains take the slot once" `Quick
+      test_handover_two_domains ]
 
 (* Randomized end-to-end robustness: generate MiniC programs with loops,
    arrays, and data-dependent branches; run the whole pipeline at a

@@ -91,7 +91,8 @@ let profile =
   let dummy_run = Dvs_machine.Cpu.run machine cfg ~memory:[||] in
   { Dvs_profile.Profile.cfg; config = machine; exec_count; edge_count;
     entry_count = 1; paths; total_time; total_energy;
-    runs = Array.make n_modes dummy_run }
+    runs = Array.make n_modes dummy_run;
+    recording = Dvs_profile.Profile.no_recording () }
 
 let regulator = Dvs_power.Switch_cost.regulator ~capacitance:0.05e-6 ()
 
@@ -336,97 +337,3 @@ let suite =
   suite
   @ [ Alcotest.test_case "multi-category matches brute force" `Quick
         test_multi_category_matches_brute_force ]
-
-(* LP-file round trip: export the formulation's MILP, parse it back, and
-   check the two models are semantically identical (variables by name,
-   bounds, integrality, constraints, objective) and solve to the same
-   optimum.  Exercises the bounds/Binary sections on exactly the model
-   shape the pipeline exports for cross-checking. *)
-let test_lp_roundtrip () =
-  let module Model = Dvs_lp.Model in
-  let module Expr = Dvs_lp.Expr in
-  let f =
-    Formulation.build ~regulator
-      [ { Formulation.profile; weight = 1.0; deadline = 150e-6 } ]
-  in
-  let m = f.Formulation.model in
-  let m2 = Dvs_lp.Lp_io.of_lp_string (Dvs_lp.Lp_io.to_lp_string m) in
-  let feq a b =
-    a = b (* covers the infinities *)
-    || Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 (Float.abs a)
-  in
-  Alcotest.(check int) "var count" (Model.num_vars m) (Model.num_vars m2);
-  let index_of mm =
-    let tbl = Hashtbl.create 64 in
-    for v = 0 to Model.num_vars mm - 1 do
-      Hashtbl.replace tbl (Model.name mm v) v
-    done;
-    tbl
-  in
-  let i2 = index_of m2 in
-  for v = 0 to Model.num_vars m - 1 do
-    let name = Model.name m v in
-    match Hashtbl.find_opt i2 name with
-    | None -> Alcotest.failf "variable %s lost in round trip" name
-    | Some v2 ->
-      let lb, ub = Model.bounds m v and lb2, ub2 = Model.bounds m2 v2 in
-      if not (feq lb lb2 && feq ub ub2) then
-        Alcotest.failf "%s: bounds [%g, %g] became [%g, %g]" name lb ub lb2
-          ub2;
-      if Model.is_integer m v <> Model.is_integer m2 v2 then
-        Alcotest.failf "%s: integrality flipped" name
-  done;
-  (* Constraints, canonicalized to (name, sorted (varname, coeff), cmp,
-     rhs); insertion order is preserved by both writer and parser. *)
-  let canon mm (c : Model.constr) =
-    ( c.Model.c_name,
-      List.map (fun (v, a) -> (Model.name mm v, a)) (Expr.coeffs c.Model.expr)
-      |> List.sort compare,
-      c.Model.cmp,
-      c.Model.rhs -. Expr.const c.Model.expr )
-  in
-  let cs = List.map (canon m) (Model.constraints m) in
-  let cs2 = List.map (canon m2) (Model.constraints m2) in
-  Alcotest.(check int) "constraint count" (List.length cs) (List.length cs2);
-  List.iter2
-    (fun (n1, t1, cmp1, r1) (n2, t2, cmp2, r2) ->
-      if n1 <> n2 || cmp1 <> cmp2 || not (feq r1 r2) then
-        Alcotest.failf "constraint %s changed shape" n1;
-      if List.length t1 <> List.length t2 then
-        Alcotest.failf "constraint %s changed arity" n1;
-      List.iter2
-        (fun (v1, a1) (v2, a2) ->
-          if v1 <> v2 || not (feq a1 a2) then
-            Alcotest.failf "constraint %s: term %s %g became %s %g" n1 v1 a1
-              v2 a2)
-        t1 t2)
-    cs cs2;
-  let sense1, obj1 = Model.objective m and sense2, obj2 = Model.objective m2 in
-  Alcotest.(check bool) "sense" true (sense1 = sense2);
-  Alcotest.(check bool) "objective const" true
-    (feq (Expr.const obj1) (Expr.const obj2));
-  let oterms mm o =
-    List.map (fun (v, a) -> (Model.name mm v, a)) (Expr.coeffs o)
-    |> List.sort compare
-  in
-  List.iter2
-    (fun (v1, a1) (v2, a2) ->
-      if v1 <> v2 || not (feq a1 a2) then
-        Alcotest.failf "objective term %s %g became %s %g" v1 a1 v2 a2)
-    (oterms m obj1) (oterms m2 obj2);
-  (* And the parsed model solves to the same optimum. *)
-  match
-    ((solve1 m).Dvs_milp.Solver.solution, (solve1 m2).Dvs_milp.Solver.solution)
-  with
-  | Some s1, Some s2 ->
-    if
-      Float.abs (s1.Dvs_lp.Simplex.objective -. s2.Dvs_lp.Simplex.objective)
-      > 1e-6 *. Float.max 1.0 (Float.abs s1.Dvs_lp.Simplex.objective)
-    then
-      Alcotest.failf "round-trip optimum drifted: %.12g vs %.12g"
-        s1.Dvs_lp.Simplex.objective s2.Dvs_lp.Simplex.objective
-  | _ -> Alcotest.fail "round-trip model did not solve"
-
-let suite =
-  suite
-  @ [ Alcotest.test_case "LP file round trip" `Quick test_lp_roundtrip ]

@@ -312,24 +312,3 @@ let suite =
       test_warm_start_matches_cold;
     QCheck_alcotest.to_alcotest qcheck_random_lp_feasible_and_no_worse;
     QCheck_alcotest.to_alcotest qcheck_strong_duality ]
-
-let test_lp_io_format () =
-  let m = Model.create () in
-  let x = Model.add_var ~name:"x" ~ub:4.0 m in
-  let b = Model.binary ~name:"pick" m in
-  Model.add_constraint ~name:"cap" m
-    (Expr.of_terms [ (2.0, x); (-1.0, b) ])
-    Model.Le 7.0;
-  Model.set_objective m Model.Maximize (Expr.add (Expr.var x) (Expr.var b));
-  let s = Lp_io.to_lp_string m in
-  List.iter
-    (fun needle ->
-      if not
-           (let re = Str.regexp_string needle in
-            try ignore (Str.search_forward re s 0); true
-            with Not_found -> false)
-      then Alcotest.failf "missing %S in:\n%s" needle s)
-    [ "Maximize"; "cap:"; "2 x - pick <= 7"; "Bounds"; "0 <= x <= 4";
-      "Binary"; " pick"; "End" ]
-
-let suite = suite @ [ Alcotest.test_case "lp file export" `Quick test_lp_io_format ]

@@ -109,26 +109,6 @@ let test_governor_steps_down_when_stalled () =
   Alcotest.(check bool) "stepped down" true
     (r.Dvs_machine.Cpu.mode_transitions >= 1)
 
-let test_lp_export_of_formulation () =
-  (* Export a real DVS MILP and sanity-check the LP file. *)
-  let src = "int s; int i; for (i = 0; i < 50; i = i + 1) { s = s + i; }" in
-  let cfg, _ = Dvs_lang.Lower.compile_string src in
-  let machine = Dvs_workloads.Workload.eval_config () in
-  let p = Dvs_profile.Profile.collect machine cfg ~memory:[||] in
-  let f =
-    Dvs_core.Formulation.build ~regulator:Dvs_power.Switch_cost.default
-      [ { Dvs_core.Formulation.profile = p; weight = 1.0; deadline = 1e-3 } ]
-  in
-  let s = Dvs_lp.Lp_io.to_lp_string f.Dvs_core.Formulation.model in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) (Printf.sprintf "contains %s" needle) true
-        (try
-           ignore (Str.search_forward (Str.regexp_string needle) s 0);
-           true
-         with Not_found -> false))
-    [ "Minimize"; "Subject To"; "Binary"; "k_e0_m0"; "deadline" ]
-
 let test_mode_index_of () =
   let tbl = Dvs_power.Mode.xscale3 in
   Alcotest.(check int) "middle" 1
@@ -187,7 +167,5 @@ let suite =
       test_governor_ramps_up_when_busy;
     Alcotest.test_case "governor steps down" `Quick
       test_governor_steps_down_when_stalled;
-    Alcotest.test_case "lp export of formulation" `Quick
-      test_lp_export_of_formulation;
     Alcotest.test_case "mode index_of" `Quick test_mode_index_of;
     Alcotest.test_case "expr algebra" `Quick test_expr_algebra ]

@@ -383,6 +383,45 @@ let test_pipeline_ladder_events () =
   | None ->
     Alcotest.fail "verification simulator's stable counters not in snapshot"
 
+(* Every pipeline call says where its verification session came from,
+   as a volatile [pipeline.session] event: a freshly collected profile
+   hands its recording to the first call, and a second call on the same
+   profile records its own. *)
+let test_pipeline_session_source () =
+  let cfg, _ = Lazy.force compiled in
+  let p = Dvs_profile.Profile.collect tiny_config cfg ~memory:(memory ()) in
+  let sessions f =
+    let obs = Obs.create () in
+    ignore (f (Pipeline.Config.with_obs obs Pipeline.Config.default));
+    List.filter
+      (fun e -> e.Trace.name = "pipeline.session")
+      (Trace.entries (Obs.trace obs))
+  in
+  let check what expected = function
+    | [ e ] ->
+      Alcotest.(check bool)
+        (what ^ ": volatile") true
+        (e.Trace.stability = Trace.Volatile);
+      Alcotest.(check bool)
+        (what ^ ": source " ^ expected) true
+        (List.assoc_opt "source" e.Trace.attrs
+        = Some (Trace.String expected))
+    | es ->
+      Alcotest.failf "%s: %d pipeline.session events, expected one" what
+        (List.length es)
+  in
+  let sweep config =
+    Pipeline.optimize_sweep ~config ~profile:p tiny_config cfg
+      ~memory:(memory ()) ~deadlines:[| mid_deadline () |]
+  in
+  let multi config =
+    Pipeline.optimize_multi ~config
+      ~regulator:tiny_config.Dvs_machine.Config.regulator ~memory:(memory ())
+      [ { Formulation.profile = p; weight = 1.0; deadline = mid_deadline () } ]
+  in
+  check "fresh profile, sweep" "profile" (sessions sweep);
+  check "same profile again, optimize_multi" "recorded" (sessions multi)
+
 let suite =
   [ Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "disabled path does not allocate" `Quick
@@ -398,4 +437,6 @@ let suite =
     Alcotest.test_case "bench summary round-trips" `Quick
       test_bench_summary_roundtrip;
     Alcotest.test_case "pipeline ladder events" `Quick
-      test_pipeline_ladder_events ]
+      test_pipeline_ladder_events;
+    Alcotest.test_case "pipeline session source" `Quick
+      test_pipeline_session_source ]

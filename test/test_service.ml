@@ -177,6 +177,25 @@ let test_optimize_and_simulate () =
       | P.Failed_reply _ -> ()
       | _ -> Alcotest.fail "unknown workload should fail, not crash")
 
+(* Warming a model without a store profiles in this process, and the
+   model's verification session takes over that profile's recording
+   instead of recording the program again. *)
+let test_warm_session_from_profile () =
+  with_engine (fun e ->
+      Engine.warm e [ (wl, None) ];
+      let count source =
+        Dvs_obs.Metrics.Counter.value
+          (Dvs_obs.Metrics.counter
+             (Dvs_obs.metrics (Engine.obs e))
+             ~stability:Dvs_obs.Metrics.Volatile
+             ("service.model_session." ^ source))
+      in
+      Alcotest.(check int) "session from the profile" 1 (count "profile");
+      Alcotest.(check int) "no second recording" 0 (count "recorded");
+      let s = scheduled (Engine.await (Engine.submit e (opt "warm-1"))) in
+      Alcotest.(check (option bool))
+        "verifies on it" (Some true) s.P.meets_deadline)
+
 let test_idempotent_replies () =
   with_engine (fun e ->
       Engine.warm e [ (wl, None) ];
@@ -534,6 +553,8 @@ let suite =
     Alcotest.test_case "exit-code table" `Quick test_exit_codes;
     Alcotest.test_case "optimize + simulate from warm state" `Quick
       test_optimize_and_simulate;
+    Alcotest.test_case "warm-up session from the profile" `Quick
+      test_warm_session_from_profile;
     Alcotest.test_case "idempotent replies + control ops" `Quick
       test_idempotent_replies;
     Alcotest.test_case "bounded queue sheds with typed rejection" `Quick

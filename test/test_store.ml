@@ -723,6 +723,54 @@ let test_exec_sweep_cold_warm () =
        (Metrics.stable_subset (Metrics.snapshot (Dvs_obs.metrics obs_warm))));
   rm_rf root
 
+(* [Exec] forces the caller's session thunk only when the profile's own
+   recording cannot serve: never after profiling in this process, once
+   after a [sim] hit (a decoded profile holds no recording), and never
+   on a [sweep] hit, where a fresh profile's recording is dropped. *)
+let test_exec_session_thunk () =
+  let w = Workload.find "adpcm" in
+  let input = Workload.default_input w in
+  let cfg, _, mem = Workload.load w ~input in
+  let machine = xscale3 () in
+  let root = fresh_root () in
+  let store = Store.open_ ~root () in
+  let forced = ref 0 in
+  let session () =
+    incr forced;
+    Dvs_core.Verify.Session.create machine cfg ~memory:mem
+  in
+  let profile () =
+    Exec.profile ~store ~source:("adpcm:" ^ input) machine cfg ~memory:mem
+  in
+  let sweep p deadlines =
+    Exec.optimize_sweep ~store ~verify_config:machine ~profile:p ~session
+      machine cfg ~memory:mem ~deadlines
+  in
+  let has p = Option.is_some (Profile.recording p) in
+  let essence (r : Pipeline.sweep_result) =
+    Json.to_string
+      (Codec.sweep_to_json
+         { Codec.se_points =
+             Array.map Codec.essence_of_result r.Pipeline.results;
+           se_stats = r.Pipeline.sweep })
+  in
+  let p1 = profile () in
+  Alcotest.(check bool) "a fresh profile holds its recording" true (has p1);
+  let grid = Dvs_workloads.Deadlines.sweep_of_profile p1 in
+  let r1 = sweep p1 grid in
+  Alcotest.(check int) "empty store: thunk not forced" 0 !forced;
+  Alcotest.(check bool) "recording taken" false (has p1);
+  let p2 = profile () in
+  Alcotest.(check bool) "a decoded profile holds no recording" false (has p2);
+  ignore (sweep p2 (Array.sub grid 0 3));
+  Alcotest.(check int) "sim hit, sweep miss: thunk forced once" 1 !forced;
+  let p3 = Profile.collect machine cfg ~memory:mem in
+  let r3 = sweep p3 grid in
+  Alcotest.(check int) "sweep hit: thunk not forced" 1 !forced;
+  Alcotest.(check bool) "sweep hit drops the recording" false (has p3);
+  Alcotest.(check string) "hit = miss" (essence r1) (essence r3);
+  rm_rf root
+
 let suite =
   [ Alcotest.test_case "canonical keys" `Quick test_key;
     QCheck_alcotest.to_alcotest qcheck_hash_hex;
@@ -747,4 +795,6 @@ let suite =
     Alcotest.test_case "gc and verify" `Quick test_gc;
     Alcotest.test_case "capture/replay" `Quick test_capture_replay;
     Alcotest.test_case "cold vs warm solve" `Quick test_exec_cold_warm;
-    Alcotest.test_case "cold vs warm sweep" `Quick test_exec_sweep_cold_warm ]
+    Alcotest.test_case "cold vs warm sweep" `Quick test_exec_sweep_cold_warm;
+    Alcotest.test_case "session thunk forced only when needed" `Quick
+      test_exec_session_thunk ]

@@ -318,6 +318,143 @@ let test_deadline_tolerance () =
   Alcotest.(check bool) "outside tolerance" false
     (at (t /. (1.0 +. (2.0 *. Verify.deadline_tolerance))))
 
+(* --- packed tape steps ---------------------------------------------- *)
+
+module Tape = Dvs_machine.Tape
+module Summary = Dvs_machine.Summary
+module Cfg = Dvs_ir.Cfg
+
+(* The oracle for a tape's steps: the block labels a cycle-accurate run
+   enters, in order, and the incoming edges derived from consecutive
+   labels with [Cfg.edge_index_of] (-1 at the entry), which is how a
+   tape used to keep them. *)
+let check_steps what config cfg ~memory =
+  let labels = ref [] in
+  let observer label ~via:_ ~time:_ ~energy:_ = labels := label :: !labels in
+  ignore
+    (Cpu.run ~rc:(Cpu.Run_config.make ~observer ()) config cfg ~memory);
+  let labels = Array.of_list (List.rev !labels) in
+  let tape = Summary.tape (Summary.create config cfg ~memory) in
+  Alcotest.(check int) (what ^ ": positions") (Array.length labels)
+    (Tape.positions tape);
+  let n_vars = Array.length tape.Tape.variants in
+  Array.iteri
+    (fun p label ->
+      let v = Tape.variant_at tape p in
+      if v < 0 || v >= n_vars then
+        Alcotest.failf "%s: position %d decodes variant %d of %d" what p v
+          n_vars;
+      if tape.Tape.variants.(v).Tape.label <> label then
+        Alcotest.failf "%s: position %d is block %d, tape says %d" what p
+          label tape.Tape.variants.(v).Tape.label;
+      let expected =
+        if p = 0 then -1
+        else
+          match Cfg.edge_index_of cfg ~src:labels.(p - 1) ~dst:label with
+          | e -> e
+          | exception Not_found -> -1
+      in
+      if Tape.edge_at tape p <> expected then
+        Alcotest.failf "%s: position %d entered through edge %d, tape says %d"
+          what p expected (Tape.edge_at tape p))
+    labels;
+  tape
+
+let test_steps_workloads () =
+  let config = Dvs_workloads.Workload.eval_config () in
+  List.iter
+    (fun (w : Dvs_workloads.Workload.t) ->
+      List.iter
+        (fun input ->
+          let cfg, _, memory = Dvs_workloads.Workload.load w ~input in
+          ignore
+            (check_steps
+               (w.Dvs_workloads.Workload.name ^ ":" ^ input)
+               config cfg ~memory))
+        w.Dvs_workloads.Workload.inputs)
+    Dvs_workloads.Workload.all
+
+let test_steps_seeded () =
+  for seed = 0 to 24 do
+    let cfg, mem = program ~seed in
+    ignore (check_steps (Printf.sprintf "seed %d" seed) machine cfg ~memory:mem)
+  done
+
+(* A loop with exactly [n_edges] CFG edges: entry -> b1 -> ... -> bk ->
+   tail, tail branching back to b1 three times before the halt block;
+   k + 3 edges in all. *)
+let loop_cfg ~n_edges =
+  let k = n_edges - 3 in
+  let b = Cfg.Builder.create () in
+  let entry = Cfg.Builder.add_block b in
+  let chain = Array.init k (fun _ -> Cfg.Builder.add_block b) in
+  let tail = Cfg.Builder.add_block b in
+  let halt = Cfg.Builder.add_block b in
+  Cfg.Builder.push b entry (Dvs_ir.Instr.Li (1, 3));
+  Cfg.Builder.push b entry (Dvs_ir.Instr.Li (3, 1));
+  Cfg.Builder.set_term b entry (Cfg.Jump chain.(0));
+  Array.iteri
+    (fun i l ->
+      Cfg.Builder.push b l
+        (Dvs_ir.Instr.Binop (Dvs_ir.Instr.Add, 2, 2, 1));
+      Cfg.Builder.set_term b l
+        (Cfg.Jump (if i = k - 1 then tail else chain.(i + 1))))
+    chain;
+  Cfg.Builder.push b tail (Dvs_ir.Instr.Binop (Dvs_ir.Instr.Sub, 1, 1, 3));
+  Cfg.Builder.set_term b tail (Cfg.Branch (1, chain.(0), halt));
+  Cfg.Builder.set_term b halt Cfg.Halt;
+  let cfg = Cfg.Builder.finish b ~entry in
+  Alcotest.(check int) "edge count" n_edges (Array.length (Cfg.edges cfg));
+  cfg
+
+(* The low field holds edge + 1 in [0 .. n_edges]: 2^k - 1 edges fit in
+   k bits, 2^k edges need k + 1. *)
+let test_steps_edge_bits_boundary () =
+  List.iter
+    (fun (n_edges, bits) ->
+      let cfg = loop_cfg ~n_edges in
+      let tape =
+        check_steps
+          (Printf.sprintf "%d edges" n_edges)
+          machine cfg ~memory:[||]
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "%d edges: edge_bits" n_edges)
+        bits tape.Tape.edge_bits;
+      (* Every edge is traversed, the last one (tail -> halt) last. *)
+      Array.iteri
+        (fun e pos ->
+          if pos = max_int then Alcotest.failf "edge %d never traversed" e;
+          if Tape.edge_at tape pos <> e then
+            Alcotest.failf "first_edge_pos of edge %d is wrong" e)
+        tape.Tape.first_edge_pos)
+    [ (7, 3); (8, 4); (15, 4); (16, 5) ]
+
+(* A tape holds one word per position plus a constant: its own words,
+   beyond the variants, [first_edge_pos] and the final architectural
+   state, are at most [positions + 16]. *)
+let test_tape_words () =
+  let config = Dvs_workloads.Workload.eval_config () in
+  List.iter
+    (fun name ->
+      let w = Dvs_workloads.Workload.find name in
+      let cfg, _, memory =
+        Dvs_workloads.Workload.load w
+          ~input:(Dvs_workloads.Workload.default_input w)
+      in
+      let tape = Summary.tape (Summary.create config cfg ~memory) in
+      let words x = Obj.reachable_words (Obj.repr x) in
+      let own =
+        words tape - words tape.Tape.variants
+        - words tape.Tape.first_edge_pos - words tape.Tape.registers
+        - words tape.Tape.memory
+      in
+      let positions = Tape.positions tape in
+      if own > positions + 16 then
+        Alcotest.failf "%s: %d words of its own for %d positions" name own
+          positions)
+    [ "adpcm"; "gsm"; "mpeg" ]
+
 let suite =
   [ Alcotest.test_case "session matches cycle-accurate (25 seeds)" `Slow
       test_session_matches;
@@ -330,4 +467,12 @@ let suite =
     Alcotest.test_case "crash injection stays exact (jobs 1/4)" `Slow
       test_fault_injection_exact;
     Alcotest.test_case "deadline tolerance boundary" `Quick
-      test_deadline_tolerance ]
+      test_deadline_tolerance;
+    Alcotest.test_case "tape steps = oracle: 15 workload inputs" `Slow
+      test_steps_workloads;
+    Alcotest.test_case "tape steps = oracle: 25 seeded programs" `Quick
+      test_steps_seeded;
+    Alcotest.test_case "tape steps at the edge_bits boundary" `Quick
+      test_steps_edge_bits_boundary;
+    Alcotest.test_case "tape holds one word per position" `Quick
+      test_tape_words ]
