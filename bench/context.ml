@@ -176,7 +176,7 @@ let optimize ?(kind = Xscale3) ?(filter = true) ?jobs ?regulator ?input
    engine (shared cut pool, tightest-first incumbent lifting,
    cross-point basis reuse). *)
 let optimize_sweep ?(kind = Xscale3) ?(filter = true) ?jobs ?regulator ?input
-    ?solver ?instances ?cut_rounds name ~deadlines =
+    ?solver name ~deadlines =
   let w = Workload.find name in
   let input =
     match input with Some i -> i | None -> Workload.default_input w
@@ -196,4 +196,4 @@ let optimize_sweep ?(kind = Xscale3) ?(filter = true) ?jobs ?regulator ?input
   Dvs_store.Exec.optimize_sweep ?store ~config ~verify_config:machine
     ~profile:p
     ~session:(fun () -> session ~kind ~regulator ~input name)
-    ?instances ?cut_rounds machine cfg ~memory:mem ~deadlines
+    machine cfg ~memory:mem ~deadlines

@@ -5,25 +5,17 @@ module Solver = Dvs_milp.Solver
 module Resilience = struct
   type entry = From_milp | From_rounded_lp | From_single_mode
 
-  type t = {
-    ladder : bool;
-    max_retries : int;
-    retry_budget_factor : float;
-    entry : entry;
-  }
+  type t = { max_retries : int; entry : entry }
 
-  let make ?(ladder = true) ?(max_retries = 2) ?(retry_budget_factor = 0.5)
-      ?(entry = From_milp) () =
+  let make ?(max_retries = 2) ?(entry = From_milp) () =
     if max_retries < 0 then
       invalid_arg "Pipeline.Resilience.make: max_retries must be >= 0";
-    if not (retry_budget_factor > 0.0 && retry_budget_factor <= 1.0) then
-      invalid_arg
-        "Pipeline.Resilience.make: retry_budget_factor must be in (0, 1]";
-    { ladder; max_retries; retry_budget_factor; entry }
+    { max_retries; entry }
 
   let default = make ()
 
-  let off = make ~ladder:false ~max_retries:0 ()
+  (* Retry [k] runs with [max_nodes * retry_budget_factor^k]. *)
+  let retry_budget_factor = 0.5
 
   (* Map a shrinking wall-clock budget onto ladder entry points: a
      request that has burned most of its budget queueing should not pay
@@ -35,7 +27,7 @@ module Resilience = struct
       invalid_arg "Pipeline.Resilience.for_budget: budget must be > 0";
     let r = remaining /. budget in
     if r >= 0.5 then { t with entry = From_milp }
-    else if r >= 0.2 then { t with entry = From_milp; max_retries = 0 }
+    else if r >= 0.2 then { entry = From_milp; max_retries = 0 }
     else if r >= 0.05 then { t with entry = From_rounded_lp }
     else { t with entry = From_single_mode }
 end
@@ -45,28 +37,23 @@ module Config = struct
     filter : bool;
     filter_threshold : float;
     solver : Solver.Config.t;
-    verify : bool;
     resilience : Resilience.t;
     cold_verify : bool;
     continuous_bound : bool;
   }
 
   let make ?(filter = true) ?(filter_threshold = 0.02) ?solver
-      ?(verify = true) ?(resilience = Resilience.default)
-      ?(cold_verify = false) ?(continuous_bound = true) () =
+      ?(resilience = Resilience.default) ?(cold_verify = false)
+      ?(continuous_bound = true) () =
     let solver =
       match solver with
       | Some s -> s
       | None -> Solver.Config.make ()
     in
-    { filter; filter_threshold; solver; verify; resilience; cold_verify;
+    { filter; filter_threshold; solver; resilience; cold_verify;
       continuous_bound }
 
   let default = make ()
-
-  let with_solver solver t = { t with solver }
-
-  let with_resilience resilience t = { t with resilience }
 
   (* The obs bundle lives in the nested solver config; setting it here
      threads one registry through all three layers (solver, pipeline
@@ -367,212 +354,187 @@ let optimize_multi ?config ?verify_config ?session ~regulator ~memory
     end;
     r
   in
-  if not res.Resilience.ladder then begin
-    (* Historic single-shot behavior: solve once, optionally verify,
-       report whatever came out. *)
-    let milp = solve_attempt base_solver in
-    let predicted =
-      Option.map
-        (fun (s : Dvs_lp.Simplex.solution) ->
-          s.Dvs_lp.Simplex.objective /. 1e6)
-        milp.Solver.solution
-    in
-    let schedule =
-      Option.map (Schedule.of_solution formulation) milp.Solver.solution
-    in
-    let verification =
-      match (config.Config.verify, schedule, predicted) with
-      | true, Some schedule, Some predicted ->
-        Some (verify_run schedule predicted)
-      | _ -> None
-    in
-    finish milp
-      (Option.map (fun _ -> Milp) schedule)
-      schedule predicted verification
-  end
-  else begin
-    (* The single-best-frequency baseline doubles as the bottom rung and
-       as the energy floor no degraded answer may exceed: an optimizer
-       that returns something worse than "pick the one best frequency"
-       has negative value (the paper's savings are relative to it). *)
-    let baseline =
-      lazy
-        (match Baselines.best_single_mode profile0 ~deadline:deadline0 with
-        | None -> None
-        | Some (mode, e_model) ->
-          let schedule = Schedule.uniform cfg0 mode in
-          Some (e_model, schedule, verify_run schedule e_model))
-    in
-    let floor_exceeded (v : Verify.report) =
-      match Lazy.force baseline with
-      | Some (_, _, bv) when bv.Verify.meets_deadline ->
-        v.Verify.stats.Dvs_machine.Cpu.energy
-        > bv.Verify.stats.Dvs_machine.Cpu.energy *. 1.0000001
-      | Some _ | None -> false
-    in
-    let baseline_rung milp0 =
-      match Lazy.force baseline with
-      | Some (e_model, schedule, v) when v.Verify.meets_deadline ->
-        finish milp0 (Some Single_mode) (Some schedule) (Some e_model)
-          (Some v)
-      | Some _ ->
-        note Single_mode Verify_reject
-          "single-mode baseline missed the deadline in simulation";
-        finish milp0 None None None None
-      | None ->
-        note Single_mode Verify_reject "no single mode meets the deadline";
-        finish milp0 None None None None
-    in
-    (* The rounded continuous schedule sits between the rounded LP and
-       the single-frequency floor: already admitted against the exact
-       deadline row at rounding time, it only needs the simulator's and
-       the floor's blessing.  Absent (feature off, or rounding was
-       inadmissible) it steps straight down. *)
-    let continuous_rung milp0 =
-      match rounded with
-      | None when not config.Config.continuous_bound -> baseline_rung milp0
-      | None ->
+  (* The single-best-frequency baseline doubles as the bottom rung and
+     as the energy floor no degraded answer may exceed: an optimizer
+     that returns something worse than "pick the one best frequency"
+     has negative value (the paper's savings are relative to it). *)
+  let baseline =
+    lazy
+      (match Baselines.best_single_mode profile0 ~deadline:deadline0 with
+      | None -> None
+      | Some (mode, e_model) ->
+        let schedule = Schedule.uniform cfg0 mode in
+        Some (e_model, schedule, verify_run schedule e_model))
+  in
+  let floor_exceeded (v : Verify.report) =
+    match Lazy.force baseline with
+    | Some (_, _, bv) when bv.Verify.meets_deadline ->
+      v.Verify.stats.Dvs_machine.Cpu.energy
+      > bv.Verify.stats.Dvs_machine.Cpu.energy *. 1.0000001
+    | Some _ | None -> false
+  in
+  let baseline_rung milp0 =
+    match Lazy.force baseline with
+    | Some (e_model, schedule, v) when v.Verify.meets_deadline ->
+      finish milp0 (Some Single_mode) (Some schedule) (Some e_model)
+        (Some v)
+    | Some _ ->
+      note Single_mode Verify_reject
+        "single-mode baseline missed the deadline in simulation";
+      finish milp0 None None None None
+    | None ->
+      note Single_mode Verify_reject "no single mode meets the deadline";
+      finish milp0 None None None None
+  in
+  (* The rounded continuous schedule sits between the rounded LP and
+     the single-frequency floor: already admitted against the exact
+     deadline row at rounding time, it only needs the simulator's and
+     the floor's blessing.  Absent (feature off, or rounding was
+     inadmissible) it steps straight down. *)
+  let continuous_rung milp0 =
+    match rounded with
+    | None when not config.Config.continuous_bound -> baseline_rung milp0
+    | None ->
+      note Continuous_rounded Verify_reject
+        "continuous rounding infeasible or missed the deadline";
+      baseline_rung milp0
+    | Some (r : Relaxation.rounded) ->
+      let predicted = r.Relaxation.objective /. 1e6 in
+      let v = verify_run r.Relaxation.schedule predicted in
+      if not v.Verify.meets_deadline then begin
         note Continuous_rounded Verify_reject
-          "continuous rounding infeasible or missed the deadline";
+          "continuous-rounded schedule missed the deadline in simulation";
         baseline_rung milp0
-      | Some (r : Relaxation.rounded) ->
-        let predicted = r.Relaxation.objective /. 1e6 in
-        let v = verify_run r.Relaxation.schedule predicted in
-        if not v.Verify.meets_deadline then begin
-          note Continuous_rounded Verify_reject
-            "continuous-rounded schedule missed the deadline in simulation";
-          baseline_rung milp0
-        end
-        else if floor_exceeded v then begin
-          note Continuous_rounded Verify_reject
-            "continuous-rounded schedule costs more than the single-mode \
-             baseline";
-          baseline_rung milp0
-        end
-        else
-          finish milp0 (Some Continuous_rounded)
-            (Some r.Relaxation.schedule) (Some predicted) (Some v)
-    in
-    let rounded_rung milp0 =
-      match Dvs_lp.Simplex.solve formulation.Formulation.model with
-      | Dvs_lp.Simplex.Optimal s ->
-        (* Argmax rounding of the fractional mode variables, SOS1 group
-           by group — the same move the solver's rounding heuristic
-           makes, available even when branch and bound is unusable.  The
-           LP objective is only a lower bound on this schedule's energy,
-           so acceptance rests on the simulation, not the prediction. *)
-        let predicted = s.Dvs_lp.Simplex.objective /. 1e6 in
-        let schedule = Schedule.of_solution formulation s in
-        let v = verify_run schedule predicted in
-        if not v.Verify.meets_deadline then begin
-          note Rounded_lp Verify_reject
-            "rounded-LP schedule missed the deadline in simulation";
-          continuous_rung milp0
-        end
-        else if floor_exceeded v then begin
-          note Rounded_lp Verify_reject
-            "rounded-LP schedule costs more than the single-mode baseline";
-          continuous_rung milp0
-        end
-        else
-          finish milp0 (Some Rounded_lp) (Some schedule) (Some predicted)
-            (Some v)
-      | Dvs_lp.Simplex.Infeasible | Dvs_lp.Simplex.Unbounded
-      | Dvs_lp.Simplex.Iter_limit _ ->
-        note Rounded_lp Numeric "LP relaxation did not solve";
+      end
+      else if floor_exceeded v then begin
+        note Continuous_rounded Verify_reject
+          "continuous-rounded schedule costs more than the single-mode \
+           baseline";
+        baseline_rung milp0
+      end
+      else
+        finish milp0 (Some Continuous_rounded)
+          (Some r.Relaxation.schedule) (Some predicted) (Some v)
+  in
+  let rounded_rung milp0 =
+    match Dvs_lp.Simplex.solve formulation.Formulation.model with
+    | Dvs_lp.Simplex.Optimal s ->
+      (* Argmax rounding of the fractional mode variables, SOS1 group
+         by group — the same move the solver's rounding heuristic
+         makes, available even when branch and bound is unusable.  The
+         LP objective is only a lower bound on this schedule's energy,
+         so acceptance rests on the simulation, not the prediction. *)
+      let predicted = s.Dvs_lp.Simplex.objective /. 1e6 in
+      let schedule = Schedule.of_solution formulation s in
+      let v = verify_run schedule predicted in
+      if not v.Verify.meets_deadline then begin
+        note Rounded_lp Verify_reject
+          "rounded-LP schedule missed the deadline in simulation";
         continuous_rung milp0
-    in
-    let milp_cause (m : Solver.result) =
-      match m.Solver.outcome with
-      | Solver.Degraded _ -> Worker_crash
-      | Solver.No_solution Solver.Iter_limit
-      | Solver.Feasible Solver.Iter_limit -> Numeric
-      | Solver.No_solution _ | Solver.Feasible _ | Solver.Optimal
-      | Solver.Infeasible | Solver.Unbounded -> Limit_hit
-    in
-    let retry_budget attempt =
-      Int.max 1
-        (int_of_float
-           (float_of_int base_solver.Solver.Config.max_nodes
-           *. (res.Resilience.retry_budget_factor ** float_of_int attempt)))
-    in
-    let milp0 = ref None in
-    let rec milp_rung attempt m =
-      (match !milp0 with None -> milp0 := Some m | Some _ -> ());
-      let first () = Option.value ~default:m !milp0 in
-      let rung = if attempt = 0 then Milp else Milp_retry attempt in
-      let reject cause detail =
-        note rung cause detail;
-        let retryable =
-          match cause with
-          | Numeric | Worker_crash | Verify_reject -> true
-          | Limit_hit -> false
-        in
-        if retryable && attempt < res.Resilience.max_retries then begin
-          (* Cold restart with a deterministically backed-off node
-             budget: no warm start (it may be implicated in the numeric
-             failure) and no shared cache (so a poisoned or stale entry
-             cannot replay the failure). *)
-          let sc =
-            { base_solver with
-              Solver.Config.warm_start = []; warm_solution = None;
-              root_bound = None; cache = None;
-              max_nodes = retry_budget (attempt + 1) }
-          in
-          milp_rung (attempt + 1) (solve_attempt sc)
-        end
-        else rounded_rung (first ())
+      end
+      else if floor_exceeded v then begin
+        note Rounded_lp Verify_reject
+          "rounded-LP schedule costs more than the single-mode baseline";
+        continuous_rung milp0
+      end
+      else
+        finish milp0 (Some Rounded_lp) (Some schedule) (Some predicted)
+          (Some v)
+    | Dvs_lp.Simplex.Infeasible | Dvs_lp.Simplex.Unbounded
+    | Dvs_lp.Simplex.Iter_limit _ ->
+      note Rounded_lp Numeric "LP relaxation did not solve";
+      continuous_rung milp0
+  in
+  let milp_cause (m : Solver.result) =
+    match m.Solver.outcome with
+    | Solver.Degraded _ -> Worker_crash
+    | Solver.No_solution Solver.Iter_limit
+    | Solver.Feasible Solver.Iter_limit -> Numeric
+    | Solver.No_solution _ | Solver.Feasible _ | Solver.Optimal
+    | Solver.Infeasible | Solver.Unbounded -> Limit_hit
+  in
+  let retry_budget attempt =
+    Int.max 1
+      (int_of_float
+         (float_of_int base_solver.Solver.Config.max_nodes
+         *. (Resilience.retry_budget_factor ** float_of_int attempt)))
+  in
+  let milp0 = ref None in
+  let rec milp_rung attempt m =
+    (match !milp0 with None -> milp0 := Some m | Some _ -> ());
+    let first () = Option.value ~default:m !milp0 in
+    let rung = if attempt = 0 then Milp else Milp_retry attempt in
+    let reject cause detail =
+      note rung cause detail;
+      let retryable =
+        match cause with
+        | Numeric | Worker_crash | Verify_reject -> true
+        | Limit_hit -> false
       in
-      match (m.Solver.outcome, m.Solver.solution) with
-      | (Solver.Infeasible | Solver.Unbounded), _ ->
-        (* Terminal: no deadline-feasible schedule exists (or the model
-           is broken); no lower rung can manufacture one. *)
-        finish m None None None None
-      | _, Some s ->
-        let predicted = s.Dvs_lp.Simplex.objective /. 1e6 in
-        let schedule = Schedule.of_solution formulation s in
-        let v = verify_run schedule predicted in
-        if not v.Verify.meets_deadline then
-          reject Verify_reject
-            (Format.asprintf
-               "MILP schedule missed the deadline in simulation (solver: \
-                %a)"
-               Solver.pp_outcome m.Solver.outcome)
-        else if m.Solver.outcome <> Solver.Optimal && floor_exceeded v then
-          reject (milp_cause m)
-            "degraded incumbent costs more than the single-mode baseline"
-        else finish m (Some rung) (Some schedule) (Some predicted) (Some v)
-      | _, None ->
+      if retryable && attempt < res.Resilience.max_retries then begin
+        (* Cold restart with a deterministically backed-off node
+           budget: no warm start (it may be implicated in the numeric
+           failure) and no shared cache (so a poisoned or stale entry
+           cannot replay the failure). *)
+        let sc =
+          { base_solver with
+            Solver.Config.warm_start = []; warm_solution = None;
+            root_bound = None; cache = None;
+            max_nodes = retry_budget (attempt + 1) }
+        in
+        milp_rung (attempt + 1) (solve_attempt sc)
+      end
+      else rounded_rung (first ())
+    in
+    match (m.Solver.outcome, m.Solver.solution) with
+    | (Solver.Infeasible | Solver.Unbounded), _ ->
+      (* Terminal: no deadline-feasible schedule exists (or the model
+         is broken); no lower rung can manufacture one. *)
+      finish m None None None None
+    | _, Some s ->
+      let predicted = s.Dvs_lp.Simplex.objective /. 1e6 in
+      let schedule = Schedule.of_solution formulation s in
+      let v = verify_run schedule predicted in
+      if not v.Verify.meets_deadline then
+        reject Verify_reject
+          (Format.asprintf
+             "MILP schedule missed the deadline in simulation (solver: \
+              %a)"
+             Solver.pp_outcome m.Solver.outcome)
+      else if m.Solver.outcome <> Solver.Optimal && floor_exceeded v then
         reject (milp_cause m)
-          (Format.asprintf "%a" Solver.pp_outcome m.Solver.outcome)
-    in
-    (* A placeholder result for ladders entered below the MILP rung (the
-       caller's budget ruled the solve out): no solution, a trivial
-       bound, zeroed stats — downstream consumers see an honest
-       "time limit before any incumbent" outcome. *)
-    let skipped_milp () =
-      { Solver.outcome = Solver.No_solution Solver.Time_limit;
-        solution = None;
-        bound = Float.neg_infinity;
-        stats =
-          { Solver.nodes = 0; lp_solves = 0; lp_pivots = 0; cache_hits = 0;
-            cache_misses = 0; cache_evictions = 0; steals = 0;
-            wall_seconds = 0.0; cpu_seconds = 0.0; workers = 0;
-            worker_nodes = [||] } }
-    in
-    match res.Resilience.entry with
-    | Resilience.From_milp -> milp_rung 0 (solve_attempt base_solver)
-    | Resilience.From_rounded_lp ->
-      note Milp Limit_hit
-        "skipped: caller budget too small for a MILP attempt";
-      rounded_rung (skipped_milp ())
-    | Resilience.From_single_mode ->
-      note Milp Limit_hit
-        "skipped: caller budget too small for a MILP attempt";
-      note Rounded_lp Limit_hit
-        "skipped: caller budget too small for an LP attempt";
-      baseline_rung (skipped_milp ())
-  end
+          "degraded incumbent costs more than the single-mode baseline"
+      else finish m (Some rung) (Some schedule) (Some predicted) (Some v)
+    | _, None ->
+      reject (milp_cause m)
+        (Format.asprintf "%a" Solver.pp_outcome m.Solver.outcome)
+  in
+  (* A placeholder result for ladders entered below the MILP rung (the
+     caller's budget ruled the solve out): no solution, a trivial
+     bound, zeroed stats — downstream consumers see an honest
+     "time limit before any incumbent" outcome. *)
+  let skipped_milp () =
+    { Solver.outcome = Solver.No_solution Solver.Time_limit;
+      solution = None;
+      bound = Float.neg_infinity;
+      stats =
+        { Solver.nodes = 0; lp_solves = 0; lp_pivots = 0; cache_hits = 0;
+          cache_misses = 0; cache_evictions = 0; steals = 0;
+          wall_seconds = 0.0; cpu_seconds = 0.0; workers = 0;
+          worker_nodes = [||] } }
+  in
+  match res.Resilience.entry with
+  | Resilience.From_milp -> milp_rung 0 (solve_attempt base_solver)
+  | Resilience.From_rounded_lp ->
+    note Milp Limit_hit
+      "skipped: caller budget too small for a MILP attempt";
+    rounded_rung (skipped_milp ())
+  | Resilience.From_single_mode ->
+    note Milp Limit_hit
+      "skipped: caller budget too small for a MILP attempt";
+    note Rounded_lp Limit_hit
+      "skipped: caller budget too small for an LP attempt";
+    baseline_rung (skipped_milp ())
 
 let optimize ?config machine cfg ~memory ~deadline =
   let profile = Dvs_profile.Profile.collect machine cfg ~memory in
@@ -585,8 +547,8 @@ type sweep_result = {
   sweep : Dvs_milp.Sweep.stats;
 }
 
-let optimize_sweep ?config ?verify_config ?profile ?session ?(instances = 1)
-    ?(cut_rounds = 3) machine cfg ~memory ~deadlines =
+let optimize_sweep ?config ?verify_config ?profile ?session machine cfg
+    ~memory ~deadlines =
   let config = match config with Some c -> c | None -> Config.default in
   if Array.length deadlines = 0 then
     invalid_arg "Pipeline.optimize_sweep: empty deadlines";
@@ -627,7 +589,6 @@ let optimize_sweep ?config ?verify_config ?profile ?session ?(instances = 1)
               List.init n_modes (fun m ->
                   (vars.(m), if m = n_modes - 1 then 1.0 else 0.0)))
             formulation.Formulation.kvars)
-    |> Solver.Config.with_branching Solver.Config.Pseudocost_gub
   in
   let deadline_row =
     match
@@ -682,7 +643,7 @@ let optimize_sweep ?config ?verify_config ?profile ?session ?(instances = 1)
     | None -> None
   in
   let sw =
-    Dvs_milp.Sweep.run ~config:base_solver ~instances ~cut_rounds
+    Dvs_milp.Sweep.run ~config:base_solver
       ~per_point:(fun _ d cfgp ->
         (* Per-point implied fixings: exclusions get stronger as the
            deadline tightens (d is the row RHS, in microseconds). *)
@@ -782,15 +743,12 @@ let optimize_sweep ?config ?verify_config ?profile ?session ?(instances = 1)
   (* Verification (a full simulator run per point) and any ladder
      fallbacks are independent across points, and their metrics are
      order-independent totals — so they always fan out across available
-     cores, even when [instances = 1] keeps the solver-side sweep (whose
-     basis chaining and incumbent lifting are order-sensitive)
-     deterministic. *)
+     cores, while the solver-side sweep (whose basis chaining and
+     incumbent lifting are order-sensitive) runs one point at a time. *)
   let points = sw.Dvs_milp.Sweep.points in
   let np = Array.length points in
   let results = Array.make np None in
-  let n_workers =
-    Int.min np (Int.max instances (Domain.recommended_domain_count ()))
-  in
+  let n_workers = Int.min np (Domain.recommended_domain_count ()) in
   if n_workers <= 1 then begin
     let last = ref None in
     Array.iteri

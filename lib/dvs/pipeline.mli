@@ -1,16 +1,15 @@
 (** End-to-end compile-time DVS: profile -> (filter) -> MILP -> schedule
     -> verify.  The driver behind the experiments and the CLI.
 
-    {b Degradation ladder.} With {!Resilience.t.ladder} on (the default)
-    the pipeline is {e anytime}: instead of surfacing a failed or
-    suspect MILP solve, it walks a ladder of progressively cheaper
-    strategies until one produces a schedule that passes re-simulation —
-    full MILP, then bounded cold retries without the warm start, then
-    argmax rounding of the bare LP relaxation, then the rounded
-    continuous schedule ({!Relaxation.round}), then the
+    {b Degradation ladder.} The pipeline is {e anytime}: instead of
+    surfacing a failed or suspect MILP solve, it walks a ladder of
+    progressively cheaper strategies until one produces a schedule that
+    passes re-simulation — full MILP, then bounded cold retries without
+    the warm start, then argmax rounding of the bare LP relaxation, then
+    the rounded continuous schedule ({!Relaxation.round}), then the
     single-best-frequency baseline.  Every rung is post-checked with
-    {!Verify.Session.check} (deadline met in simulation), degraded rungs are
-    additionally rejected when they cost more energy than the
+    {!Verify.Session.check} (deadline met in simulation), degraded rungs
+    are additionally rejected when they cost more energy than the
     single-mode baseline, and the result names the accepted rung plus
     every rejection on the way down ({!result.rung},
     {!result.descents}). *)
@@ -24,31 +23,20 @@ module Resilience : sig
   type entry = From_milp | From_rounded_lp | From_single_mode
 
   type t = {
-    ladder : bool;
-        (** walk the degradation ladder (default true); when false the
-            pipeline reproduces the historic single-shot behavior *)
     max_retries : int;
-        (** cold MILP retries before falling to the LP rung (default 2) *)
-    retry_budget_factor : float;
-        (** node budget multiplier per retry, in (0, 1] (default 0.5):
-            retry [k] runs with [max_nodes *. factor^k] *)
+        (** cold MILP retries before falling to the LP rung (default 2);
+            retry [k] runs with half the node budget of retry [k - 1] *)
     entry : entry;
         (** first rung attempted (default {!From_milp}); the [dvsd]
             service lowers it as a request's wall-clock budget drains
             ({!for_budget}) *)
   }
 
-  val make :
-    ?ladder:bool -> ?max_retries:int -> ?retry_budget_factor:float ->
-    ?entry:entry -> unit -> t
-  (** Raises [Invalid_argument] when [max_retries < 0] or
-      [retry_budget_factor] is outside (0, 1]. *)
+  val make : ?max_retries:int -> ?entry:entry -> unit -> t
+  (** Raises [Invalid_argument] when [max_retries < 0]. *)
 
   val default : t
-  (** [make ()]: ladder on, 2 retries, factor 0.5, entry {!From_milp}. *)
-
-  val off : t
-  (** Ladder disabled — historic single-shot pipeline. *)
+  (** [make ()]: 2 retries, entry {!From_milp}. *)
 
   val for_budget : budget:float -> remaining:float -> t -> t
   (** Budget-to-ladder mapping: with [remaining/budget >= 0.5] the
@@ -67,10 +55,6 @@ module Config : sig
     filter : bool;  (** apply Section 5.2 edge filtering (default true) *)
     filter_threshold : float;  (** default 0.02 *)
     solver : Dvs_milp.Solver.Config.t;
-    verify : bool;  (** re-simulate the chosen schedule (default true);
-                        with the ladder on, rungs are verified regardless
-                        — this flag only controls whether the historic
-                        single-shot path attaches a report *)
     resilience : Resilience.t;
     cold_verify : bool;
         (** force every verification through the cycle-accurate
@@ -88,17 +72,12 @@ module Config : sig
 
   val make :
     ?filter:bool -> ?filter_threshold:float ->
-    ?solver:Dvs_milp.Solver.Config.t -> ?verify:bool ->
-    ?resilience:Resilience.t -> ?cold_verify:bool ->
-    ?continuous_bound:bool -> unit -> t
+    ?solver:Dvs_milp.Solver.Config.t -> ?resilience:Resilience.t ->
+    ?cold_verify:bool -> ?continuous_bound:bool -> unit -> t
   (** [solver] defaults to [Dvs_milp.Solver.Config.make ()];
       [resilience] to {!Resilience.default}. *)
 
   val default : t
-
-  val with_solver : Dvs_milp.Solver.Config.t -> t -> t
-
-  val with_resilience : Resilience.t -> t -> t
 
   val with_obs : Dvs_obs.t -> t -> t
   (** Thread one observability bundle through all three layers: the MILP
@@ -114,7 +93,7 @@ type rung =
   | Milp  (** first full MILP solve *)
   | Milp_retry of int
       (** [k]-th cold retry: no warm start, no shared cache, node budget
-          scaled by [retry_budget_factor^k] *)
+          scaled by [0.5^k] *)
   | Rounded_lp
       (** argmax rounding of the bare LP relaxation (the one-binary-per
           SOS1-group structure makes fractional argmax a valid schedule) *)
@@ -232,8 +211,6 @@ val optimize_sweep :
   ?verify_config:Dvs_machine.Config.t ->
   ?profile:Dvs_profile.Profile.t ->
   ?session:Verify.Session.t ->
-  ?instances:int ->
-  ?cut_rounds:int ->
   Dvs_machine.Config.t -> Dvs_ir.Cfg.t -> memory:int array ->
   deadlines:float array -> sweep_result
 (** [optimize_sweep machine cfg ~memory ~deadlines] runs the paper's
@@ -250,9 +227,9 @@ val optimize_sweep :
     its own deadline is accepted at the {!rung.Milp} rung; [Infeasible]
     and [Unbounded] points are terminal (no schedule), and anything else
     falls back to the classic {!optimize_multi} degradation ladder for
-    that point alone.  [instances] (default 1) solves that many sweep
-    points concurrently; [cut_rounds] (default 3) bounds each point's
-    root cutting loop.
+    that point alone.  The sweep solves one point at a time, with the
+    engine's default three root cut rounds per point, and every solve
+    branches as {!Dvs_milp.Solver} always does.
 
     All per-point verifications run through one shared {!Verify.Session}:
     [session] if given, otherwise the profile's own recording when it

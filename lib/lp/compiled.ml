@@ -177,6 +177,13 @@ let of_model model =
     fingerprint;
   }
 
+let objective t x =
+  let s = ref t.obj_const in
+  for j = 0 to t.n - 1 do
+    s := !s +. (t.obj.(j) *. x.(j))
+  done;
+  !s
+
 let scratch t =
   { t with
     lb = Array.copy t.lb0;

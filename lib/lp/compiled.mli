@@ -47,6 +47,11 @@ type t = private {
 val of_model : Model.t -> t
 (** Compile.  O(vars + constraints + nonzeros). *)
 
+val objective : t -> float array -> float
+(** [objective t x] is [obj_const + sum_j obj.(j) * x.(j)] over the
+    structural columns, summed in column order: the objective every
+    simplex solution of [t] reports for its values [x]. *)
+
 val scratch : t -> t
 (** A scratch view for one worker: fresh (pristine) bound and rhs arrays,
     every other field shared with the original.  Mutating the scratch's

@@ -10,13 +10,13 @@
    The kernel owns every pricing, ratio-test and phase decision; the
    basis module [B] factors the basis columns, solves against them
    (FTRAN/BTRAN), absorbs one column exchange per pivot and says when to
-   refactorize.  The library instance is [Make (Lu_eta)].  Whatever the
-   basis module, a solve finishes on one dense Gauss-Jordan solve of the
-   final basis ([dense_solve], shared with [tableau]), so two basis
-   modules that walk the same pivot sequence report bit-identical
-   solutions, not merely close ones.  Everything the iteration touches
-   lives in a reusable workspace, so the pivot loop allocates nothing
-   beyond the basis module's own update storage. *)
+   refactorize.  The library instance is [Make (Lu_eta)].  A solve
+   finishes on the factor the pivot loop already holds: one FTRAN of the
+   residual recomputes the basic values, with no refactorization.  Only
+   [tableau] (cut separation) still inverts its basis densely.
+   Everything the iteration touches lives in a reusable workspace, so
+   the pivot loop allocates nothing beyond the basis module's own update
+   storage. *)
 
 module C = Compiled
 
@@ -104,10 +104,10 @@ let residual c ~stat ~xval ~rw =
   done;
   !t
 
-(* The dense solve every simplex run finishes on, and the one [tableau]
-   reads: binv := B^-1 by Gauss-Jordan over the basic columns [rows] (a
-   kept artificial in row i has coefficient [sign.(i)]), then
-   xb := B^-1 (rhs - N x_N).  [false] when B is singular. *)
+(* The dense solve [tableau] reads: binv := B^-1 by Gauss-Jordan over
+   the basic columns [rows] (a kept artificial in row i has coefficient
+   [sign.(i)]), then xb := B^-1 (rhs - N x_N).  [false] when B is
+   singular. *)
 let dense_solve c ~rows ~sign ~stat ~xval ~fact ~binv ~rw ~xb ~flops =
   let n = c.C.n and m = c.C.m and nt = c.C.nt in
   Array.fill fact 0 (m * m) 0.0;
@@ -179,8 +179,6 @@ module Make (B : Basis.S) = struct
   type workspace = {
     mutable cap_m : int;
     mutable cap_c : int;
-    mutable binv : float array;  (* dense finish: B^-1, cap_m^2 row-major *)
-    mutable fact : float array;  (* dense finish scratch, cap_m^2 *)
     mutable xb : float array;  (* basic values per row *)
     mutable y : float array;  (* BTRAN result: c_B B^-1 *)
     mutable w : float array;  (* FTRAN result: B^-1 A_e *)
@@ -205,8 +203,6 @@ module Make (B : Basis.S) = struct
     {
       cap_m = 0;
       cap_c = 0;
-      binv = [||];
-      fact = [||];
       xb = [||];
       y = [||];
       w = [||];
@@ -229,8 +225,6 @@ module Make (B : Basis.S) = struct
   let ensure ws m ncols =
     if ws.cap_m < m then begin
       ws.cap_m <- m;
-      ws.binv <- Array.make (m * m) 0.0;
-      ws.fact <- Array.make (m * m) 0.0;
       ws.xb <- Array.make m 0.0;
       ws.y <- Array.make m 0.0;
       ws.w <- Array.make m 0.0;
@@ -614,14 +608,9 @@ module Make (B : Basis.S) = struct
       done
     in
     let finish () =
-      if m > 0 then begin
-        if
-          not
-            (dense_solve c ~rows:ws.basis ~sign:ws.art_sign ~stat:ws.vstat
-               ~xval:ws.xval ~fact:ws.fact ~binv:ws.binv ~rw:ws.rw ~xb:ws.xb
-               ~flops)
-        then raise (Stuck 2)
-      end;
+      (* Basic values afresh from the held factor, not the pivot loop's
+         running updates. *)
+      compute_xb ();
       let values = Array.make n 0.0 in
       for j = 0 to n - 1 do
         if ws.vstat.(j) <> st_basic then values.(j) <- ws.xval.(j)
@@ -629,10 +618,6 @@ module Make (B : Basis.S) = struct
       for i = 0 to m - 1 do
         let k = ws.basis.(i) in
         if k < n then values.(k) <- ws.xb.(i)
-      done;
-      let obj = ref c.C.obj_const in
-      for j = 0 to n - 1 do
-        obj := !obj +. (c.C.obj.(j) *. values.(j))
       done;
       let b_stat = Bytes.create nt in
       for j = 0 to nt - 1 do
@@ -647,7 +632,8 @@ module Make (B : Basis.S) = struct
           b_sign = Array.sub ws.art_sign 0 m;
         }
       in
-      raise (Stop (Optimal { objective = !obj; values }, Some b))
+      raise (Stop (Optimal { objective = C.objective c values; values },
+                   Some b))
     in
     let phase2_and_finish () =
       set_phase2_cost ();
@@ -936,8 +922,8 @@ let extend_basis (b : basis) ~rows =
 
 (* A factorized snapshot of a basis against a compiled model's current
    bounds and rhs.  Not a solving path: built once per separation round
-   (root of the search) on the same dense solve a simplex run finishes
-   on, so the tableau reproduces that run's vertex exactly. *)
+   (root of the search) on an explicit dense inverse, whose work is
+   counted in [t_flops]. *)
 type tableau = {
   t_c : C.t;
   t_binv : float array;  (* m*m row-major B^-1 *)
@@ -945,6 +931,7 @@ type tableau = {
   t_stat : int array;  (* per-column status, nt entries *)
   t_xval : float array;  (* nonbasic column values, nt entries *)
   t_xb : float array;  (* basic values per row *)
+  t_flops : int;  (* work of the dense solve that built it *)
 }
 
 type col_status = Col_basic | Col_lower | Col_upper | Col_free
@@ -970,10 +957,11 @@ let tableau c (b : basis) =
       end
     done;
     let binv = Array.make (m * m) 0.0 and xb = Array.make m 0.0 in
+    let flops = ref 0 in
     if
       dense_solve c ~rows:b.b_rows ~sign:b.b_sign ~stat ~xval
         ~fact:(Array.make (m * m) 0.0) ~binv ~rw:(Array.make m 0.0) ~xb
-        ~flops:(ref 0)
+        ~flops
     then
       Some
         {
@@ -983,9 +971,12 @@ let tableau c (b : basis) =
           t_stat = stat;
           t_xval = xval;
           t_xb = xb;
+          t_flops = !flops;
         }
     else None
   end
+
+let tableau_flops t = t.t_flops
 
 let tableau_rows t = t.t_c.C.m
 

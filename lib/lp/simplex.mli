@@ -14,10 +14,11 @@
     module is [Make (Lu_eta)] — a sparse LU factorization (Markowitz
     ordering, threshold partial pivoting, see {!Lu.factor}) plus a
     product-form eta file, refactorized when the eta file outgrows the
-    factorization.  Whatever the basis module, a solve finishes on one
-    dense factorization of the final basis, so two instances that walk
-    the same pivot sequence report bit-identical solutions; the test
-    suite checks this one against an explicit dense inverse.
+    factorization.  A solve finishes on the factor the pivot loop
+    already holds (one FTRAN recomputes the basic values; no dense
+    solve, no refactorization), so the workspace holds no [m]x[m]
+    array.  The test suite checks this instance against an explicit
+    dense inverse, and only {!tableau} still inverts densely.
 
     Pricing is devex-style steepest edge, falling back to Bland's rule
     after 200 stalled (degenerate) iterations, so cycling cannot happen
@@ -152,9 +153,10 @@ val extend_basis : basis -> rows:int -> basis
 
     Read-only access to the simplex tableau of a given basis against a
     compiled model's current bounds and rhs — what Gomory cut separation
-    needs.  Built once per separation round on the same dense
-    factorization every solve finishes on, so the tableau reproduces the
-    solve's vertex exactly; not a solving path. *)
+    needs.  Built once per separation round on an explicit dense
+    inverse of the basis (Gauss–Jordan, O(m^3)); not a solving path.
+    Its rows agree with the LU solve's to rounding, and its work is
+    reported by {!tableau_flops}. *)
 
 type tableau
 
@@ -164,6 +166,10 @@ val tableau : Compiled.t -> basis -> tableau option
 (** [None] if the basis does not fit the compiled model (dimension
     mismatch), still contains artificial columns, or is numerically
     singular. *)
+
+val tableau_flops : tableau -> int
+(** Floating-point work of the dense solve that built the tableau,
+    counted as {!stats.flops} counts it. *)
 
 val tableau_rows : tableau -> int
 (** Number of rows [m]; rows are indexed [0 .. m-1] below. *)

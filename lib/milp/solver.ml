@@ -11,6 +11,8 @@
      from scratch;
    - shallow relaxations go through a fingerprint-keyed Lp_cache that can
      be shared across solves, which is what the bench sweep drivers do;
+   - one branching rule: GUB dichotomy on SOS1 mode groups and floor/ceil
+     on leftover integers, picked by reliability pseudocosts;
    - the incumbent is merged deterministically: strictly better objective
      wins, an exactly equal objective is tie-broken toward the
      lexicographically smallest node path, so the reported objective is
@@ -29,10 +31,6 @@
 open Dvs_lp
 
 module Config = struct
-  type branching =
-    | Fractional
-    | Pseudocost_gub
-
   type t = {
     jobs : int;
     max_nodes : int;
@@ -48,12 +46,11 @@ module Config = struct
     obs : Dvs_obs.t;
     presolve : bool;
     fixings : (Model.var * float) list;
-    branching : branching;
   }
 
   let make ?jobs ?(max_nodes = 200_000) ?time_limit ?log ?cache
       ?(cache_depth = 4) ?fault ?(obs = Dvs_obs.disabled) ?(presolve = true)
-      ?(branching = Fractional) () =
+      () =
     let jobs =
       match jobs with
       | Some j when j >= 1 -> j
@@ -62,15 +59,13 @@ module Config = struct
     in
     { jobs; max_nodes; time_limit; sos1 = []; warm_start = [];
       warm_solution = None; root_bound = None; log; cache; cache_depth; fault;
-      obs; presolve; fixings = []; branching }
+      obs; presolve; fixings = [] }
 
   let default = make ()
 
   let with_jobs jobs t =
     if jobs < 1 then invalid_arg "Solver.Config.with_jobs: jobs must be >= 1";
     { t with jobs }
-
-  let with_branching branching t = { t with branching }
 
   let with_sos1 sos1 t = { t with sos1 }
 
@@ -462,7 +457,17 @@ let solve ?(config = Config.default) model =
       Tr.event tr ~stability:Tr.Stable "solver.warm_solution"
         ~attrs:[ ("objective", Tr.Float s.Simplex.objective) ]
   | None -> ());
+  (* Every incumbent has its integers snapped exactly and its objective
+     evaluated at the snapped point, so one schedule carries one
+     objective whatever LP history found it: basic binaries sit at
+     1 - 1e-10 or so, by amounts that depend on the factor the solve
+     finished on. *)
   let try_incumbent path (s : Simplex.solution) =
+    let values = Array.copy s.values in
+    List.iter (fun v -> values.(v) <- Float.round values.(v)) int_vars;
+    let s =
+      { Simplex.objective = Compiled.objective compiled values; values }
+    in
     Mutex.lock inc_lock;
     let take =
       match !incumbent with
@@ -698,19 +703,15 @@ let solve ?(config = Config.default) model =
      direction, shared across workers under one small lock — updates are
      per-node, never per-pivot. *)
   let entities =
-    if config.branching <> Config.Pseudocost_gub then [||]
-    else begin
-      let in_group = Hashtbl.create 16 in
-      List.iter
-        (fun g -> List.iter (fun v -> Hashtbl.replace in_group v ()) g)
-        sos1;
-      Array.of_list
-        (List.map (fun g -> `Group (Array.of_list g)) sos1
-        @ List.filter_map
-            (fun v ->
-              if Hashtbl.mem in_group v then None else Some (`Var v))
-            int_vars)
-    end
+    let in_group = Hashtbl.create 16 in
+    List.iter
+      (fun g -> List.iter (fun v -> Hashtbl.replace in_group v ()) g)
+      sos1;
+    Array.of_list
+      (List.map (fun g -> `Group (Array.of_list g)) sos1
+      @ List.filter_map
+          (fun v -> if Hashtbl.mem in_group v then None else Some (`Var v))
+          int_vars)
   in
   let n_entities = Array.length entities in
   let pc_lock = Mutex.create () in
@@ -761,8 +762,8 @@ let solve ?(config = Config.default) model =
     Atomic.incr in_flight;
     Work_queue.push queues.(wid) n
   in
-  (* Classic most-fractional variable dichotomy — the default, and the
-     fallback when the entity view finds nothing to branch on. *)
+  (* Classic most-fractional variable dichotomy: the fallback when the
+     entity view finds nothing to branch on. *)
   let branch_fractional wid n (s : Simplex.solution) basis =
     match most_fractional int_vars s with
     | None -> try_incumbent n.path s
@@ -941,19 +942,12 @@ let solve ?(config = Config.default) model =
           pc_record e dir (Float.abs (s.objective -. n.bound))
         | Some _ | None -> ());
         if gap_prune s.objective then ()
-        else if is_integral s then begin
-          (* Snap integer values exactly. *)
-          let values = Array.copy s.values in
-          List.iter (fun v -> values.(v) <- Float.round values.(v)) int_vars;
-          try_incumbent n.path { s with values }
-        end
+        else if is_integral s then try_incumbent n.path s
         else begin
           if heuristic_node n then rounding_pass ~wid n.path n.overrides s;
           if n.depth = 0 && not (Float.is_finite (Atomic.get inc_obj)) then
             dive ~wid n.path n.overrides basis s;
-          match config.branching with
-          | Config.Fractional -> branch_fractional wid n s basis
-          | Config.Pseudocost_gub -> branch_pseudocost wid n s basis
+          branch_pseudocost wid n s basis
         end
     end
   in
@@ -1025,9 +1019,7 @@ let solve ?(config = Config.default) model =
     let fixings = List.map (fun (v, x) -> (v, x, x)) warm_start in
     match solve_relaxation ~depth:0 ~basis:None ~wid:0 fixings with
     | Simplex.Optimal s, _ when is_integral s ->
-      let values = Array.copy s.values in
-      List.iter (fun v -> values.(v) <- Float.round values.(v)) int_vars;
-      try_incumbent [] { s with values };
+      try_incumbent [] s;
       (* Runs sequentially before the pool: stable across job counts. *)
       if obs_on then
         Tr.event tr ~stability:Tr.Stable "solver.warm_start"

@@ -10,13 +10,24 @@
     relaxations are memoized in an {!Lp_cache} that callers can share
     across solves of near-identical models.
 
+    {b Branching.} There is one rule.  Each SOS1 group in
+    [Config.sos1] is one branch entity (a GUB dichotomy that splits the
+    group's fractional mass), and so is each integer variable outside
+    every group (floor/ceil).  Entities are scored by pseudocosts with
+    reliability initialization: an entity with fewer than 4
+    observations per direction is probed with pivot-capped child LPs
+    first.  When no entity is fractional, the most fractional integer
+    variable is branched on.
+
     {b Determinism.} The reported objective is reproducible regardless of
     worker count: fathoming only ever discards subtrees whose bound is
     within {!gap_rel} slack of an incumbent (so nothing meaningfully
     better than the final incumbent is lost), incumbent merging is
     tie-broken by the lexicographically smallest branch path, and cached
     relaxations are solved without the basis hint so cache contents never
-    depend on worker interleaving.
+    depend on worker interleaving.  Every incumbent has its integers
+    snapped exactly and its objective evaluated at the snapped point, so
+    a schedule reports the same objective whichever LP found it.
 
     {b Fault tolerance.} A worker exception never aborts the solve: the
     crash is contained to the node being processed (only that subtree is
@@ -33,18 +44,6 @@
 (** Builder-style solver configuration; construct with {!Config.make} and
     refine with the [with_*] combinators. *)
 module Config : sig
-  type branching =
-    | Fractional
-        (** branch on the most fractional integer variable (floor/ceil);
-            the historical default, kept for bit-for-bit reproducibility
-            of existing runs *)
-    | Pseudocost_gub
-        (** branch on SOS1 mode groups (GUB dichotomy splitting the
-            group's fractional mass) and leftover integer variables,
-            scored by pseudocosts with reliability initialization
-            (pivot-capped probe LPs until an entity has 4 observations
-            per direction) *)
-
   type t = {
     jobs : int;  (** worker domains; default [Domain.recommended_domain_count ()] *)
     max_nodes : int;  (** node budget; default 200_000 *)
@@ -86,15 +85,12 @@ module Config : sig
         (** externally implied variable fixings (e.g.
             [Dvs_core.Formulation.implied_fixings] from the edge filter),
             fed to presolve as exact bounds before the first round *)
-    branching : branching;
-        (** branching rule; default {!Fractional} (see {!branching}) *)
   }
 
   val make :
     ?jobs:int -> ?max_nodes:int -> ?time_limit:float ->
     ?log:(string -> unit) -> ?cache:Lp_cache.t -> ?cache_depth:int ->
-    ?fault:Fault.t -> ?obs:Dvs_obs.t -> ?presolve:bool ->
-    ?branching:branching -> unit -> t
+    ?fault:Fault.t -> ?obs:Dvs_obs.t -> ?presolve:bool -> unit -> t
   (** Raises [Invalid_argument] if [jobs < 1]. *)
 
   val default : t
@@ -114,8 +110,6 @@ module Config : sig
   val with_presolve : bool -> t -> t
 
   val with_fixings : (Dvs_lp.Model.var * float) list -> t -> t
-
-  val with_branching : branching -> t -> t
 
   val with_log : (string -> unit) -> t -> t
 

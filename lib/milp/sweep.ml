@@ -37,13 +37,7 @@ let max_cuts_per_round = 16
 
 let run ?config ?(instances = 1) ?(cut_rounds = 3) ?pool ?per_point
     ?point_bound ?point_seed ~model ~deadline_row ~deadlines () =
-  let config =
-    match config with
-    | Some c -> c
-    | None ->
-        Solver.Config.with_branching Solver.Config.Pseudocost_gub
-          Solver.Config.default
-  in
+  let config = Option.value config ~default:Solver.Config.default in
   if instances < 1 then invalid_arg "Sweep.run: instances < 1";
   if cut_rounds < 0 then invalid_arg "Sweep.run: cut_rounds < 0";
   let np = Array.length deadlines in
@@ -109,6 +103,7 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?pool ?per_point
   let applied_count = Atomic.make 0 in
   let pool_hit_count = Atomic.make 0 in
   let root_pivot_count = Atomic.make 0 in
+  let root_flop_count = Atomic.make 0 in
   let next = Atomic.make 0 in
   let point_config idx d lift =
     let cfg =
@@ -167,9 +162,14 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?pool ?per_point
   in
   (* The root cutting loop for one point: solve the LP relaxation of the
      cut-augmented point model, separate violated cuts off its tableau,
-     append, reprice dual-simplex-style via extend_basis, repeat. *)
+     append, reprice dual-simplex-style via extend_basis, repeat.  Its LP
+     and tableau work is returned for the [lp.flops] counter. *)
   let cut_loop ws c0 chain mp d pooled =
-    let root_pivots = ref 0 in
+    let root_pivots = ref 0 and root_flops = ref 0 in
+    let charge (ls : Simplex.stats) =
+      root_pivots := !root_pivots + ls.Simplex.pivots;
+      root_flops := !root_flops + ls.Simplex.flops
+    in
     let applied_rev = ref (List.rev pooled) in
     let n_pooled = List.length pooled in
     (* Cut-free chained LP first: same compiled form as the previous
@@ -179,10 +179,10 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?pool ?per_point
     let st0, b0, lstats0 =
       Simplex.solve_compiled ?basis:!chain ~ws c0
     in
-    root_pivots := !root_pivots + lstats0.Simplex.pivots;
+    charge lstats0;
     (match b0 with Some _ -> chain := b0 | None -> ());
     (match st0 with
-    | Simplex.Optimal _ when cut_rounds > 0 ->
+    | Simplex.Optimal _ ->
         (* Bring the pooled cuts into the relaxation, then iterate. *)
         let state =
           if n_pooled = 0 then
@@ -197,7 +197,7 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?pool ?per_point
             let st, bc, ls =
               Simplex.solve_compiled ?basis ~ws cp
             in
-            root_pivots := !root_pivots + ls.Simplex.pivots;
+            charge ls;
             match bc with Some b -> Some (cp, b, st) | None -> None
         in
         let row_valid_le cp =
@@ -219,6 +219,7 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?pool ?per_point
                 match Simplex.tableau cp bc with
                 | None -> []
                 | Some tab ->
+                    root_flops := !root_flops + Simplex.tableau_flops tab;
                     Cuts.gomory ~compiled:cp ~tableau:tab ~x ~deadline:d
                       ~row_valid_le:(row_valid_le cp) ~bounds_pristine:true
                       ~max_cuts:max_cuts_per_round
@@ -241,7 +242,7 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?pool ?per_point
                 let st, bc', ls =
                   Simplex.solve_compiled ~basis ~ws cp'
                 in
-                root_pivots := !root_pivots + ls.Simplex.pivots;
+                charge ls;
                 match bc' with
                 | Some b -> round (r + 1) (Some (cp', b, st))
                 | None -> ()
@@ -250,7 +251,7 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?pool ?per_point
         in
         round 0 state
     | _ -> ());
-    (List.length !applied_rev, !root_pivots)
+    (List.length !applied_rev, !root_pivots, !root_flops)
   in
   let solve_point ws c0 chain k =
     let idx = order.(k) in
@@ -305,9 +306,11 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?pool ?per_point
         let hits =
           List.length (List.filter (fun c -> c.Cuts.born <> d) pooled)
         in
-        let n_applied, root_pivots =
-          try cut_loop ws c0 chain mp d pooled
-          with _ -> (List.length pooled, 0)
+        let n_applied, root_pivots, root_flops =
+          if cut_rounds = 0 then (List.length pooled, 0, 0)
+          else
+            try cut_loop ws c0 chain mp d pooled
+            with _ -> (List.length pooled, 0, 0)
         in
         let cfg, warm_started = point_config idx d lift in
         if warm_started then Atomic.incr warm_count;
@@ -315,6 +318,7 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?pool ?per_point
         Atomic.fetch_and_add applied_count n_applied |> ignore;
         Atomic.fetch_and_add pool_hit_count hits |> ignore;
         Atomic.fetch_and_add root_pivot_count root_pivots |> ignore;
+        Atomic.fetch_and_add root_flop_count root_flops |> ignore;
         record k idx
           { deadline = d; result; cuts_applied = n_applied; pool_hits = hits;
             warm_started; root_pivots; pruned_by_bound = false }
@@ -387,4 +391,7 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?pool ?per_point
   Mc.add (c "cuts.separated") ~slot:0 stats.cuts_separated;
   Mc.add (c "cuts.applied") ~slot:0 stats.cuts_applied;
   Mc.add (c "cuts.pool_hits") ~slot:0 stats.cut_pool_hits;
+  (* The root loops' LP solves and tableaux, on top of what each point's
+     own solve charged. *)
+  Mc.add (c "lp.flops") ~slot:0 (Atomic.get root_flop_count);
   { points; stats }

@@ -101,16 +101,19 @@ val run :
     insertion-order index, see {!Dvs_lp.Model.constraint_indices}; the
     row must be a [Le] constraint) with each value of [deadlines].
 
-    [config] is the per-point solver configuration (default:
-    {!Solver.Config.default} with {!Solver.Config.Pseudocost_gub}
-    branching); its [sos1] groups both guide branching and feed the GUB
-    cover separator, and its [cache]/[obs] are shared across points.
+    [config] is the per-point solver configuration (default
+    {!Solver.Config.default}); its [sos1] groups are both the GUB
+    branch entities and the GUB cover separator's input, and its
+    [cache]/[obs] are shared across points.
     [instances] (default 1) runs that many sweep points concurrently on
     separate domains — each point's own solve still uses [config.jobs]
     workers.  [cut_rounds] (default 3) bounds the root cutting loop per
     point, each round keeping at most 16 Gomory cuts;
-    [cut_rounds = 0] disables separation (pooled cuts from
-    [pool] are still applied).  [pool] shares a cut pool across
+    [cut_rounds = 0] disables the root loop (pooled cuts from
+    [pool] are still applied, and no root LP is solved).  The root
+    loops' LP solves and tableaux ({!Dvs_lp.Simplex.tableau_flops}) are
+    added to the [lp.flops] counter of [config.obs], on top of what each
+    point's own solve adds.  [pool] shares a cut pool across
     successive sweeps (default: a private pool per call).  [per_point i
     d cfg] customizes the configuration of point [i] (input order,
     deadline [d]) — it runs before incumbent lifting, which sets

@@ -599,25 +599,16 @@ let solver_components (c : Solver.Config.t) =
       | None -> Key.L []
       | Some t -> Key.L [ Key.F t ] );
     ("solver.cache_depth", Key.I c.Solver.Config.cache_depth);
-    ("solver.presolve", bool_component c.Solver.Config.presolve);
-    ( "solver.branching",
-      Key.S
-        (match c.Solver.Config.branching with
-        | Solver.Config.Fractional -> "fractional"
-        | Solver.Config.Pseudocost_gub -> "pseudocost_gub") ) ]
+    ("solver.presolve", bool_component c.Solver.Config.presolve) ]
 
 let pipeline_components (c : Pipeline.Config.t) =
   let r = c.Pipeline.Config.resilience in
   [ ("pipe.filter", bool_component c.Pipeline.Config.filter);
     ("pipe.filter_threshold", Key.F c.Pipeline.Config.filter_threshold);
-    ("pipe.verify", bool_component c.Pipeline.Config.verify);
     ("pipe.cold_verify", bool_component c.Pipeline.Config.cold_verify);
     ( "pipe.continuous_bound",
       bool_component c.Pipeline.Config.continuous_bound );
-    ("pipe.ladder", bool_component r.Pipeline.Resilience.ladder);
     ("pipe.max_retries", Key.I r.Pipeline.Resilience.max_retries);
-    ( "pipe.retry_budget_factor",
-      Key.F r.Pipeline.Resilience.retry_budget_factor );
     ( "pipe.entry",
       Key.S
         (match r.Pipeline.Resilience.entry with

@@ -90,12 +90,13 @@ val machine_components :
 
 val solver_components :
   Dvs_milp.Solver.Config.t -> (string * Key.component) list
-(** The solver parameters that shape the result: jobs, budgets,
-    tolerances, heuristic and branching choices.  Operational fields
+(** The solver parameters that shape the result: jobs, budgets, cache
+    depth and presolve.  Operational fields
     (log, cache, obs, fault) are excluded — {!Exec} refuses to cache
     fault-injected solves outright. *)
 
 val pipeline_components :
   Dvs_core.Pipeline.Config.t -> (string * Key.component) list
-(** Filter, verification and resilience settings (the nested solver
-    config is {e not} included — compose with {!solver_components}). *)
+(** Filter, cold verification, continuous bound and resilience
+    settings (the nested solver config is {e not} included — compose
+    with {!solver_components}). *)

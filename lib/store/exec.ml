@@ -151,7 +151,7 @@ let optimize_multi ?store ?config ?verify_config ?session ~regulator ~memory
 (* ---- sweep: optimize_sweep -------------------------------------------- *)
 
 let optimize_sweep ?store ?config ?verify_config ?profile:prof ?session
-    ?(instances = 1) ?(cut_rounds = 3) machine cfg ~memory ~deadlines =
+    machine cfg ~memory ~deadlines =
   let config =
     match config with Some c -> c | None -> Pipeline.Config.default
   in
@@ -167,8 +167,7 @@ let optimize_sweep ?store ?config ?verify_config ?profile:prof ?session
     match verify_config with Some c -> c | None -> p.Profile.config
   in
   let run () =
-    Pipeline.optimize_sweep ~config ?verify_config ~profile:p ~instances
-      ~cut_rounds
+    Pipeline.optimize_sweep ~config ?verify_config ~profile:p
       ?session:(caller_session ~config session vconfig p ~memory)
       machine cfg ~memory ~deadlines
   in
@@ -185,9 +184,7 @@ let optimize_sweep ?store ?config ?verify_config ?profile:prof ?session
                  Key.L
                    (Array.to_list deadlines |> List.map (fun d -> Key.F d))
                );
-               ("memory", Key.S (Codec.memory_fingerprint memory));
-               ("instances", Key.I instances);
-               ("cut_rounds", Key.I cut_rounds) ];
+               ("memory", Key.S (Codec.memory_fingerprint memory)) ];
              Codec.machine_components ~prefix:"m." machine;
              Codec.machine_components ~prefix:"vm." vconfig;
              Codec.pipeline_components config;

@@ -54,8 +54,6 @@ val optimize_sweep :
   ?verify_config:Dvs_machine.Config.t ->
   ?profile:Dvs_profile.Profile.t ->
   ?session:(unit -> Dvs_core.Verify.Session.t) ->
-  ?instances:int ->
-  ?cut_rounds:int ->
   Dvs_machine.Config.t ->
   Dvs_ir.Cfg.t ->
   memory:int array ->

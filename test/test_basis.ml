@@ -3,10 +3,12 @@
    Simplex is Simplex.Make (Lu_eta): a sparse LU + eta-file basis.  The
    oracle instantiates the same kernel over an explicit dense inverse
    (Dense_basis).  Both share every pricing and ratio-test decision and
-   finish on the same dense solve, so they must be indistinguishable in
-   everything but linear-algebra cost: same statuses, same objectives,
-   and on generic data nearly always the same pivot counts.  The MILP
-   layer above is checked against brute-force enumeration. *)
+   each finishes on the factor it holds, so they must be
+   indistinguishable in everything but linear-algebra cost and rounding:
+   same statuses, same objectives, and on generic data nearly always the
+   same pivot counts.  Values are not compared (alternate optima); every
+   optimal LU solution is checked feasible instead.  The MILP layer
+   above is checked against brute-force enumeration. *)
 
 open Dvs_lp
 module Solver = Dvs_milp.Solver
@@ -14,6 +16,36 @@ module Rng = Dvs_workloads.Rng
 module Dense = Simplex.Make (Dense_basis)
 
 (* ---- seeded LP instances ------------------------------------------- *)
+
+(* [x] meets every row of [m] and every bound in [lb]/[ub] to within
+   1e-9 x (1 + |rhs|), respectively 1e-9 x (1 + |bound|). *)
+let check_feasible ~what m ~lb ~ub (s : Simplex.solution) =
+  let x = s.Simplex.values in
+  let tol b = 1e-9 *. (1.0 +. Float.abs b) in
+  Array.iteri
+    (fun j v ->
+      if v < lb.(j) -. tol lb.(j) || v > ub.(j) +. tol ub.(j) then
+        Alcotest.failf "%s: x%d = %.17g outside [%g, %g]" what j v lb.(j)
+          ub.(j))
+    x;
+  List.iteri
+    (fun i (r : Model.constr) ->
+      let a = Expr.eval (fun v -> x.(v)) r.Model.expr in
+      let viol =
+        match r.Model.cmp with
+        | Model.Le -> a -. r.Model.rhs
+        | Model.Ge -> r.Model.rhs -. a
+        | Model.Eq -> Float.abs (a -. r.Model.rhs)
+      in
+      if viol > tol r.Model.rhs then
+        Alcotest.failf "%s: row %d violated by %.3g (activity %.17g, rhs %g)"
+          what i viol a r.Model.rhs)
+    (Model.constraints m)
+
+let model_bounds m =
+  let n = Model.num_vars m in
+  ( Array.init n (fun v -> fst (Model.bounds m v)),
+    Array.init n (fun v -> snd (Model.bounds m v)) )
 
 (* Random sparse LP built around a known feasible point, sized so the
    basis actually cycles through refactorizations: 12..30 vars, 8..20
@@ -82,7 +114,10 @@ let test_lp_backends_agree () =
       incr diverged;
     match (st_lu, st_de) with
     | Simplex.Optimal a, Simplex.Optimal b ->
-      check_objective ~what:(Printf.sprintf "seed %d lu-vs-dense" seed) a b
+      let what = Printf.sprintf "seed %d lu-vs-dense" seed in
+      check_objective ~what a b;
+      let lb, ub = model_bounds m in
+      check_feasible ~what m ~lb ~ub a
     | Simplex.Infeasible, Simplex.Infeasible
     | Simplex.Unbounded, Simplex.Unbounded ->
       ()
@@ -319,7 +354,11 @@ let test_real_model_oracle () =
             let what = Printf.sprintf "%s deadline %d step %d" name d step in
             match (st_lu, st_de) with
             | Simplex.Optimal a, Simplex.Optimal b ->
-              check_objective ~what a b
+              check_objective ~what a b;
+              let n = c.Compiled.n in
+              check_feasible ~what model
+                ~lb:(Array.sub c.Compiled.lb 0 n)
+                ~ub:(Array.sub c.Compiled.ub 0 n) a
             | Simplex.Infeasible, Simplex.Infeasible
             | Simplex.Unbounded, Simplex.Unbounded ->
               ()
@@ -355,6 +394,39 @@ let test_real_model_oracle () =
         [ 0; Array.length ds - 1 ])
     [ "adpcm"; "epic"; "gsm"; "mpeg"; "ghostscript"; "mpg123" ]
 
+(* The workspace holds no m x m array: after adpcm's unfiltered Table-4
+   root LP (234 rows) it is smaller than one such array would be. *)
+let test_workspace_below_m_squared () =
+  let regulator = Dvs_power.Switch_cost.regulator ~capacitance:0.4e-6 () in
+  let machine = Dvs_workloads.Workload.eval_config ~regulator () in
+  let w = Dvs_workloads.Workload.find "adpcm" in
+  let cfg, _, mem =
+    Dvs_workloads.Workload.load w
+      ~input:(Dvs_workloads.Workload.default_input w)
+  in
+  let p = Dvs_profile.Profile.collect machine cfg ~memory:mem in
+  let ds = Dvs_workloads.Deadlines.of_profile p in
+  let prep =
+    Dvs_core.Pipeline.prepare
+      ~config:(Dvs_core.Pipeline.Config.make ~filter:false ())
+      ~regulator
+      [ { Dvs_core.Formulation.profile = p; weight = 1.0; deadline = ds.(0) } ]
+  in
+  let c =
+    Compiled.of_model
+      prep.Dvs_core.Pipeline.prep_formulation.Dvs_core.Formulation.model
+  in
+  let m = c.Compiled.m in
+  Alcotest.(check int) "adpcm unfiltered rows" 234 m;
+  let ws = Simplex.workspace () in
+  (match Simplex.solve_compiled ~ws c with
+  | Simplex.Optimal _, _, _ -> ()
+  | st, _, _ -> Alcotest.failf "root LP: %a" Simplex.pp_status st);
+  let words = Obj.reachable_words (Obj.repr ws) in
+  if words >= m * m then
+    Alcotest.failf "workspace holds %d words, not below m^2 = %d" words
+      (m * m)
+
 let suite =
   [ Alcotest.test_case "LP backends agree over 25 seeds" `Quick
       test_lp_backends_agree;
@@ -369,4 +441,6 @@ let suite =
     Alcotest.test_case "MILP backends agree over 25 seeds x jobs {1,4}"
       `Quick test_milp_backends_agree;
     Alcotest.test_case "LU = dense on six programs' warm LP chains" `Quick
-      test_real_model_oracle ]
+      test_real_model_oracle;
+    Alcotest.test_case "workspace below m^2 words on adpcm unfiltered"
+      `Quick test_workspace_below_m_squared ]

@@ -137,10 +137,7 @@ let test_sweep_matches_cold () =
           sweep_model ~seed ~groups:4 ~modes:3
         in
         let deadlines = deadline_grid ~time ~points:4 in
-        let cfg =
-          config ~jobs ~k
-          |> Solver.Config.with_branching Solver.Config.Pseudocost_gub
-        in
+        let cfg = config ~jobs ~k in
         let sw =
           Sweep.run ~config:cfg ~model:m ~deadline_row ~deadlines ()
         in
@@ -345,6 +342,61 @@ let test_pool_dedup_and_reuse () =
     Alcotest.fail "expected pooled cuts to be reused on the second sweep";
   ignore first
 
+(* The root cutting loop's LP solves and tableaux are charged to
+   [lp.flops] on the sweep's own registry, on top of what each point's
+   solve charges.  Here every point's solve reports to a second registry
+   (through [per_point]), so the first holds the root loops' work alone.
+   A one-point sweep's loop starts with the point's cold root LP and the
+   tableau of its optimal basis, which the test recomputes.  At the
+   loosest deadline that LP is integral, nothing separates, and the loop
+   charges exactly those two. *)
+let test_root_flops_charged () =
+  let m, k, deadline_row, time = sweep_model ~seed:4 ~groups:6 ~modes:3 in
+  let flops obs =
+    Dvs_obs.Metrics.Counter.value
+      (Dvs_obs.Metrics.counter (Dvs_obs.metrics obs) ~stability:Volatile
+         "lp.flops")
+  in
+  let run ~cut_rounds d =
+    let root = Dvs_obs.metrics_only () and solves = Dvs_obs.metrics_only () in
+    let cfg = config ~jobs:1 ~k |> Solver.Config.with_obs root in
+    let sw =
+      Sweep.run ~config:cfg ~cut_rounds
+        ~per_point:(fun _ _ c -> Solver.Config.with_obs solves c)
+        ~model:m ~deadline_row ~deadlines:[| d |] ()
+    in
+    if flops solves <= 0 then Alcotest.fail "point solve charged no flops";
+    (sw.Sweep.stats, flops root)
+  in
+  let first_round d =
+    let c0 = Dvs_lp.Compiled.scratch (Dvs_lp.Compiled.of_model m) in
+    Dvs_lp.Compiled.set_rhs c0 deadline_row d;
+    match Simplex.solve_compiled c0 with
+    | Simplex.Optimal _, Some b, ls -> (
+        match Simplex.tableau c0 b with
+        | Some tab ->
+            let tf = Simplex.tableau_flops tab in
+            if tf <= 0 then Alcotest.fail "tableau charged no flops";
+            ls.Simplex.flops + tf
+        | None -> Alcotest.fail "root basis gave no tableau")
+    | _ -> Alcotest.fail "root LP did not solve to a basis"
+  in
+  let loosest = (List.nth (Model.constraints m) deadline_row).Model.rhs in
+  let st, root = run ~cut_rounds:3 loosest in
+  Alcotest.(check int) "loosest: nothing separates" 0 st.Sweep.cuts_separated;
+  Alcotest.(check int) "loosest: root LP + tableau" (first_round loosest) root;
+  let tight = (deadline_grid ~time ~points:3).(1) in
+  let st, root = run ~cut_rounds:3 tight in
+  if st.Sweep.cuts_separated = 0 then
+    Alcotest.fail "tight: no cuts separated, the loop ran one round only";
+  if root <= first_round tight then
+    Alcotest.failf "tight: root loop charged %d flops, not above its first \
+                    round's LP and tableau (%d)"
+      root (first_round tight);
+  let st, root = run ~cut_rounds:0 tight in
+  Alcotest.(check int) "cut_rounds 0: root loop charges nothing" 0 root;
+  Alcotest.(check int) "cut_rounds 0: no root pivots" 0 st.Sweep.root_pivots
+
 let suite =
   [
     Alcotest.test_case "sweep matches cold solves (25 seeds)" `Slow
@@ -359,4 +411,6 @@ let suite =
       test_cut_validity;
     Alcotest.test_case "cut pool dedups and reuses" `Quick
       test_pool_dedup_and_reuse;
+    Alcotest.test_case "root loop flops charged to lp.flops" `Quick
+      test_root_flops_charged;
   ]
