@@ -99,7 +99,9 @@ let default_regulator = scaled_regulator ~paper_capacitance:10e-6
 
 (* Shared LP-relaxation cache: the sweep experiments re-solve
    near-identical models (same formulation, repeated warm-start seeds and
-   shallow search prefixes), which this short-circuits. *)
+   root relaxations), which this short-circuits.  Only the basis-free
+   solves, a root and a seed, consult it: every node below the root
+   warm starts from its parent's basis instead. *)
 let lp_cache = Dvs_milp.Lp_cache.create ~max_entries:16384 ()
 
 (* Shared verification sessions, one per (workload, input, mode table,
@@ -144,7 +146,7 @@ let solver_config ?(jobs = 1) () =
 let pipeline_config =
   Dvs_core.Pipeline.Config.make ~solver:(solver_config ()) ()
 
-(* One MILP run on a workload with caching of profiles and shallow LP
+(* One MILP run on a workload with caching of profiles and root LP
    relaxations only.  [solver] overrides the shared harness solver
    config (the sweep-vs-cold experiment isolates each leg's cache and
    metrics registry this way). *)

@@ -448,8 +448,8 @@ let sweep_compare () =
 let jobs_sweep () =
   heading "jobs" "parallel MILP solving: jobs=1 vs jobs=4"
     "deadline D5, no edge filtering (largest models); wall seconds; \
-     'obj=' checks the incumbent objectives are bit-equal; jobs=4 also \
-     benefits from the LP cache warmed by the jobs=1 run";
+     'obj=' checks the incumbent objectives are bit-equal; jobs=4 reads \
+     its root relaxation from the LP cache the jobs=1 run filled";
   let t =
     Table.create
       [ ("benchmark", Table.Left); ("nodes", Table.Right);

@@ -10,8 +10,9 @@
     - {b pivot exhaustion}: {!pivot_budget} forces the Nth LP solve to
       run with a one-pivot budget, driving the genuine
       {!Dvs_lp.Simplex.Iter_limit} error path;
-    - {b cache misses}: {!force_cache_miss} makes a cacheable relaxation
-      bypass the {!Lp_cache} (a seeded Bernoulli draw per lookup);
+    - {b cache misses}: {!force_cache_miss} makes a root or [warm_start]
+      seed solve, the only solves that consult the {!Lp_cache}, bypass
+      it (a seeded Bernoulli draw per lookup);
     - {b clock skew}: {!clock_skew} shifts the wall clock the solver
       compares against [time_limit], simulating timer trouble.
 

@@ -1,9 +1,9 @@
 (* Memo cache for LP-relaxation solves, keyed by a structural fingerprint
    of the model plus the canonical set of bound fixings applied on top of
    it.  The sweep drivers in bench/ solve hundreds of near-identical
-   models (same formulation, repeated warm-start seeds and shallow
-   branch-and-bound prefixes); sharing one cache across those solves
-   short-circuits the repeated work.
+   models (same formulation, repeated warm-start seeds and root
+   relaxations); sharing one cache across those solves short-circuits
+   the repeated work.
 
    Thread-safe: the table is mutex-protected, and the closure computing a
    missing entry runs *outside* the lock so concurrent workers never

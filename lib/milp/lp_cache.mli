@@ -3,12 +3,14 @@
     Entries are keyed by a structural {!fingerprint} of the model plus the
     canonical list of bound fixings layered on top of it, so a cache can
     be shared across many {!Solver} runs over the same formulation (the
-    bench sweep drivers re-solve near-identical models hundreds of times)
-    as well as within one run.  Capacity is bounded with LRU eviction:
-    an insert beyond [max_entries] evicts the least-recently-used entry
-    (and counts it in {!evictions}), so caches shared across whole bench
-    sweeps stay hot on the current formulation instead of growing
-    without limit or freezing on a first-come snapshot. *)
+    bench sweep drivers re-solve near-identical models hundreds of
+    times).  {!Solver} consults it only for its basis-free solves, the
+    root relaxation and the warm-start seed.  Capacity is bounded with
+    LRU eviction: an insert beyond [max_entries] evicts the
+    least-recently-used entry (and counts it in {!evictions}), so caches
+    shared across whole bench sweeps stay hot on the current formulation
+    instead of growing without limit or freezing on a first-come
+    snapshot. *)
 
 type t
 

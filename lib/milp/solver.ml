@@ -6,11 +6,12 @@
    - one Domain per job; each worker owns a best-bound Work_queue of open
      nodes, pushes the children it generates locally, and steals the best
      node of a victim when its own queue runs dry;
-   - child nodes warm start their LP from the parent's optimal basis
-     (Simplex.solve_ext), re-pivoting instead of re-running two-phase
-     from scratch;
-   - shallow relaxations go through a fingerprint-keyed Lp_cache that can
-     be shared across solves, which is what the bench sweep drivers do;
+   - every node below the root warm starts its LP from the parent's
+     optimal basis (Simplex.solve_compiled), re-pivoting instead of
+     re-running two-phase from scratch;
+   - the basis-free solves (the root and the warm-start seed) go through
+     a fingerprint-keyed Lp_cache that can be shared across solves, which
+     is what the bench sweep drivers do;
    - one branching rule: GUB dichotomy on SOS1 mode groups and floor/ceil
      on leftover integers, picked by reliability pseudocosts;
    - the incumbent is merged deterministically: strictly better objective
@@ -24,9 +25,9 @@
    only improves over time, so no fathoming can discard a solution more
    than gap_rel better than the final incumbent — in particular, with a
    1e-9 relative gap the optimum itself always survives to be found.
-   Cacheable (shallow) relaxations are additionally solved without the
-   basis hint, so a cached entry is a pure function of its key and never
-   depends on which worker computed it first. *)
+   Only basis-free solves are cached, so a cached entry is a pure
+   function of its key and never depends on which worker computed it
+   first. *)
 
 open Dvs_lp
 
@@ -41,16 +42,14 @@ module Config = struct
     root_bound : float option;
     log : (string -> unit) option;
     cache : Lp_cache.t option;
-    cache_depth : int;
     fault : Fault.t option;
     obs : Dvs_obs.t;
     presolve : bool;
     fixings : (Model.var * float) list;
   }
 
-  let make ?jobs ?(max_nodes = 200_000) ?time_limit ?log ?cache
-      ?(cache_depth = 4) ?fault ?(obs = Dvs_obs.disabled) ?(presolve = true)
-      () =
+  let make ?jobs ?(max_nodes = 200_000) ?time_limit ?log ?cache ?fault
+      ?(obs = Dvs_obs.disabled) ?(presolve = true) () =
     let jobs =
       match jobs with
       | Some j when j >= 1 -> j
@@ -58,8 +57,8 @@ module Config = struct
       | None -> Domain.recommended_domain_count ()
     in
     { jobs; max_nodes; time_limit; sos1 = []; warm_start = [];
-      warm_solution = None; root_bound = None; log; cache; cache_depth; fault;
-      obs; presolve; fixings = [] }
+      warm_solution = None; root_bound = None; log; cache; fault; obs;
+      presolve; fixings = [] }
 
   let default = make ()
 
@@ -369,6 +368,9 @@ let solve ?(config = Config.default) model =
   let c_pc_branches =
     Dvs_obs.Metrics.counter mx ~stability:Volatile "bb.pseudocost_branches"
   in
+  let c_probes_capped =
+    Dvs_obs.Metrics.counter mx ~stability:Volatile "bb.probes_capped"
+  in
   (* Root dual bounds from the continuous relaxation are a pure function
      of the caller's config, so the counter replays stably from the
      experiment store. *)
@@ -508,14 +510,11 @@ let solve ?(config = Config.default) model =
         Float.abs (x -. Float.round x) <= int_tol)
       int_vars
   in
-  (* LP solves, with pivot accounting; shallow node relaxations are
-     memoized.  Cacheable solves deliberately ignore the basis hint so
-     the cached entry is a pure function of the key (determinism).
-
-     A node solve applies its bound overrides to the worker's scratch
-     view of the compiled model, solves in place with the worker's
-     reusable workspace, then restores the touched bounds — no model
-     copy, no per-node allocation beyond the returned solution. *)
+  (* LP solves, with pivot accounting.  A node solve applies its bound
+     overrides to the worker's scratch view of the compiled model, solves
+     in place with the worker's reusable workspace, then restores the
+     touched bounds — no model copy, no per-node allocation beyond the
+     returned solution. *)
   let lp_solve ?basis ?iter_cap ~wid overrides =
     Atomic.incr lp_solves;
     let max_iter =
@@ -563,41 +562,39 @@ let solve ?(config = Config.default) model =
              (Int.max 0 (base - sst.Simplex.pivots))));
     (st, b)
   in
-  let solve_relaxation ~depth ~basis ~wid overrides =
-    let cacheable = depth <= config.cache_depth in
-    let forced_miss =
-      (* Only consult (and advance) the injector on lookups that would
-         otherwise hit the cache path. *)
-      cacheable
-      &&
-      match config.fault with
-      | Some f ->
-        let ordinal, miss = Fault.force_cache_miss f in
-        if miss && obs_on then
-          Tr.event tr "fault.cache_miss"
-            ~attrs:[ ("ordinal", Tr.Int ordinal) ];
-        miss
-      | None -> false
-    in
-    if cacheable && not forced_miss then
-      Lp_cache.find_or_add cache ~fingerprint:fp
-        ~fixings:(canonical_fixings overrides)
-        (fun () -> lp_solve ~wid overrides)
-    else if cacheable then
-      (* Forced miss: same basis-free solve the cache closure would run,
-         just never stored. *)
-      lp_solve ~wid overrides
-    else lp_solve ?basis ~wid overrides
+  (* A solve with a basis warm starts from it; a basis-free one (the root,
+     the warm-start seed) goes through the cache, so an entry never
+     depends on the path or the worker that solved it first. *)
+  let solve_relaxation ?basis ~wid overrides =
+    match basis with
+    | Some _ -> lp_solve ?basis ~wid overrides
+    | None ->
+      let forced_miss =
+        match config.fault with
+        | Some f ->
+          let ordinal, miss = Fault.force_cache_miss f in
+          if miss && obs_on then
+            Tr.event tr "fault.cache_miss"
+              ~attrs:[ ("ordinal", Tr.Int ordinal) ];
+          miss
+        | None -> false
+      in
+      if forced_miss then lp_solve ~wid overrides
+      else
+        Lp_cache.find_or_add cache ~fingerprint:fp
+          ~fixings:(canonical_fixings overrides)
+          (fun () -> lp_solve ~wid overrides)
   in
-  (* Rounding heuristic: SOS1 groups round to their largest member (one
-     on, rest off, respecting fixed bounds); remaining integers round to
-     the nearest value.  Complete with an LP. *)
+  (* Rounding heuristic, run at every fractional node: SOS1 groups round
+     to their largest member (one on, rest off, respecting fixed bounds);
+     remaining integers round to the nearest value.  Complete with an LP
+     warm started from the node's basis. *)
   let in_sos1 =
     let tbl = Hashtbl.create 16 in
     List.iter (fun g -> List.iter (fun v -> Hashtbl.replace tbl v ()) g) sos1;
     fun v -> Hashtbl.mem tbl v
   in
-  let rounding_pass ~wid path overrides (s : Simplex.solution) =
+  let rounding_pass ?basis ~wid path overrides (s : Simplex.solution) =
     if int_vars <> [] then begin
       (* Rounded fixings are consed onto the node's overrides; consing
          later means innermost, so they win in [effective_bounds] and in
@@ -639,7 +636,7 @@ let solve ?(config = Config.default) model =
           end)
         int_vars;
       if !ok then begin
-        match lp_solve ~wid !fixes with
+        match lp_solve ?basis ~wid !fixes with
         | Simplex.Optimal s', _ -> try_incumbent path s'
         | (Simplex.Infeasible | Simplex.Unbounded | Simplex.Iter_limit _), _
           -> ()
@@ -690,12 +687,6 @@ let solve ?(config = Config.default) model =
     in
     go overrides basis0 s0
   in
-  (* Deterministic heuristic trigger: the root, plus the all-down spine
-     of the tree (one node per depth), independent of global counters and
-     hence of worker interleaving. *)
-  let heuristic_node n =
-    n.depth = 0 || List.for_all (fun d -> d = 0) n.path
-  in
   (* ---- pseudocost / GUB branching state ---- *)
   (* Branch entities: one per surviving SOS1 mode group (GUB dichotomy on
      the member prefix) plus one per integer variable outside any group
@@ -734,6 +725,7 @@ let solve ?(config = Config.default) model =
       Int.min cd cu )
   in
   let pseudocost_branches = Atomic.make 0 in
+  let probes_capped = Atomic.make 0 in
   (* ---- worker pool ---- *)
   (* Best bound first; ties go to the deeper node, then the smaller
      branch path. *)
@@ -886,7 +878,13 @@ let solve ?(config = Config.default) model =
                     pc_record e dir g;
                     g
                   | Simplex.Infeasible, _ -> 1e12
-                  | (Simplex.Unbounded | Simplex.Iter_limit _), _ -> 0.0)
+                  | Simplex.Iter_limit _, _ ->
+                    (* Scored like an infeasible side: from a warm basis
+                       the dual simplex can need the whole cap on a side
+                       it would prove infeasible from scratch. *)
+                    Atomic.incr probes_capped;
+                    1e12
+                  | Simplex.Unbounded, _ -> 0.0)
               in
               let gd = probe 0 down in
               let gu = probe 1 up in
@@ -926,7 +924,7 @@ let solve ?(config = Config.default) model =
       (match config.fault with
       | Some f -> Fault.on_node f ~worker:wid
       | None -> ());
-      match solve_relaxation ~depth:n.depth ~basis:n.basis ~wid n.overrides with
+      match solve_relaxation ?basis:n.basis ~wid n.overrides with
       | Simplex.Iter_limit _, _ ->
         (* Numerical trouble in this node's relaxation: stop cleanly with
            the incumbent rather than crash the search. *)
@@ -944,10 +942,12 @@ let solve ?(config = Config.default) model =
         if gap_prune s.objective then ()
         else if is_integral s then try_incumbent n.path s
         else begin
-          if heuristic_node n then rounding_pass ~wid n.path n.overrides s;
+          rounding_pass ?basis ~wid n.path n.overrides s;
           if n.depth = 0 && not (Float.is_finite (Atomic.get inc_obj)) then
             dive ~wid n.path n.overrides basis s;
-          branch_pseudocost wid n s basis
+          (* The rounding or the dive may have found an incumbent that
+             fathoms this node. *)
+          if not (gap_prune s.objective) then branch_pseudocost wid n s basis
         end
     end
   in
@@ -1017,7 +1017,7 @@ let solve ?(config = Config.default) model =
      sequentially, before the pool starts, so it is deterministic). *)
   if warm_start <> [] then begin
     let fixings = List.map (fun (v, x) -> (v, x, x)) warm_start in
-    match solve_relaxation ~depth:0 ~basis:None ~wid:0 fixings with
+    match solve_relaxation ~wid:0 fixings with
     | Simplex.Optimal s, _ when is_integral s ->
       try_incumbent [] s;
       (* Runs sequentially before the pool: stable across job counts. *)
@@ -1114,6 +1114,7 @@ let solve ?(config = Config.default) model =
     Mc.add c_lu_fhits ~slot:0 (Atomic.get a_lu_fhits);
     Mc.add c_lu_bhits ~slot:0 (Atomic.get a_lu_bhits);
     Mc.add c_pc_branches ~slot:0 (Atomic.get pseudocost_branches);
+    Mc.add c_probes_capped ~slot:0 (Atomic.get probes_capped);
     Dvs_obs.Metrics.Histogram.observe h_solve stats.wall_seconds
   end;
   let r =

@@ -5,29 +5,36 @@
     The search runs on a pool of OCaml 5 domains ([Config.jobs] of them,
     defaulting to [Domain.recommended_domain_count ()]).  Each worker
     owns a best-bound {!Work_queue} of open nodes and steals from its
-    peers when idle; child nodes warm start their LP relaxation from the
-    parent's optimal basis ({!Dvs_lp.Simplex.solve_ext}); and shallow
-    relaxations are memoized in an {!Lp_cache} that callers can share
-    across solves of near-identical models.
+    peers when idle; every node below the root warm starts its LP
+    relaxation from the parent's optimal basis
+    ({!Dvs_lp.Simplex.solve_compiled}); and the basis-free solves, the
+    root and the [warm_start] seed, are memoized in an {!Lp_cache} that
+    callers can share across solves of near-identical models.
 
     {b Branching.} There is one rule.  Each SOS1 group in
     [Config.sos1] is one branch entity (a GUB dichotomy that splits the
     group's fractional mass), and so is each integer variable outside
     every group (floor/ceil).  Entities are scored by pseudocosts with
     reliability initialization: an entity with fewer than 4
-    observations per direction is probed with pivot-capped child LPs
-    first.  When no entity is fractional, the most fractional integer
-    variable is branched on.
+    observations per direction is probed with child LPs capped at 100
+    pivots first.  A probe that proves its side infeasible, or that the
+    cap stops, scores that side as strong: from a warm basis the dual
+    simplex can need the whole cap on a side it would prove infeasible
+    from scratch.  When no entity is fractional, the most fractional
+    integer variable is branched on.  Every fractional node first runs
+    a rounding heuristic from its own basis, and is fathomed if that
+    incumbent closes its gap.
 
     {b Determinism.} The reported objective is reproducible regardless of
     worker count: fathoming only ever discards subtrees whose bound is
     within {!gap_rel} slack of an incumbent (so nothing meaningfully
     better than the final incumbent is lost), incumbent merging is
-    tie-broken by the lexicographically smallest branch path, and cached
-    relaxations are solved without the basis hint so cache contents never
-    depend on worker interleaving.  Every incumbent has its integers
-    snapped exactly and its objective evaluated at the snapped point, so
-    a schedule reports the same objective whichever LP found it.
+    tie-broken by the lexicographically smallest branch path, and only
+    basis-free solves are cached, so a cache entry is a pure function of
+    its (fingerprint, fixings) key whatever path or worker solved it
+    first.  Every incumbent has its integers snapped exactly and its
+    objective evaluated at the snapped point, so a schedule reports the
+    same objective whichever LP found it.
 
     {b Fault tolerance.} A worker exception never aborts the solve: the
     crash is contained to the node being processed (only that subtree is
@@ -68,8 +75,8 @@ module Config : sig
     log : (string -> unit) option;
     cache : Lp_cache.t option;
         (** share an LP-relaxation cache across solves; a private one is
-            created per solve when absent *)
-    cache_depth : int;  (** memoize relaxations up to this depth; default 4 *)
+            created per solve when absent.  Only basis-free solves consult
+            it: the root relaxation and the [warm_start] seed *)
     fault : Fault.t option;
         (** fault injector (tests and the resilience bench); [None] in
             production solves *)
@@ -89,8 +96,8 @@ module Config : sig
 
   val make :
     ?jobs:int -> ?max_nodes:int -> ?time_limit:float ->
-    ?log:(string -> unit) -> ?cache:Lp_cache.t -> ?cache_depth:int ->
-    ?fault:Fault.t -> ?obs:Dvs_obs.t -> ?presolve:bool -> unit -> t
+    ?log:(string -> unit) -> ?cache:Lp_cache.t -> ?fault:Fault.t ->
+    ?obs:Dvs_obs.t -> ?presolve:bool -> unit -> t
   (** Raises [Invalid_argument] if [jobs < 1]. *)
 
   val default : t

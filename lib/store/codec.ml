@@ -598,7 +598,6 @@ let solver_components (c : Solver.Config.t) =
       match c.Solver.Config.time_limit with
       | None -> Key.L []
       | Some t -> Key.L [ Key.F t ] );
-    ("solver.cache_depth", Key.I c.Solver.Config.cache_depth);
     ("solver.presolve", bool_component c.Solver.Config.presolve) ]
 
 let pipeline_components (c : Pipeline.Config.t) =

@@ -37,13 +37,14 @@
 type t
 
 val format_epoch : int
-(** The store-format epoch compiled into this binary (5: every LP
-    finishes on its LU factor and every branch and bound branches by
-    pseudocost; since 4, payloads carry a {!Codec} image table, each
-    run's memory an index into it).  Bump it whenever entry payload
-    semantics change (simulator cost model, solver semantics, codec
-    layout): every entry written under an older epoch becomes stale
-    everywhere at once. *)
+(** The store-format epoch compiled into this binary (6: every branch
+    and bound node below the root warm starts from its parent's basis
+    and only basis-free solves are cached; since 5, every LP finishes
+    on its LU factor and every branch and bound branches by pseudocost;
+    since 4, payloads carry a {!Codec} image table, each run's memory
+    an index into it).  Bump it whenever entry payload semantics change
+    (simulator cost model, solver semantics, codec layout): every entry
+    written under an older epoch becomes stale everywhere at once. *)
 
 val default_root : string
 (** ["_store"] — the conventional per-checkout location (gitignored). *)

@@ -212,26 +212,45 @@ let test_trace_worker_nodes_sum () =
     (Metrics.Counter.value (Metrics.counter (Obs.metrics obs) "solver.nodes"))
 
 (* Lp_cache evictions and hit/miss deltas must surface both in the
-   per-solve stats and in the registry counters. *)
+   per-solve stats and in the registry counters.  Only basis-free solves
+   consult the cache, so three distinct models through a one-entry cache
+   evict through their root lookups. *)
 let test_cache_counters_surface () =
-  let cache = Lp_cache.create ~max_entries:2 () in
+  let cache = Lp_cache.create ~max_entries:1 () in
   let obs = Obs.metrics_only () in
-  let m = knapsack_n 12 in
-  let config = Solver.Config.make ~jobs:1 ~cache ~cache_depth:8 ~obs () in
-  let r = Solver.solve ~config m in
-  let stats = r.Solver.stats in
-  Alcotest.(check bool)
-    "tiny cache evicts during the solve" true (stats.Solver.cache_evictions > 0);
+  let config = Solver.Config.make ~jobs:1 ~cache ~obs () in
+  let stats =
+    List.map
+      (fun n -> (Solver.solve ~config (knapsack_n n)).Solver.stats)
+      [ 10; 11; 12 ]
+  in
+  let sum f = List.fold_left (fun acc s -> acc + f s) 0 stats in
+  let evictions = sum (fun s -> s.Solver.cache_evictions) in
+  Alcotest.(check bool) "one-entry cache evicts across the solves" true
+    (evictions > 0);
   let value name = Metrics.Counter.value (Metrics.counter (Obs.metrics obs) name) in
   Alcotest.(check int)
-    "lp_cache.evictions counter matches stats"
-    stats.Solver.cache_evictions (value "lp_cache.evictions");
+    "lp_cache.evictions counter matches stats" evictions
+    (value "lp_cache.evictions");
   Alcotest.(check int)
-    "lp_cache.hits counter matches stats" stats.Solver.cache_hits
+    "lp_cache.hits counter matches stats"
+    (sum (fun s -> s.Solver.cache_hits))
     (value "lp_cache.hits");
   Alcotest.(check int)
-    "lp_cache.misses counter matches stats" stats.Solver.cache_misses
+    "lp_cache.misses counter matches stats"
+    (sum (fun s -> s.Solver.cache_misses))
     (value "lp_cache.misses")
+
+(* Every node below the root warm starts from its parent's basis and
+   bypasses the cache: a whole tree makes exactly one lookup, its root. *)
+let test_cache_basis_free_only () =
+  let cache = Lp_cache.create () in
+  let config = Solver.Config.make ~jobs:1 ~cache () in
+  let stats = (Solver.solve ~config (knapsack_n 12)).Solver.stats in
+  Alcotest.(check bool) "the search branched" true (stats.Solver.nodes > 1);
+  Alcotest.(check int)
+    "one cache lookup, the root" 1
+    (stats.Solver.cache_hits + stats.Solver.cache_misses)
 
 (* --- snapshots and export schemas ------------------------------------- *)
 
@@ -432,6 +451,8 @@ let suite =
       test_trace_worker_nodes_sum;
     Alcotest.test_case "lp_cache counters surface" `Quick
       test_cache_counters_surface;
+    Alcotest.test_case "only basis-free solves consult the LP cache" `Quick
+      test_cache_basis_free_only;
     Alcotest.test_case "metrics snapshot round-trips" `Quick
       test_metrics_snapshot_roundtrip;
     Alcotest.test_case "bench summary round-trips" `Quick
