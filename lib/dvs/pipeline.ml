@@ -35,14 +35,13 @@ end
 module Config = struct
   type t = {
     filter : bool;
-    filter_threshold : float;
     solver : Solver.Config.t;
     resilience : Resilience.t;
     cold_verify : bool;
     continuous_bound : bool;
   }
 
-  let make ?(filter = true) ?(filter_threshold = 0.02) ?solver
+  let make ?(filter = true) ?solver
       ?(resilience = Resilience.default) ?(cold_verify = false)
       ?(continuous_bound = true) () =
     let solver =
@@ -50,7 +49,7 @@ module Config = struct
       | Some s -> s
       | None -> Solver.Config.make ()
     in
-    { filter; filter_threshold; solver; resilience; cold_verify;
+    { filter; solver; resilience; cold_verify;
       continuous_bound }
 
   let default = make ()
@@ -164,9 +163,7 @@ let prepare ?config ~regulator categories =
   in
   let repr =
     if config.Config.filter then
-      Some
-        (Filter.representatives ~threshold:config.Config.filter_threshold
-           ~weights profiles)
+      Some (Filter.representatives ~weights profiles)
     else None
   in
   let formulation = Formulation.build ?repr ~regulator categories in

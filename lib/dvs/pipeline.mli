@@ -52,8 +52,9 @@ end
     and caching in one place. *)
 module Config : sig
   type t = {
-    filter : bool;  (** apply Section 5.2 edge filtering (default true) *)
-    filter_threshold : float;  (** default 0.02 *)
+    filter : bool;
+        (** apply Section 5.2 edge filtering at {!Filter}'s 2% threshold
+            (default true) *)
     solver : Dvs_milp.Solver.Config.t;
     resilience : Resilience.t;
     cold_verify : bool;
@@ -71,9 +72,9 @@ module Config : sig
   }
 
   val make :
-    ?filter:bool -> ?filter_threshold:float ->
-    ?solver:Dvs_milp.Solver.Config.t -> ?resilience:Resilience.t ->
-    ?cold_verify:bool -> ?continuous_bound:bool -> unit -> t
+    ?filter:bool -> ?solver:Dvs_milp.Solver.Config.t ->
+    ?resilience:Resilience.t -> ?cold_verify:bool ->
+    ?continuous_bound:bool -> unit -> t
   (** [solver] defaults to [Dvs_milp.Solver.Config.make ()];
       [resilience] to {!Resilience.default}. *)
 

@@ -9,9 +9,10 @@
     accurately walk the same pivot sequence.
 
     The library carries one implementation, {!Lu_eta} (sparse LU plus a
-    product-form eta file).  The test suite instantiates the simplex a
-    second time over an explicit dense inverse and uses it as the
-    oracle. *)
+    product-form eta file), and it is the only factorization in the
+    library: {!Simplex.tableau} factors with it too.  The test suite
+    instantiates the simplex a second time over an explicit dense
+    Gauss–Jordan inverse and uses it as the oracle for both. *)
 
 type counters = {
   mutable flops : int;
@@ -72,12 +73,3 @@ module type S = sig
   val needs_refactor : t -> bool
   (** Whether the next iteration should rebuild the factorization. *)
 end
-
-val dense_inverse :
-  m:int -> fact:float array -> binv:float array -> flops:int ref -> bool
-(** Gauss–Jordan elimination with partial pivoting: on entry the first
-    [m*m] entries of [fact] hold [B] row-major; on success [binv] holds
-    [B^-1] row-major ([fact] is destroyed either way).  [false] when some
-    column has no pivot of magnitude at least [1e-11].  [flops]
-    accumulates the work (4 per entry of every row scaled or
-    eliminated). *)

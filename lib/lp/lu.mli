@@ -33,7 +33,7 @@ val factor : m:int -> ptr:int array -> row:int array -> vals:float array -> t op
     [p] in [ptr.(j) .. ptr.(j+1) - 1].  Explicit zeros are dropped.
     Returns [None] when the matrix is singular to working precision
     (no candidate pivot of magnitude at least [1e-11] in some step —
-    the same tolerance as {!Basis.dense_inverse}).  The
+    the same floor as the test suite's dense Gauss–Jordan oracle).  The
     threshold-pivoting tolerance [tau] is [0.1]. *)
 
 val nnz : t -> int

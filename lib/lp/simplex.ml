@@ -12,8 +12,8 @@
    (FTRAN/BTRAN), absorbs one column exchange per pivot and says when to
    refactorize.  The library instance is [Make (Lu_eta)].  A solve
    finishes on the factor the pivot loop already holds: one FTRAN of the
-   residual recomputes the basic values, with no refactorization.  Only
-   [tableau] (cut separation) still inverts its basis densely.
+   residual recomputes the basic values, with no refactorization.
+   [tableau] (cut separation) factors its basis with [Lu_eta] too.
    Everything the iteration touches lives in a reusable workspace, so
    the pivot loop allocates nothing beyond the basis module's own update
    storage. *)
@@ -104,35 +104,37 @@ let residual c ~stat ~xval ~rw =
   done;
   !t
 
-(* The dense solve [tableau] reads: binv := B^-1 by Gauss-Jordan over
-   the basic columns [rows] (a kept artificial in row i has coefficient
-   [sign.(i)]), then xb := B^-1 (rhs - N x_N).  [false] when B is
-   singular. *)
-let dense_solve c ~rows ~sign ~stat ~xval ~fact ~binv ~rw ~xb ~flops =
-  let n = c.C.n and m = c.C.m and nt = c.C.nt in
-  Array.fill fact 0 (m * m) 0.0;
-  for i = 0 to m - 1 do
+(* The basis matrix in CSC form, basis position i as column i: a
+   structural column from the compiled CSC, a slack as a unit column, the
+   artificial kept in row i as [sign.(i)] there.  [ptr] needs [m + 1]
+   entries, [row] and [vals] [basis_cap c]. *)
+let basis_cap c = c.C.col_ptr.(c.C.n) + c.C.m
+
+let basis_csc c ~rows ~sign ~ptr ~row ~vals =
+  let n = c.C.n and nt = c.C.nt in
+  let len = ref 0 in
+  ptr.(0) <- 0;
+  for i = 0 to c.C.m - 1 do
     let k = rows.(i) in
     if k < n then
       for p = c.C.col_ptr.(k) to c.C.col_ptr.(k + 1) - 1 do
-        fact.((c.C.col_row.(p) * m) + i) <- c.C.col_val.(p)
+        row.(!len) <- c.C.col_row.(p);
+        vals.(!len) <- c.C.col_val.(p);
+        incr len
       done
-    else if k < nt then fact.(((k - n) * m) + i) <- 1.0
-    else fact.(((k - nt) * m) + i) <- sign.(k - nt)
-  done;
-  Basis.dense_inverse ~m ~fact ~binv ~flops
-  && begin
-       flops := !flops + residual c ~stat ~xval ~rw + (2 * m * m);
-       for i = 0 to m - 1 do
-         let off = i * m in
-         let s = ref 0.0 in
-         for k = 0 to m - 1 do
-           s := !s +. (binv.(off + k) *. rw.(k))
-         done;
-         xb.(i) <- !s
-       done;
-       true
-     end
+    else begin
+      if k < nt then begin
+        row.(!len) <- k - n;
+        vals.(!len) <- 1.0
+      end
+      else begin
+        row.(!len) <- k - nt;
+        vals.(!len) <- sign.(k - nt)
+      end;
+      incr len
+    end;
+    ptr.(i + 1) <- !len
+  done
 
 (* Tolerances: reduced costs ([eps]), primal feasibility ([feas_tol]),
    ratio-test pivot magnitude ([piv_tol]) and ratio ties ([rtol]). *)
@@ -292,35 +294,13 @@ module Make (B : Basis.S) = struct
     (* Flop charging is honest: 2 per entry actually multiplied and
        accumulated, here and inside B. *)
     let refactor () =
-      (* Basis position i is column i of B. *)
-      let cap = c.C.col_ptr.(n) + m in
+      let cap = basis_cap c in
       if Array.length ws.brow < cap then begin
         ws.brow <- Array.make cap 0;
         ws.bval <- Array.make cap 0.0
       end;
-      let len = ref 0 in
-      ws.bptr.(0) <- 0;
-      for i = 0 to m - 1 do
-        let k = ws.basis.(i) in
-        if k < n then
-          for p = c.C.col_ptr.(k) to c.C.col_ptr.(k + 1) - 1 do
-            ws.brow.(!len) <- c.C.col_row.(p);
-            ws.bval.(!len) <- c.C.col_val.(p);
-            incr len
-          done
-        else begin
-          if k < nt then begin
-            ws.brow.(!len) <- k - n;
-            ws.bval.(!len) <- 1.0
-          end
-          else begin
-            ws.brow.(!len) <- k - nt;
-            ws.bval.(!len) <- ws.art_sign.(k - nt)
-          end;
-          incr len
-        end;
-        ws.bptr.(i + 1) <- !len
-      done;
+      basis_csc c ~rows:ws.basis ~sign:ws.art_sign ~ptr:ws.bptr ~row:ws.brow
+        ~vals:ws.bval;
       B.factor bs ~m ~ptr:ws.bptr ~row:ws.brow ~vals:ws.bval
     in
     let compute_xb () =
@@ -922,16 +902,17 @@ let extend_basis (b : basis) ~rows =
 
 (* A factorized snapshot of a basis against a compiled model's current
    bounds and rhs.  Not a solving path: built once per separation round
-   (root of the search) on an explicit dense inverse, whose work is
-   counted in [t_flops]. *)
+   (root of the search) on its own sparse LU factor, so a row read is one
+   BTRAN.  [t_flops] counts the residual and every row read; the
+   factor's own work sits in its counters. *)
 type tableau = {
   t_c : C.t;
-  t_binv : float array;  (* m*m row-major B^-1 *)
+  t_lu : Lu_eta.t;
   t_rows : int array;  (* basic column per row *)
   t_stat : int array;  (* per-column status, nt entries *)
-  t_xval : float array;  (* nonbasic column values, nt entries *)
   t_xb : float array;  (* basic values per row *)
-  t_flops : int;  (* work of the dense solve that built it *)
+  t_rho : float array;  (* B^-T e_r scratch *)
+  mutable t_flops : int;
 }
 
 type col_status = Col_basic | Col_lower | Col_upper | Col_free
@@ -956,29 +937,30 @@ let tableau c (b : basis) =
         xval.(j) <- pinned st ~l ~u
       end
     done;
-    let binv = Array.make (m * m) 0.0 and xb = Array.make m 0.0 in
-    let flops = ref 0 in
-    if
-      dense_solve c ~rows:b.b_rows ~sign:b.b_sign ~stat ~xval
-        ~fact:(Array.make (m * m) 0.0) ~binv ~rw:(Array.make m 0.0) ~xb
-        ~flops
-    then
+    let ptr = Array.make (m + 1) 0 in
+    let row = Array.make (basis_cap c) 0
+    and vals = Array.make (basis_cap c) 0.0 in
+    basis_csc c ~rows:b.b_rows ~sign:b.b_sign ~ptr ~row ~vals;
+    let lu = Lu_eta.create () in
+    if not (Lu_eta.factor lu ~m ~ptr ~row ~vals) then None
+    else begin
+      let xb = Array.make m 0.0 in
+      let flops = residual c ~stat ~xval ~rw:xb in
+      Lu_eta.ftran lu xb;
       Some
         {
           t_c = c;
-          t_binv = binv;
+          t_lu = lu;
           t_rows = Array.copy b.b_rows;
           t_stat = stat;
-          t_xval = xval;
           t_xb = xb;
-          t_flops = !flops;
+          t_rho = Array.make m 0.0;
+          t_flops = flops;
         }
-    else None
+    end
   end
 
-let tableau_flops t = t.t_flops
-
-let tableau_rows t = t.t_c.C.m
+let tableau_flops t = t.t_flops + (Lu_eta.counters t.t_lu).Basis.flops
 
 let tableau_basic_var t r = t.t_rows.(r)
 
@@ -991,24 +973,31 @@ let tableau_col_status t j =
   | s when s = st_up -> Col_upper
   | _ -> Col_free
 
-let tableau_nonbasic_value t j = t.t_xval.(j)
-
-(* Row [r] of B^-1 [A | I] over every column: entries for nonbasic
-   columns, 0.0 for basic ones.  [alpha] must have length >= nt. *)
+(* Row [r] of B^-1 [A | I] over every column: rho = B^-T e_r (one
+   BTRAN), then one sparse dot per nonbasic column, 0.0 for basic ones.
+   [alpha] must have length >= nt. *)
 let tableau_row t r alpha =
-  let c = t.t_c in
-  let n = c.C.n and m = c.C.m and nt = c.C.nt in
-  let off = r * m in
+  let c = t.t_c and rho = t.t_rho in
+  let n = c.C.n and nt = c.C.nt in
+  Array.fill rho 0 c.C.m 0.0;
+  rho.(r) <- 1.0;
+  Lu_eta.btran t.t_lu rho;
+  let touched = ref 0 in
   for j = 0 to nt - 1 do
     if t.t_stat.(j) <> st_basic then
       alpha.(j) <-
         (if j < n then begin
            let s = ref 0.0 in
+           touched := !touched + (c.C.col_ptr.(j + 1) - c.C.col_ptr.(j));
            for p = c.C.col_ptr.(j) to c.C.col_ptr.(j + 1) - 1 do
-             s := !s +. (t.t_binv.(off + c.C.col_row.(p)) *. c.C.col_val.(p))
+             s := !s +. (rho.(c.C.col_row.(p)) *. c.C.col_val.(p))
            done;
            !s
          end
-         else t.t_binv.(off + (j - n)))
+         else begin
+           incr touched;
+           rho.(j - n)
+         end)
     else alpha.(j) <- 0.0
-  done
+  done;
+  t.t_flops <- t.t_flops + (2 * !touched)

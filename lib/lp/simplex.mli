@@ -17,8 +17,9 @@
     factorization.  A solve finishes on the factor the pivot loop
     already holds (one FTRAN recomputes the basic values; no dense
     solve, no refactorization), so the workspace holds no [m]x[m]
-    array.  The test suite checks this instance against an explicit
-    dense inverse, and only {!tableau} still inverts densely.
+    array.  {!tableau} factors its basis the same way.  The test suite
+    checks this instance, and the tableau, against an explicit dense
+    inverse.
 
     Pricing is devex-style steepest edge, falling back to Bland's rule
     after 200 stalled (degenerate) iterations, so cycling cannot happen
@@ -153,10 +154,11 @@ val extend_basis : basis -> rows:int -> basis
 
     Read-only access to the simplex tableau of a given basis against a
     compiled model's current bounds and rhs — what Gomory cut separation
-    needs.  Built once per separation round on an explicit dense
-    inverse of the basis (Gauss–Jordan, O(m^3)); not a solving path.
-    Its rows agree with the LU solve's to rounding, and its work is
-    reported by {!tableau_flops}. *)
+    needs.  Built once per separation round on a fresh sparse LU factor
+    of the basis ({!Lu_eta}): the basic values are one FTRAN of the
+    residual, and each row read is one BTRAN of a unit vector plus a
+    sparse dot per nonbasic column.  Not a solving path; it holds no
+    [m]x[m] array, and its work is reported by {!tableau_flops}. *)
 
 type tableau
 
@@ -168,22 +170,18 @@ val tableau : Compiled.t -> basis -> tableau option
     singular. *)
 
 val tableau_flops : tableau -> int
-(** Floating-point work of the dense solve that built the tableau,
-    counted as {!stats.flops} counts it. *)
-
-val tableau_rows : tableau -> int
-(** Number of rows [m]; rows are indexed [0 .. m-1] below. *)
+(** Floating-point work of the tableau so far — the residual, the
+    factorization, the FTRAN and every {!tableau_row} read — counted as
+    {!stats.flops} counts it. *)
 
 val tableau_basic_var : tableau -> int -> int
-(** Column basic in row [r]: structural in [0, n), slack in [n, n+m). *)
+(** Column basic in row [r] (rows [0 .. m-1]): structural in [0, n),
+    slack in [n, n+m). *)
 
 val tableau_basic_value : tableau -> int -> float
 (** Current value of row [r]'s basic column. *)
 
 val tableau_col_status : tableau -> int -> col_status
-
-val tableau_nonbasic_value : tableau -> int -> float
-(** Value a nonbasic column is pinned at (its active bound, 0 if free). *)
 
 val tableau_row : tableau -> int -> float array -> unit
 (** [tableau_row t r alpha] fills [alpha] (length >= [n + m]) with row

@@ -58,6 +58,11 @@ let frac_margin = 0.01
 
 let tiny = 1e-11
 
+(* A cut whose surviving coefficients span [max_range] or more (largest
+   over smallest magnitude) is dropped as numerically fragile (DESIGN.md
+   section 11 has the measured choice). *)
+let max_range = 1e6
+
 let gomory ~compiled:c ~tableau:tab ~x ~deadline ~row_valid_le
     ~bounds_pristine ~max_cuts =
   let n = c.C.n and m = c.C.m and nt = c.C.nt in
@@ -166,7 +171,7 @@ let gomory ~compiled:c ~tableau:tab ~x ~deadline ~row_valid_le
                  else if a > 0.0 then minc := Float.min !minc a
                done
              with Exit -> ());
-            if !ok && !maxc /. !minc < 1e7 then begin
+            if !ok && !maxc /. !minc < max_range then begin
               (* Safety slack against accumulated floating error: relax
                  the >= cut slightly.  Weakens it imperceptibly, keeps it
                  valid under the validity property test. *)

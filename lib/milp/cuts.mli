@@ -5,8 +5,9 @@
     (binary mode choices grouped one-per-edge under a single deadline
     knapsack row):
 
-    - {!gomory}: Gomory mixed-integer cuts read off the revised-simplex
-      tableau of the (possibly already cut-augmented) LP relaxation;
+    - {!gomory}: Gomory mixed-integer cuts read off the sparse LU
+      tableau ({!Dvs_lp.Simplex.tableau}) of the (possibly already
+      cut-augmented) LP relaxation;
     - {!covers}: knapsack cover cuts separated from the deadline row's
       binary terms;
     - {!gub_covers}: GUB cover cuts that use the one-mode-per-edge SOS1
@@ -25,8 +26,7 @@
     A {!Pool.t} deduplicates cuts structurally (scaled, rounded
     coefficient vectors), so the same cover rediscovered at a later
     sweep point counts as a pool hit rather than a new row.  The pool is
-    not thread-safe; callers running sweep points concurrently guard it
-    with their own lock. *)
+    not thread-safe. *)
 
 open Dvs_lp
 
@@ -77,7 +77,10 @@ val gomory :
     when [false] (e.g. deadline-implied fixings are applied) every
     derived cut is capped at [deadline].  Cuts are emitted in [Ge] form
     over structural variables only — slack columns are substituted out
-    through their defining rows. *)
+    through their defining rows.  Coefficients below [1e-10] of the
+    largest are dropped, each paid for with its worst-case contribution
+    over the pristine bounds, and a cut whose remaining coefficients
+    span a range ([max / min] magnitude) of [1e6] or more is rejected. *)
 
 val covers :
   row:(float * Model.var) list ->

@@ -40,7 +40,6 @@ module Config = struct
     warm_start : (Model.var * float) list;
     warm_solution : Simplex.solution option;
     root_bound : float option;
-    log : (string -> unit) option;
     cache : Lp_cache.t option;
     fault : Fault.t option;
     obs : Dvs_obs.t;
@@ -48,7 +47,7 @@ module Config = struct
     fixings : (Model.var * float) list;
   }
 
-  let make ?jobs ?(max_nodes = 200_000) ?time_limit ?log ?cache ?fault
+  let make ?jobs ?(max_nodes = 200_000) ?time_limit ?cache ?fault
       ?(obs = Dvs_obs.disabled) ?(presolve = true) () =
     let jobs =
       match jobs with
@@ -57,14 +56,10 @@ module Config = struct
       | None -> Domain.recommended_domain_count ()
     in
     { jobs; max_nodes; time_limit; sos1 = []; warm_start = [];
-      warm_solution = None; root_bound = None; log; cache; fault; obs;
+      warm_solution = None; root_bound = None; cache; fault; obs;
       presolve; fixings = [] }
 
   let default = make ()
-
-  let with_jobs jobs t =
-    if jobs < 1 then invalid_arg "Solver.Config.with_jobs: jobs must be >= 1";
-    { t with jobs }
 
   let with_sos1 sos1 t = { t with sos1 }
 
@@ -77,13 +72,7 @@ module Config = struct
       invalid_arg "Solver.Config.with_root_bound: bound must be finite";
     { t with root_bound = Some b }
 
-  let with_presolve presolve t = { t with presolve }
-
   let with_fixings fixings t = { t with fixings }
-
-  let with_log log t = { t with log = Some log }
-
-  let with_cache cache t = { t with cache = Some cache }
 
   let with_fault fault t = { t with fault = Some fault }
 
@@ -286,11 +275,6 @@ let solve ?(config = Config.default) model =
      bound-override solve against this shared structure. *)
   let compiled = Compiled.of_model wm in
   let int_vars = Model.integer_vars wm in
-  let log fmt =
-    Format.kasprintf
-      (fun s -> match config.log with Some f -> f s | None -> ())
-      fmt
-  in
   let wall_start = Unix.gettimeofday () in
   let cpu_start = Sys.time () in
   (* Observability: counters/histograms are no-ops on the disabled
@@ -459,14 +443,20 @@ let solve ?(config = Config.default) model =
       Tr.event tr ~stability:Tr.Stable "solver.warm_solution"
         ~attrs:[ ("objective", Tr.Float s.Simplex.objective) ]
   | None -> ());
-  (* Every incumbent has its integers snapped exactly and its objective
-     evaluated at the snapped point, so one schedule carries one
-     objective whatever LP history found it: basic binaries sit at
-     1 - 1e-10 or so, by amounts that depend on the factor the solve
-     finished on. *)
+  (* Every incumbent has its integers snapped exactly, every value
+     clamped into its pristine bounds and its objective evaluated at that
+     point: basic binaries sit at 1 - 1e-10 or so, and basic continuous
+     values up to a few 1e-9 past a bound, by amounts that depend on the
+     factor the solve finished on. *)
   let try_incumbent path (s : Simplex.solution) =
     let values = Array.copy s.values in
     List.iter (fun v -> values.(v) <- Float.round values.(v)) int_vars;
+    Array.iteri
+      (fun j x ->
+        values.(j) <-
+          Float.min compiled.Compiled.ub0.(j)
+            (Float.max compiled.Compiled.lb0.(j) x))
+      values;
     let s =
       { Simplex.objective = Compiled.objective compiled values; values }
     in
@@ -487,12 +477,9 @@ let solve ?(config = Config.default) model =
       Atomic.set inc_obj s.objective
     end;
     Mutex.unlock inc_lock;
-    if take then begin
-      if obs_on then
-        Tr.event tr "solver.incumbent"
-          ~attrs:[ ("objective", Tr.Float s.objective) ];
-      log "incumbent %g" s.objective
-    end
+    if take && obs_on then
+      Tr.event tr "solver.incumbent"
+        ~attrs:[ ("objective", Tr.Float s.objective) ]
   in
   let gap_prune bound =
     let inc = Atomic.get inc_obj in
@@ -999,8 +986,7 @@ let solve ?(config = Config.default) model =
                    ~attrs:
                      [ ("depth", Tr.Int n.depth);
                        ("message", Tr.String c.message) ]
-             end;
-             log "worker %d crashed at depth %d: %s" wid n.depth c.message);
+             end);
           Atomic.decr in_flight
         | None ->
           if Atomic.get in_flight = 0 then running := false
@@ -1157,5 +1143,4 @@ let solve ?(config = Config.default) model =
         [ ("outcome", Tr.String (Format.asprintf "%a" pp_outcome r.outcome));
           ("nodes", Tr.Int stats.nodes);
           ("bound", Tr.Float bound) ];
-  log "done: %a (%a)" pp_outcome r.outcome pp_stats r.stats;
   r

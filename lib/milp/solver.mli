@@ -32,9 +32,11 @@
     tie-broken by the lexicographically smallest branch path, and only
     basis-free solves are cached, so a cache entry is a pure function of
     its (fingerprint, fixings) key whatever path or worker solved it
-    first.  Every incumbent has its integers snapped exactly and its
-    objective evaluated at the snapped point, so a schedule reports the
-    same objective whichever LP found it.
+    first.  Every incumbent has its integers snapped exactly, every
+    value clamped into the model's bounds, and its objective evaluated
+    at that point, so no returned value lies outside its bounds and a
+    schedule's objective depends on the LP that found it only through
+    continuous values strictly inside their bounds.
 
     {b Fault tolerance.} A worker exception never aborts the solve: the
     crash is contained to the node being processed (only that subtree is
@@ -72,7 +74,6 @@ module Config : sig
             relaxation); replaces the infinite root bound, so a
             within-gap [warm_solution] fathoms the whole tree at zero
             nodes *)
-    log : (string -> unit) option;
     cache : Lp_cache.t option;
         (** share an LP-relaxation cache across solves; a private one is
             created per solve when absent.  Only basis-free solves consult
@@ -96,14 +97,12 @@ module Config : sig
 
   val make :
     ?jobs:int -> ?max_nodes:int -> ?time_limit:float ->
-    ?log:(string -> unit) -> ?cache:Lp_cache.t -> ?fault:Fault.t ->
-    ?obs:Dvs_obs.t -> ?presolve:bool -> unit -> t
+    ?cache:Lp_cache.t -> ?fault:Fault.t -> ?obs:Dvs_obs.t ->
+    ?presolve:bool -> unit -> t
   (** Raises [Invalid_argument] if [jobs < 1]. *)
 
   val default : t
   (** [make ()]. *)
-
-  val with_jobs : int -> t -> t
 
   val with_sos1 : Dvs_lp.Model.var list list -> t -> t
 
@@ -114,13 +113,7 @@ module Config : sig
   val with_root_bound : float -> t -> t
   (** Raises [Invalid_argument] when the bound is not finite. *)
 
-  val with_presolve : bool -> t -> t
-
   val with_fixings : (Dvs_lp.Model.var * float) list -> t -> t
-
-  val with_log : (string -> unit) -> t -> t
-
-  val with_cache : Lp_cache.t -> t -> t
 
   val with_fault : Fault.t -> t -> t
 

@@ -28,17 +28,12 @@ type t = {
   stats : stats;
 }
 
-let locked lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
 (* Gomory cuts kept per separation round. *)
 let max_cuts_per_round = 16
 
-let run ?config ?(instances = 1) ?(cut_rounds = 3) ?pool ?per_point
-    ?point_bound ?point_seed ~model ~deadline_row ~deadlines () =
+let run ?config ?(cut_rounds = 3) ?pool ?per_point ?point_bound ?point_seed
+    ~model ~deadline_row ~deadlines () =
   let config = Option.value config ~default:Solver.Config.default in
-  if instances < 1 then invalid_arg "Sweep.run: instances < 1";
   if cut_rounds < 0 then invalid_arg "Sweep.run: cut_rounds < 0";
   let np = Array.length deadlines in
   if np = 0 then invalid_arg "Sweep.run: empty deadlines";
@@ -80,7 +75,6 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?pool ?per_point
              else None)
   in
   let pool = match pool with Some p -> p | None -> Cuts.Pool.create () in
-  let pool_lock = Mutex.create () in
   (* Tightest deadline first: its optimum stays feasible at every looser
      point and lifts forward as a warm incumbent.  Ties keep input order. *)
   let order = Array.init np Fun.id in
@@ -90,21 +84,16 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?pool ?per_point
       | 0 -> Int.compare a b
       | c -> c)
     order;
-  let base_compiled = Compiled.of_model model in
   let sense = fst (Model.objective model) in
-  let done_lock = Mutex.create () in
-  (* Best lift source per processing position: the loosest completed
-     tighter point (scanned newest first). *)
-  let completed : Simplex.solution option array = Array.make np None in
-  let results : point option array = Array.make np None in
-  let warm_count = Atomic.make 0 in
-  let pruned_count = Atomic.make 0 in
-  let separated_count = Atomic.make 0 in
-  let applied_count = Atomic.make 0 in
-  let pool_hit_count = Atomic.make 0 in
-  let root_pivot_count = Atomic.make 0 in
-  let root_flop_count = Atomic.make 0 in
-  let next = Atomic.make 0 in
+  (* One compiled root model and workspace for every point; [chain]
+     carries the previous point's root basis into the next root LP. *)
+  let c0 = Compiled.of_model model in
+  let ws = Simplex.workspace () in
+  let chain = ref None in
+  (* The lift: the solution of the last completed point that has one,
+     i.e. the loosest completed tighter point. *)
+  let lifted : Simplex.solution option ref = ref None in
+  let cuts_separated = ref 0 and root_flops = ref 0 in
   let point_config idx d lift =
     let cfg =
       match per_point with None -> config | Some f -> f idx d config
@@ -145,27 +134,12 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?pool ?per_point
         in
         (Solver.Config.with_warm_start fixings cfg, true)
   in
-  let take_lift k =
-    locked done_lock (fun () ->
-        let rec scan j = if j < 0 then None else
-          match completed.(j) with Some _ as s -> s | None -> scan (j - 1)
-        in
-        scan (k - 1))
-  in
-  let record k idx pt =
-    locked done_lock (fun () ->
-        (match (pt.result.Solver.outcome, pt.result.Solver.solution) with
-        | (Solver.Optimal | Solver.Feasible _ | Solver.Degraded _), Some s ->
-            completed.(k) <- Some s
-        | _ -> ());
-        results.(idx) <- Some pt)
-  in
   (* The root cutting loop for one point: solve the LP relaxation of the
      cut-augmented point model, separate violated cuts off its tableau,
      append, reprice dual-simplex-style via extend_basis, repeat.  Its LP
-     and tableau work is returned for the [lp.flops] counter. *)
-  let cut_loop ws c0 chain mp d pooled =
-    let root_pivots = ref 0 and root_flops = ref 0 in
+     and tableau work goes to [root_flops], for the [lp.flops] counter. *)
+  let cut_loop mp d pooled =
+    let root_pivots = ref 0 in
     let charge (ls : Simplex.stats) =
       root_pivots := !root_pivots + ls.Simplex.pivots;
       root_flops := !root_flops + ls.Simplex.flops
@@ -219,20 +193,23 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?pool ?per_point
                 match Simplex.tableau cp bc with
                 | None -> []
                 | Some tab ->
+                    let cuts =
+                      Cuts.gomory ~compiled:cp ~tableau:tab ~x ~deadline:d
+                        ~row_valid_le:(row_valid_le cp) ~bounds_pristine:true
+                        ~max_cuts:max_cuts_per_round
+                    in
+                    (* After the separator: its row reads are tableau
+                       work too. *)
                     root_flops := !root_flops + Simplex.tableau_flops tab;
-                    Cuts.gomory ~compiled:cp ~tableau:tab ~x ~deadline:d
-                      ~row_valid_le:(row_valid_le cp) ~bounds_pristine:true
-                      ~max_cuts:max_cuts_per_round
+                    cuts
               in
               let cov = Cuts.covers ~row:cover_row ~deadline:d ~x in
               let gub = Cuts.gub_covers ~groups:gub_groups ~deadline:d ~x in
               let fresh = gom @ cov @ gub in
               if fresh = [] then ()
               else begin
-                Atomic.fetch_and_add separated_count (List.length fresh)
-                |> ignore;
-                locked pool_lock (fun () ->
-                    List.iter (fun c -> ignore (Cuts.Pool.add pool c)) fresh);
+                cuts_separated := !cuts_separated + List.length fresh;
+                List.iter (fun c -> ignore (Cuts.Pool.add pool c)) fresh;
                 List.iter (Cuts.add_to_model mp) fresh;
                 applied_rev := List.rev_append fresh !applied_rev;
                 let cp' = Compiled.of_model mp in
@@ -251,12 +228,11 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?pool ?per_point
         in
         round 0 state
     | _ -> ());
-    (List.length !applied_rev, !root_pivots, !root_flops)
+    (List.length !applied_rev, !root_pivots)
   in
-  let solve_point ws c0 chain k =
-    let idx = order.(k) in
+  let solve_point idx =
     let d = deadlines.(idx) in
-    let lift = take_lift k in
+    let lift = !lifted in
     (* Pre-prune: a caller-proven dual bound that already certifies the
        lifted incumbent optimal within the gap makes the whole point a
        no-op — no cuts, no LP solves, no nodes.  The returned solution is
@@ -283,8 +259,6 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?pool ?per_point
     in
     match (prune_cert, lift) with
     | Some cb, Some sol ->
-        Atomic.incr warm_count;
-        Atomic.incr pruned_count;
         let result =
           { Solver.outcome = Solver.Optimal; solution = Some sol; bound = cb;
             stats =
@@ -293,90 +267,63 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?pool ?per_point
                 wall_seconds = 0.0; cpu_seconds = 0.0; workers = 0;
                 worker_nodes = [||] } }
         in
-        record k idx
-          { deadline = d; result; cuts_applied = 0; pool_hits = 0;
-            warm_started = true; root_pivots = 0; pruned_by_bound = true }
+        { deadline = d; result; cuts_applied = 0; pool_hits = 0;
+          warm_started = true; root_pivots = 0; pruned_by_bound = true }
     | _ ->
         let mp = Model.copy model in
         Model.set_constraint_rhs mp deadline_row d;
-        let pooled =
-          locked pool_lock (fun () -> Cuts.Pool.applicable pool ~deadline:d)
-        in
+        let pooled = Cuts.Pool.applicable pool ~deadline:d in
         List.iter (Cuts.add_to_model mp) pooled;
         let hits =
           List.length (List.filter (fun c -> c.Cuts.born <> d) pooled)
         in
-        let n_applied, root_pivots, root_flops =
-          if cut_rounds = 0 then (List.length pooled, 0, 0)
+        let n_applied, root_pivots =
+          if cut_rounds = 0 then (List.length pooled, 0)
           else
-            try cut_loop ws c0 chain mp d pooled
-            with _ -> (List.length pooled, 0, 0)
+            try cut_loop mp d pooled
+            with _ -> (List.length pooled, 0)
         in
         let cfg, warm_started = point_config idx d lift in
-        if warm_started then Atomic.incr warm_count;
         let result = Solver.solve ~config:cfg mp in
-        Atomic.fetch_and_add applied_count n_applied |> ignore;
-        Atomic.fetch_and_add pool_hit_count hits |> ignore;
-        Atomic.fetch_and_add root_pivot_count root_pivots |> ignore;
-        Atomic.fetch_and_add root_flop_count root_flops |> ignore;
-        record k idx
-          { deadline = d; result; cuts_applied = n_applied; pool_hits = hits;
-            warm_started; root_pivots; pruned_by_bound = false }
+        { deadline = d; result; cuts_applied = n_applied; pool_hits = hits;
+          warm_started; root_pivots; pruned_by_bound = false }
   in
   (* A sweep-level failure on one point must not sink the others: fall
      back to a plain cold solve of that point, no cuts, no lift. *)
-  let safe_point ws c0 chain k =
-    try solve_point ws c0 chain k
+  let safe_point idx =
+    try solve_point idx
     with _ ->
-      let idx = order.(k) in
       let d = deadlines.(idx) in
       let mp = Model.copy model in
       Model.set_constraint_rhs mp deadline_row d;
       let cfg, _ = point_config idx d None in
       let result = Solver.solve ~config:cfg mp in
-      record k idx
-        { deadline = d; result; cuts_applied = 0; pool_hits = 0;
-          warm_started = false; root_pivots = 0; pruned_by_bound = false }
+      { deadline = d; result; cuts_applied = 0; pool_hits = 0;
+        warm_started = false; root_pivots = 0; pruned_by_bound = false }
   in
-  let worker () =
-    let ws = Simplex.workspace () in
-    let c0 = Compiled.scratch base_compiled in
-    let chain = ref None in
-    let rec drain () =
-      let k = Atomic.fetch_and_add next 1 in
-      if k < np then begin
-        safe_point ws c0 chain k;
-        drain ()
-      end
-    in
-    drain ()
-  in
-  let n_workers = Int.min instances np in
-  if n_workers <= 1 then worker ()
-  else begin
-    let doms = Array.init (n_workers - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    Array.iter Domain.join doms
-  end;
-  let points =
-    Array.mapi
-      (fun idx -> function
-        | Some p -> p
-        | None ->
-            (* unreachable: every position is drained exactly once *)
-            invalid_arg
-              (Printf.sprintf "Sweep.run: point %d missing a result" idx))
-      results
-  in
+  let results = Array.make np None in
+  Array.iter
+    (fun idx ->
+      let pt = safe_point idx in
+      (match (pt.result.Solver.outcome, pt.result.Solver.solution) with
+      | (Solver.Optimal | Solver.Feasible _ | Solver.Degraded _), Some s ->
+          lifted := Some s
+      | _ -> ());
+      results.(idx) <- Some pt)
+    order;
+  let points = Array.map Option.get results in
+  let count f = Array.fold_left (fun a p -> a + f p) 0 points in
   let stats =
     {
-      instances_warm_started = Atomic.get warm_count;
-      cuts_separated = Atomic.get separated_count;
-      cuts_applied = Atomic.get applied_count;
-      cut_pool_hits = Atomic.get pool_hit_count;
+      instances_warm_started =
+        count (fun p -> Bool.to_int p.warm_started);
+      cuts_separated = !cuts_separated;
+      cuts_applied = count (fun p -> p.cuts_applied);
+      cut_pool_hits = count (fun p -> p.pool_hits);
       pool_size = Cuts.Pool.size pool;
-      root_pivots = Atomic.get root_pivot_count;
-      points_pruned_by_bound = Atomic.get pruned_count;
+      root_pivots = count (fun (p : point) -> p.root_pivots);
+      points_pruned_by_bound =
+        count (fun p -> Bool.to_int p.pruned_by_bound);
     }
   in
   let mx = Dvs_obs.metrics config.Solver.Config.obs in
@@ -384,14 +331,11 @@ let run ?config ?(instances = 1) ?(cut_rounds = 3) ?pool ?per_point
   let c name = Dvs_obs.Metrics.counter mx ~stability:Volatile name in
   Mc.add (c "sweep.points") ~slot:0 np;
   Mc.add (c "sweep.instances_warm_started") ~slot:0 stats.instances_warm_started;
-  (* Volatile like the warm-start counter: at instances > 1 the lift a
-     point sees depends on scheduling, so the pruned tally may differ
-     across job counts (results never do). *)
   Mc.add (c "sweep.points_pruned_by_bound") ~slot:0 stats.points_pruned_by_bound;
   Mc.add (c "cuts.separated") ~slot:0 stats.cuts_separated;
   Mc.add (c "cuts.applied") ~slot:0 stats.cuts_applied;
   Mc.add (c "cuts.pool_hits") ~slot:0 stats.cut_pool_hits;
   (* The root loops' LP solves and tableaux, on top of what each point's
      own solve charged. *)
-  Mc.add (c "lp.flops") ~slot:0 (Atomic.get root_flop_count);
+  Mc.add (c "lp.flops") ~slot:0 !root_flops;
   { points; stats }

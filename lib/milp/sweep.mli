@@ -28,12 +28,13 @@
       bits a full solve would return, since a seeded incumbent is only
       displaced by a {e strict} improvement and the certificate rules
       one out.
-    - {b Cross-instance basis reuse.}  Each worker keeps the optimal
+    - {b Cross-instance basis reuse.}  The sweep keeps the optimal
       basis of its previous point's root LP; the next point re-solves
       the same compiled form after {!Dvs_lp.Compiled.set_rhs}, which is
       exactly a dual-simplex reoptimization from that basis.
     - {b A shared deduplicated cut pool.}  Each point runs a bounded
-      root cutting loop ({!Cuts.gomory}, {!Cuts.covers},
+      root cutting loop ({!Cuts.gomory} on the LU tableau of
+      {!Dvs_lp.Simplex.tableau}, {!Cuts.covers},
       {!Cuts.gub_covers}); separated cuts land in a {!Cuts.Pool.t}
       tagged with the deadline range they remain valid for, and later
       points re-apply every applicable pooled cut before solving.
@@ -44,6 +45,9 @@
     deadlines and warm incumbents are feasible by construction, so
     per-point objectives are exactly what independent cold solves
     produce — the sharing only changes how fast the proof closes.
+
+    Points run one after another on the calling domain; each point's
+    own solve uses [config.jobs] workers.
 
     Observability (through the config's [obs] bundle, all [Volatile]):
     [sweep.points], [sweep.instances_warm_started],
@@ -85,7 +89,6 @@ type t = {
 
 val run :
   ?config:Solver.Config.t ->
-  ?instances:int ->
   ?cut_rounds:int ->
   ?pool:Cuts.Pool.t ->
   ?per_point:(int -> float -> Solver.Config.t -> Solver.Config.t) ->
@@ -105,9 +108,7 @@ val run :
     {!Solver.Config.default}); its [sos1] groups are both the GUB
     branch entities and the GUB cover separator's input, and its
     [cache]/[obs] are shared across points.
-    [instances] (default 1) runs that many sweep points concurrently on
-    separate domains — each point's own solve still uses [config.jobs]
-    workers.  [cut_rounds] (default 3) bounds the root cutting loop per
+    [cut_rounds] (default 3) bounds the root cutting loop per
     point, each round keeping at most 16 Gomory cuts;
     [cut_rounds = 0] disables the root loop (pooled cuts from
     [pool] are still applied, and no root LP is solved).  The root
@@ -123,9 +124,7 @@ val run :
     (model objective units; [None] when unavailable).  It must be valid
     — for the DVS formulation, the exact continuous relaxation is — and
     is consulted only when a lifted incumbent exists; a certifying bound
-    prunes the point as described above.  The callback may run from
-    several domains concurrently when [instances > 1], so it must be
-    thread-safe (a pure function of its arguments is).
+    prunes the point as described above.
 
     [point_seed i d] returns known-feasible warm fixings for point [i]
     plus their exact objective (e.g. the rounded continuous schedule of
@@ -137,8 +136,7 @@ val run :
     extra solve and pruned/unpruned sweeps stay bit-identical.  When a
     lift exists, the configured [warm_start] fixing itself is dropped:
     a lifted optimum is never worse than a generic feasibility fixing,
-    so materializing one cannot improve the incumbent.  Same
-    thread-safety contract as [point_bound].
+    so materializing one cannot improve the incumbent.
 
     Raises [Invalid_argument] on an empty or non-finite [deadlines], an
-    out-of-range or non-[Le] [deadline_row], or [instances < 1]. *)
+    out-of-range or non-[Le] [deadline_row], or [cut_rounds < 0]. *)

@@ -603,7 +603,6 @@ let solver_components (c : Solver.Config.t) =
 let pipeline_components (c : Pipeline.Config.t) =
   let r = c.Pipeline.Config.resilience in
   [ ("pipe.filter", bool_component c.Pipeline.Config.filter);
-    ("pipe.filter_threshold", Key.F c.Pipeline.Config.filter_threshold);
     ("pipe.cold_verify", bool_component c.Pipeline.Config.cold_verify);
     ( "pipe.continuous_bound",
       bool_component c.Pipeline.Config.continuous_bound );

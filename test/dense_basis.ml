@@ -1,11 +1,73 @@
 (* Explicit dense basis inverse: the oracle the sparse LU + eta-file
-   basis (Dvs_lp.Lu_eta) is checked against.  B^-1 is a dense row-major
-   m*m matrix, built by Gauss-Jordan (Basis.dense_inverse) and updated
-   by elementary row operations on every pivot; it is rebuilt every 128
-   pivots.  Flops are charged honestly (2 per entry touched), so the
-   sparse basis must come out cheaper on any sizeable model. *)
+   basis (Dvs_lp.Lu_eta) and Simplex.tableau are checked against.  B^-1
+   is a dense row-major m*m matrix, built by Gauss-Jordan
+   ([dense_inverse]) and updated by elementary row operations on every
+   pivot; it is rebuilt every 128 pivots.  Flops are charged honestly
+   (2 per entry touched), so the sparse basis must come out cheaper on
+   any sizeable model. *)
 
 open Dvs_lp
+
+(* Gauss-Jordan elimination with partial pivoting: on entry the first
+   m*m entries of [fact] hold B row-major; on success [binv] holds B^-1
+   row-major ([fact] is destroyed either way).  [false] when some column
+   has no pivot of magnitude at least 1e-11, the singularity floor of
+   Lu.factor.  [flops] accumulates the work (4 per entry of every row
+   scaled or eliminated). *)
+let dense_inverse ~m ~fact ~binv ~flops =
+  Array.fill binv 0 (m * m) 0.0;
+  for i = 0 to m - 1 do
+    binv.((i * m) + i) <- 1.0
+  done;
+  let ok = ref true in
+  (try
+     for col = 0 to m - 1 do
+       let best = ref col and bestv = ref (Float.abs fact.((col * m) + col)) in
+       for r = col + 1 to m - 1 do
+         let v = Float.abs fact.((r * m) + col) in
+         if v > !bestv then begin
+           best := r;
+           bestv := v
+         end
+       done;
+       if !bestv < 1e-11 then begin
+         ok := false;
+         raise Exit
+       end;
+       if !best <> col then begin
+         let oa = col * m and ob = !best * m in
+         for q = 0 to m - 1 do
+           let t = fact.(oa + q) in
+           fact.(oa + q) <- fact.(ob + q);
+           fact.(ob + q) <- t;
+           let t = binv.(oa + q) in
+           binv.(oa + q) <- binv.(ob + q);
+           binv.(ob + q) <- t
+         done
+       end;
+       let off = col * m in
+       let ipiv = 1.0 /. fact.(off + col) in
+       flops := !flops + (4 * m);
+       for q = 0 to m - 1 do
+         fact.(off + q) <- fact.(off + q) *. ipiv;
+         binv.(off + q) <- binv.(off + q) *. ipiv
+       done;
+       for r = 0 to m - 1 do
+         if r <> col then begin
+           let f = fact.((r * m) + col) in
+           if f <> 0.0 then begin
+             let offr = r * m in
+             flops := !flops + (4 * m);
+             for q = 0 to m - 1 do
+               fact.(offr + q) <- fact.(offr + q) -. (f *. fact.(off + q));
+               binv.(offr + q) <- binv.(offr + q) -. (f *. binv.(off + q))
+             done
+           end
+         end
+       done
+     done
+   with Exit -> ());
+  !ok
 
 type t = {
   mutable m : int;
@@ -46,7 +108,7 @@ let factor t ~m ~ptr ~row ~vals =
     done
   done;
   let flops = ref 0 in
-  let ok = Basis.dense_inverse ~m ~fact:t.fact ~binv:t.binv ~flops in
+  let ok = dense_inverse ~m ~fact:t.fact ~binv:t.binv ~flops in
   t.k.flops <- t.k.flops + !flops;
   if ok then begin
     t.k.factorizations <- t.k.factorizations + 1;

@@ -317,6 +317,31 @@ let test_milp_backends_agree () =
 
 (* ---- real models ---------------------------------------------------- *)
 
+(* A paper program's Table-4 model at grid deadline [d] (0 is the
+   tightest, [loosest] the loosest), prepared exactly as the pipeline
+   solves it. *)
+let table4_model ?(filter = true) name d =
+  let regulator = Dvs_power.Switch_cost.regulator ~capacitance:0.4e-6 () in
+  let machine = Dvs_workloads.Workload.eval_config ~regulator () in
+  let w = Dvs_workloads.Workload.find name in
+  let cfg, _, mem =
+    Dvs_workloads.Workload.load w
+      ~input:(Dvs_workloads.Workload.default_input w)
+  in
+  let p = Dvs_profile.Profile.collect machine cfg ~memory:mem in
+  let ds = Dvs_workloads.Deadlines.of_profile p in
+  let prep =
+    Dvs_core.Pipeline.prepare
+      ~config:(Dvs_core.Pipeline.Config.make ~filter ())
+      ~regulator
+      [ { Dvs_core.Formulation.profile = p; weight = 1.0; deadline = ds.(d) } ]
+  in
+  prep.Dvs_core.Pipeline.prep_formulation.Dvs_core.Formulation.model
+
+let loosest = Array.length Dvs_workloads.Deadlines.fractions - 1
+
+let programs = [ "adpcm"; "epic"; "gsm"; "mpeg"; "ghostscript"; "mpg123" ]
+
 (* The paper's six programs, each prepared exactly as the Table-4
    pipeline solves it (edge filter on) at its tightest and loosest grid
    deadline.  On each, the root LP and then a seeded chain of warm
@@ -324,28 +349,11 @@ let test_milp_backends_agree () =
    basis, an infeasible fixing undone — must give the LU kernel and the
    dense oracle the same status and objective at every step. *)
 let test_real_model_oracle () =
-  let regulator = Dvs_power.Switch_cost.regulator ~capacitance:0.4e-6 () in
-  let machine = Dvs_workloads.Workload.eval_config ~regulator () in
   List.iter
     (fun name ->
-      let w = Dvs_workloads.Workload.find name in
-      let cfg, _, mem =
-        Dvs_workloads.Workload.load w
-          ~input:(Dvs_workloads.Workload.default_input w)
-      in
-      let p = Dvs_profile.Profile.collect machine cfg ~memory:mem in
-      let ds = Dvs_workloads.Deadlines.of_profile p in
       List.iter
         (fun d ->
-          let deadline = ds.(d) in
-          let prep =
-            Dvs_core.Pipeline.prepare ~regulator
-              [ { Dvs_core.Formulation.profile = p; weight = 1.0; deadline } ]
-          in
-          let model =
-            prep.Dvs_core.Pipeline.prep_formulation
-              .Dvs_core.Formulation.model
-          in
+          let model = table4_model name d in
           let c = Compiled.of_model model in
           let binaries = Array.of_list (Model.integer_vars model) in
           let rng = Rng.create (Hashtbl.hash (name, d)) in
@@ -391,31 +399,13 @@ let test_real_model_oracle () =
             end
           in
           chain 1 lu de)
-        [ 0; Array.length ds - 1 ])
-    [ "adpcm"; "epic"; "gsm"; "mpeg"; "ghostscript"; "mpg123" ]
+        [ 0; loosest ])
+    programs
 
 (* The workspace holds no m x m array: after adpcm's unfiltered Table-4
    root LP (234 rows) it is smaller than one such array would be. *)
 let test_workspace_below_m_squared () =
-  let regulator = Dvs_power.Switch_cost.regulator ~capacitance:0.4e-6 () in
-  let machine = Dvs_workloads.Workload.eval_config ~regulator () in
-  let w = Dvs_workloads.Workload.find "adpcm" in
-  let cfg, _, mem =
-    Dvs_workloads.Workload.load w
-      ~input:(Dvs_workloads.Workload.default_input w)
-  in
-  let p = Dvs_profile.Profile.collect machine cfg ~memory:mem in
-  let ds = Dvs_workloads.Deadlines.of_profile p in
-  let prep =
-    Dvs_core.Pipeline.prepare
-      ~config:(Dvs_core.Pipeline.Config.make ~filter:false ())
-      ~regulator
-      [ { Dvs_core.Formulation.profile = p; weight = 1.0; deadline = ds.(0) } ]
-  in
-  let c =
-    Compiled.of_model
-      prep.Dvs_core.Pipeline.prep_formulation.Dvs_core.Formulation.model
-  in
+  let c = Compiled.of_model (table4_model ~filter:false "adpcm" 0) in
   let m = c.Compiled.m in
   Alcotest.(check int) "adpcm unfiltered rows" 234 m;
   let ws = Simplex.workspace () in
@@ -426,6 +416,117 @@ let test_workspace_below_m_squared () =
   if words >= m * m then
     Alcotest.failf "workspace holds %d words, not below m^2 = %d" words
       (m * m)
+
+(* ---- the tableau against the dense oracle ---------------------------- *)
+
+(* The root LP's basis and its tableau. *)
+let root_tableau ~what c =
+  match Simplex.solve_compiled c with
+  | Simplex.Optimal _, Some b, _ -> (
+    match Simplex.tableau c b with
+    | Some tab -> tab
+    | None -> Alcotest.failf "%s: root basis gave no tableau" what)
+  | st, _, _ -> Alcotest.failf "%s: root LP %a" what Simplex.pp_status st
+
+(* Rebuild the tableau densely from the basic columns and column
+   statuses it reports: B^-1 by Gauss-Jordan, x_B = B^-1 (rhs - N x_N),
+   row r = e_r^T B^-1 [A | I].  Every basic value and every nonbasic row
+   entry must match to 1e-9 x (1 + |v|). *)
+let check_tableau_dense ~what c tab =
+  let n = c.Compiled.n and m = c.Compiled.m and nt = c.Compiled.nt in
+  let fact = Array.make (m * m) 0.0 and binv = Array.make (m * m) 0.0 in
+  for i = 0 to m - 1 do
+    let k = Simplex.tableau_basic_var tab i in
+    if k < n then
+      for p = c.Compiled.col_ptr.(k) to c.Compiled.col_ptr.(k + 1) - 1 do
+        fact.((c.Compiled.col_row.(p) * m) + i) <- c.Compiled.col_val.(p)
+      done
+    else fact.(((k - n) * m) + i) <- 1.0
+  done;
+  if not (Dense_basis.dense_inverse ~m ~fact ~binv ~flops:(ref 0)) then
+    Alcotest.failf "%s: dense oracle finds the basis singular" what;
+  let close ~what' v_lu v =
+    if Float.abs (v_lu -. v) > 1e-9 *. (1.0 +. Float.abs v) then
+      Alcotest.failf "%s: %s = %.17g (LU) vs %.17g (dense)" what what' v_lu v
+  in
+  let rw = Array.sub c.Compiled.rhs 0 m in
+  for j = 0 to nt - 1 do
+    let x =
+      match Simplex.tableau_col_status tab j with
+      | Simplex.Col_lower -> c.Compiled.lb.(j)
+      | Simplex.Col_upper -> c.Compiled.ub.(j)
+      | Simplex.Col_free | Simplex.Col_basic -> 0.0
+    in
+    if x <> 0.0 then
+      if j < n then
+        for p = c.Compiled.col_ptr.(j) to c.Compiled.col_ptr.(j + 1) - 1 do
+          let r = c.Compiled.col_row.(p) in
+          rw.(r) <- rw.(r) -. (c.Compiled.col_val.(p) *. x)
+        done
+      else rw.(j - n) <- rw.(j - n) -. x
+  done;
+  let alpha = Array.make nt 0.0 in
+  for r = 0 to m - 1 do
+    let off = r * m in
+    let xb = ref 0.0 in
+    for k = 0 to m - 1 do
+      xb := !xb +. (binv.(off + k) *. rw.(k))
+    done;
+    close ~what':(Printf.sprintf "x_B(%d)" r)
+      (Simplex.tableau_basic_value tab r) !xb;
+    Simplex.tableau_row tab r alpha;
+    for j = 0 to nt - 1 do
+      if Simplex.tableau_col_status tab j <> Simplex.Col_basic then begin
+        let v =
+          if j < n then begin
+            let s = ref 0.0 in
+            for p = c.Compiled.col_ptr.(j) to c.Compiled.col_ptr.(j + 1) - 1
+            do
+              s := !s +. (binv.(off + c.Compiled.col_row.(p))
+                          *. c.Compiled.col_val.(p))
+            done;
+            !s
+          end
+          else binv.(off + (j - n))
+        in
+        close ~what':(Printf.sprintf "row %d col %d" r j) alpha.(j) v
+      end
+    done
+  done
+
+(* Each program's filtered Table-4 root tableau at its tightest and
+   loosest deadline, and adpcm's unfiltered one. *)
+let test_tableau_dense_oracle () =
+  let cases =
+    List.concat_map
+      (fun name -> [ (name, true, 0); (name, true, loosest) ])
+      programs
+    @ [ ("adpcm", false, 0) ]
+  in
+  List.iter
+    (fun (name, filter, d) ->
+      let what = Printf.sprintf "%s filter=%b deadline %d" name filter d in
+      let c = Compiled.of_model (table4_model ~filter name d) in
+      check_tableau_dense ~what c (root_tableau ~what c))
+    cases
+
+(* The tableau holds no m x m array: on adpcm's unfiltered root
+   (m = 234), after reading every row, it reaches fewer words than one
+   such array would hold, not counting the compiled model it shares. *)
+let test_tableau_below_m_squared () =
+  let c = Compiled.of_model (table4_model ~filter:false "adpcm" 0) in
+  let m = c.Compiled.m in
+  Alcotest.(check int) "adpcm unfiltered rows" 234 m;
+  let tab = root_tableau ~what:"adpcm unfiltered" c in
+  let alpha = Array.make c.Compiled.nt 0.0 in
+  for r = 0 to m - 1 do
+    Simplex.tableau_row tab r alpha
+  done;
+  let words =
+    Obj.reachable_words (Obj.repr tab) - Obj.reachable_words (Obj.repr c)
+  in
+  if words >= m * m then
+    Alcotest.failf "tableau holds %d words, not below m^2 = %d" words (m * m)
 
 let suite =
   [ Alcotest.test_case "LP backends agree over 25 seeds" `Quick
@@ -443,4 +544,8 @@ let suite =
     Alcotest.test_case "LU = dense on six programs' warm LP chains" `Quick
       test_real_model_oracle;
     Alcotest.test_case "workspace below m^2 words on adpcm unfiltered"
-      `Quick test_workspace_below_m_squared ]
+      `Quick test_workspace_below_m_squared;
+    Alcotest.test_case "tableau = dense oracle on six programs" `Quick
+      test_tableau_dense_oracle;
+    Alcotest.test_case "tableau holds no m x m array" `Quick
+      test_tableau_below_m_squared ]

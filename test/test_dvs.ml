@@ -297,6 +297,50 @@ let test_optimize_sweep_matches_pointwise () =
         Alcotest.(check bool) "meets deadline" true v.Verify.meets_deadline)
     sw.Pipeline.results
 
+(* Every solution the sweep returns lies within its model's bounds,
+   exactly: incumbents are clamped, so no value carries LP fuzz past a
+   bound (which would also move its objective off the same schedule's
+   cold one).  mpg123 filtered and ghostscript unfiltered, on the
+   reproduce grid and machine. *)
+let test_optimize_sweep_within_bounds () =
+  let machine =
+    Dvs_workloads.Workload.eval_config
+      ~regulator:(Dvs_power.Switch_cost.regulator ~capacitance:0.4e-6 ())
+      ()
+  in
+  List.iter
+    (fun (name, filter) ->
+      let w = Dvs_workloads.Workload.find name in
+      let cfg, _, memory =
+        Dvs_workloads.Workload.load w
+          ~input:(Dvs_workloads.Workload.default_input w)
+      in
+      let p = Dvs_profile.Profile.collect machine cfg ~memory in
+      let config =
+        Pipeline.Config.make ~filter
+          ~solver:(Dvs_milp.Solver.Config.make ~jobs:1 ())
+          ()
+      in
+      let sw =
+        Pipeline.optimize_sweep ~config ~profile:p machine cfg ~memory
+          ~deadlines:(Dvs_workloads.Deadlines.sweep_of_profile p)
+      in
+      Array.iteri
+        (fun i (r : Pipeline.result) ->
+          let model = r.Pipeline.formulation.Formulation.model in
+          match r.Pipeline.milp.Dvs_milp.Solver.solution with
+          | None -> Alcotest.failf "%s point %d: no solution" name i
+          | Some s ->
+            Array.iteri
+              (fun v x ->
+                let lo, hi = Dvs_lp.Model.bounds model v in
+                if x < lo || x > hi then
+                  Alcotest.failf "%s point %d: x%d = %.17g outside [%g, %g]"
+                    name i v x lo hi)
+              s.Dvs_lp.Simplex.values)
+        sw.Pipeline.results)
+    [ ("mpg123", true); ("ghostscript", false) ]
+
 let test_optimize_sweep_infeasible_point () =
   let cfg, _ = Lazy.force compiled in
   let p = Lazy.force profile_cached in
@@ -520,6 +564,8 @@ let suite =
       test_optimize_sweep_matches_pointwise;
     Alcotest.test_case "optimize_sweep infeasible point" `Quick
       test_optimize_sweep_infeasible_point;
+    Alcotest.test_case "optimize_sweep solutions within bounds" `Quick
+      test_optimize_sweep_within_bounds;
     Alcotest.test_case "multi-category optimization" `Slow
       test_multi_category ;
     Alcotest.test_case "handover: six programs = recorded oracle" `Slow

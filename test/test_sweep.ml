@@ -163,26 +163,6 @@ let test_sweep_matches_cold () =
       done)
     jobs_list
 
-(* Parallel instances must not change any point's answer either. *)
-let test_sweep_instances_match () =
-  let m, k, deadline_row, time = sweep_model ~seed:7 ~groups:5 ~modes:3 in
-  let deadlines = deadline_grid ~time ~points:6 in
-  let cfg = config ~jobs:1 ~k in
-  let solo = Sweep.run ~config:cfg ~model:m ~deadline_row ~deadlines () in
-  let quad =
-    Sweep.run ~config:cfg ~instances:4 ~model:m ~deadline_row ~deadlines ()
-  in
-  Array.iteri
-    (fun i (p : Sweep.point) ->
-      let q = quad.Sweep.points.(i) in
-      let what = Printf.sprintf "instances point %d" i in
-      check_float ~eps:1e-9 what
-        (objective_exn what p.Sweep.result)
-        (objective_exn what q.Sweep.result);
-      if rounded_schedule p.Sweep.result k <> rounded_schedule q.Sweep.result k
-      then Alcotest.failf "%s: schedules differ" what)
-    solo.Sweep.points
-
 (* Tightest-first lifting: every point after the tightest should start
    from a lifted incumbent, and the counter must agree. *)
 let test_sweep_warm_lifting () =
@@ -401,8 +381,6 @@ let suite =
   [
     Alcotest.test_case "sweep matches cold solves (25 seeds)" `Slow
       test_sweep_matches_cold;
-    Alcotest.test_case "parallel instances match" `Quick
-      test_sweep_instances_match;
     Alcotest.test_case "warm incumbent lifting" `Quick
       test_sweep_warm_lifting;
     Alcotest.test_case "crash injection leaves objectives exact" `Quick
