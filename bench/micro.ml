@@ -1,5 +1,6 @@
-(* Bechamel micro-benchmarks of the core engines: the MILP stack (one
-   representative DVS formulation solve), the raw simplex, the three
+(* Bechamel micro-benchmarks of the core engines: the MILP stack (a
+   representative DVS formulation solve, and gsm's unfiltered Table-4
+   solve, heavy in probes and factorizations), the raw simplex, the three
    machine kernels (cycle-level simulation, tape recording, tape replay),
    one cold profile-and-sweep job, a warm experiment-store replay, and
    the analytical optimizer.  These
@@ -91,6 +92,34 @@ let tests ~store_root =
       ~regulator:Dvs_power.Switch_cost.default gs_categories
   in
   let gs_deadlines_us = [| gs_deadline *. 1e6 |] in
+  (* gsm's unfiltered Table-4 model at its middle grid deadline, solved
+     at jobs 1 and verified on a warm session, so the row is the MILP. *)
+  let t4_regulator = Dvs_power.Switch_cost.regulator ~capacitance:0.4e-6 () in
+  let t4_machine =
+    Dvs_workloads.Workload.eval_config ~regulator:t4_regulator ()
+  in
+  let gsm = Dvs_workloads.Workload.find "gsm" in
+  let gsm_cfg, _, gsm_mem =
+    Dvs_workloads.Workload.load gsm
+      ~input:(Dvs_workloads.Workload.default_input gsm)
+  in
+  let gsm_profile =
+    Dvs_profile.Profile.collect t4_machine gsm_cfg ~memory:gsm_mem
+  in
+  let gsm_deadlines = Dvs_workloads.Deadlines.of_profile gsm_profile in
+  let gsm_session =
+    Dvs_core.Verify.Session.create t4_machine gsm_cfg ~memory:gsm_mem
+  in
+  let gsm_unfiltered () =
+    Dvs_core.Pipeline.optimize_multi
+      ~config:
+        (Dvs_core.Pipeline.Config.make ~filter:false
+           ~solver:(Dvs_milp.Solver.Config.make ~jobs:1 ())
+           ())
+      ~session:gsm_session ~regulator:t4_regulator ~memory:gsm_mem
+      [ { Dvs_core.Formulation.profile = gsm_profile; weight = 1.0;
+          deadline = gsm_deadlines.(Array.length gsm_deadlines / 2) } ]
+  in
   let params =
     Dvs_analytical.Params.make ~n_overlap:4e6 ~n_dependent:5.8e6
       ~n_cache:3e5 ~t_invariant:3e-3 ~t_deadline:5e-3
@@ -141,6 +170,10 @@ let tests ~store_root =
                   ~regulator:Dvs_power.Switch_cost.default ~memory:gs_mem
                   [ { Dvs_core.Formulation.profile = gs_profile;
                       weight = 1.0; deadline = gs_deadline } ])));
+      Test.make ~name:"milp-unfiltered-gsm"
+        ((* Warm the session's summary cache outside the timed region. *)
+         ignore (gsm_unfiltered ());
+         Staged.stage (fun () -> ignore (gsm_unfiltered ())));
       Test.make ~name:"verify-adpcm-cycle-accurate"
         (let schedule = Dvs_core.Schedule.uniform cfg 1 in
          let session =

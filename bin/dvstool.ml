@@ -950,8 +950,16 @@ let bench_diff_cmd =
     | Error e -> fail "%s: not a dvs-bench/v2 summary: %s" file e);
     j
   in
+  (* A dotted name is a path into nested objects: "lu.refactorizations"
+     reads the summary's lu section. *)
   let counter file j k =
-    match Option.bind (Dvs_obs.Json.member k j) Dvs_obs.Json.to_int with
+    let field =
+      List.fold_left
+        (fun acc key -> Option.bind acc (Dvs_obs.Json.member key))
+        (Some j)
+        (String.split_on_char '.' k)
+    in
+    match Option.bind field Dvs_obs.Json.to_int with
     | Some n -> n
     | None -> fail "%s: missing integer field %s" file k
   in
@@ -986,8 +994,13 @@ let bench_diff_cmd =
             e)
       cex;
     (* Deterministic work counters gate the diff; wall-clock numbers are
-       printed for context only (CI machines are too noisy to gate on). *)
-    let gated = [ "lp_pivots"; "lp_solves"; "lp_flops"; "bb_nodes" ] in
+       printed for context only (CI machines are too noisy to gate on).
+       The LU factorization count is gated so that factorizations saved
+       by reusing held factors cannot come back unnoticed. *)
+    let gated =
+      [ "lp_pivots"; "lp_solves"; "lp_flops"; "bb_nodes";
+        "lu.refactorizations" ]
+    in
     let informational = [ "solves" ] in
     let delta k =
       let b = counter baseline bj k and c = counter current cj k in

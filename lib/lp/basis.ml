@@ -1,6 +1,7 @@
 type counters = {
   mutable flops : int;
   mutable factorizations : int;
+  mutable restores : int;
   mutable fill_in : int;
   mutable update_nnz : int;
   mutable ftran_skips : int;
@@ -11,6 +12,7 @@ let counters () =
   {
     flops = 0;
     factorizations = 0;
+    restores = 0;
     fill_in = 0;
     update_nnz = 0;
     ftran_skips = 0;
@@ -20,6 +22,7 @@ let counters () =
 let reset k =
   k.flops <- 0;
   k.factorizations <- 0;
+  k.restores <- 0;
   k.fill_in <- 0;
   k.update_nnz <- 0;
   k.ftran_skips <- 0;
@@ -44,4 +47,10 @@ module type S = sig
   val updates : t -> int
 
   val needs_refactor : t -> bool
+
+  val pin : t -> unit
+
+  val restore : t -> bool
+
+  val unpin : t -> unit
 end

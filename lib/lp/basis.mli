@@ -19,6 +19,9 @@ type counters = {
       (** floating-point work actually performed: 2 per entry multiplied
           and accumulated, no dense m^2/m^3 formulas *)
   mutable factorizations : int;  (** successful {!S.factor} calls *)
+  mutable restores : int;
+      (** successful {!S.restore} calls: factorizations a solve reused
+          instead of building *)
   mutable fill_in : int;
       (** factor entries beyond the basis nnz, summed over
           factorizations *)
@@ -72,4 +75,17 @@ module type S = sig
 
   val needs_refactor : t -> bool
   (** Whether the next iteration should rebuild the factorization. *)
+
+  val pin : t -> unit
+  (** Keep the current factorization, updates included, so that
+      {!restore} can bring it back after later {!factor} and {!update}
+      calls.  Replaces any earlier pin. *)
+
+  val restore : t -> bool
+  (** Make the pinned factorization current again, exactly as {!pin}
+      left it; the pin stays held.  [false] (state unchanged) when
+      nothing is pinned or the module keeps no pinned copy. *)
+
+  val unpin : t -> unit
+  (** Drop the pin; the current factorization is unaffected. *)
 end

@@ -12,7 +12,12 @@
 
     {!needs_refactor} fires when the eta file holds more than twice
     [factor nnz + m] entries, or after 256 pivots, whichever comes
-    first. *)
+    first.
+
+    {!pin} keeps the current LU and its etas in place: while a pin is
+    held, {!factor} starts the new eta file after the pinned etas
+    instead of at index 0, so {!restore} brings the pinned factor back
+    by resetting two indices, with no copy and no factorization. *)
 
 include Basis.S
 

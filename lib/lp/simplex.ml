@@ -10,13 +10,18 @@
    The kernel owns every pricing, ratio-test and phase decision; the
    basis module [B] factors the basis columns, solves against them
    (FTRAN/BTRAN), absorbs one column exchange per pivot and says when to
-   refactorize.  The library instance is [Make (Lu_eta)].  A solve
+   refactorize.  The library instance is [Make (Lu_eta)].  Reduced
+   costs are priced from one BTRAN after every refactorization and
+   before any phase is declared optimal; between those, each pivot
+   updates them along the pivot row it has already computed.  A solve
    finishes on the factor the pivot loop already holds: one FTRAN of the
-   residual recomputes the basic values, with no refactorization.
-   [tableau] (cut separation) factors its basis with [Lu_eta] too.
-   Everything the iteration touches lives in a reusable workspace, so
-   the pivot loop allocates nothing beyond the basis module's own update
-   storage. *)
+   residual recomputes the basic values, and a residual check refactors
+   only when that factor has drifted.  A solve may pin its final factor
+   so that a later warm start from the basis it returned reuses it
+   instead of factoring.  [tableau] (cut separation) factors its basis
+   with [Lu_eta] too.  Everything the iteration touches lives in a
+   reusable workspace, so the pivot loop allocates nothing beyond the
+   basis module's own update storage. *)
 
 module C = Compiled
 
@@ -54,6 +59,9 @@ type stats = {
   bland_pivots : int;
   flops : int;
   lu_refactorizations : int;
+  lu_restores : int;
+  residual_max : float;
+  residual_refactors : int;
   lu_fill_in_nnz : int;
   lu_eta_nnz : int;
   ftran_sparse_hits : int;
@@ -146,6 +154,10 @@ let piv_tol = 1e-9
 
 let rtol = 1e-9
 
+(* Largest scaled row residual |(B x_B - (b - N x_N))_i| / (1 + |b_i|) a
+   finish accepts from the held factor before refactoring. *)
+let residual_tol = 1e-9
+
 exception Stop of status * basis option
 
 exception Fallback (* abandon the warm-start attempt, re-solve cold *)
@@ -162,19 +174,17 @@ module type S = sig
 
   val workspace : unit -> workspace
 
-  val solve : ?max_iter:int -> Model.t -> status
+  val unpin : workspace -> unit
 
-  val solve_ext :
-    ?max_iter:int -> ?basis:basis -> Model.t -> status * basis option * stats
+  val solve : ?max_iter:int -> Model.t -> status
 
   val solve_compiled :
     ?max_iter:int ->
     ?basis:basis ->
     ?ws:workspace ->
+    ?pin:bool ->
     Compiled.t ->
     status * basis option * stats
-
-  val solve_from_basis : ?max_iter:int -> basis -> Model.t -> status
 end
 
 module Make (B : Basis.S) = struct
@@ -199,6 +209,9 @@ module Make (B : Basis.S) = struct
     mutable brow : int array;
     mutable bval : float array;
     bs : B.t;
+    (* the basis whose final factor [bs] holds pinned, and the
+       coefficient array of the matrix it factors *)
+    mutable pinned : (basis * float array) option;
   }
 
   let workspace () =
@@ -222,6 +235,7 @@ module Make (B : Basis.S) = struct
       brow = [||];
       bval = [||];
       bs = B.create ();
+      pinned = None;
     }
 
   let ensure ws m ncols =
@@ -247,12 +261,25 @@ module Make (B : Basis.S) = struct
     end;
     ws
 
-  let solve_compiled ?(max_iter = 100000) ?basis:hint ?ws c =
+  let unpin ws =
+    ws.pinned <- None;
+    B.unpin ws.bs
+
+  (* A warm hint may reuse the pinned factor only when it is physically
+     the basis that factor was pinned for, on the same constraint matrix
+     (a scratch view shares the matrix arrays). *)
+  let pinned_for ws b c =
+    match ws.pinned with
+    | Some (pb, vals) -> pb == b && vals == c.C.col_val
+    | None -> false
+
+  let solve_compiled ?(max_iter = 100000) ?basis:hint ?ws ?(pin = false) c =
     let n = c.C.n and m = c.C.m and nt = c.C.nt in
     let ncols = nt + m in
     let ws =
       ensure (match ws with Some w -> w | None -> workspace ()) m ncols
     in
+    if pin then unpin ws;
     let bs = ws.bs in
     let bk = B.counters bs in
     Basis.reset bk;
@@ -271,7 +298,9 @@ module Make (B : Basis.S) = struct
     and dual_pivots = ref 0
     and flips = ref 0
     and blands = ref 0
-    and flops = ref 0 in
+    and flops = ref 0
+    and res_max = ref 0.0
+    and res_refactors = ref 0 in
     let total_pivots () = !primal_pivots + !dual_pivots in
     let stats () =
       {
@@ -281,6 +310,9 @@ module Make (B : Basis.S) = struct
         bland_pivots = !blands;
         flops = !flops + bk.Basis.flops;
         lu_refactorizations = bk.Basis.factorizations;
+        lu_restores = bk.Basis.restores;
+        residual_max = !res_max;
+        residual_refactors = !res_refactors;
         lu_fill_in_nnz = bk.Basis.fill_in;
         lu_eta_nnz = bk.Basis.update_nnz;
         ftran_sparse_hits = bk.Basis.ftran_skips;
@@ -303,10 +335,43 @@ module Make (B : Basis.S) = struct
         ~vals:ws.bval;
       B.factor bs ~m ~ptr:ws.bptr ~row:ws.brow ~vals:ws.bval
     in
+    (* x_B = B^-1 (b - N x_N); ws.rw keeps b - N x_N for
+       [residual_norm]. *)
     let compute_xb () =
       flops := !flops + residual c ~stat:ws.vstat ~xval:ws.xval ~rw:ws.rw;
-      B.ftran bs ws.rw;
-      Array.blit ws.rw 0 ws.xb 0 m
+      Array.blit ws.rw 0 ws.xb 0 m;
+      B.ftran bs ws.xb
+    in
+    (* max_i |(B x_B - (b - N x_N))_i| / (1 + |b_i|) right after
+       [compute_xb]: one pass over the basis columns, subtracting B x_B
+       from ws.rw in place.  A NaN reads as infinitely far off. *)
+    let residual_norm () =
+      let t = ref 0 in
+      for i = 0 to m - 1 do
+        let k = ws.basis.(i) and x = ws.xb.(i) in
+        if x <> 0.0 then
+          if k < n then begin
+            t := !t + (c.C.col_ptr.(k + 1) - c.C.col_ptr.(k));
+            for p = c.C.col_ptr.(k) to c.C.col_ptr.(k + 1) - 1 do
+              let r = c.C.col_row.(p) in
+              ws.rw.(r) <- ws.rw.(r) -. (c.C.col_val.(p) *. x)
+            done
+          end
+          else begin
+            incr t;
+            if k < nt then ws.rw.(k - n) <- ws.rw.(k - n) -. x
+            else
+              ws.rw.(k - nt) <- ws.rw.(k - nt) -. (ws.art_sign.(k - nt) *. x)
+          end
+      done;
+      flops := !flops + (2 * !t);
+      let worst = ref 0.0 in
+      for i = 0 to m - 1 do
+        let v = Float.abs ws.rw.(i) /. (1.0 +. Float.abs c.C.rhs.(i)) in
+        let v = if Float.is_nan v then infinity else v in
+        if v > !worst then worst := v
+      done;
+      !worst
     in
     let btran () =
       for i = 0 to m - 1 do
@@ -327,6 +392,14 @@ module Make (B : Basis.S) = struct
         flops := !flops + 1;
         ws.cost.(j) -. ws.y.(j - n)
       end
+    in
+    (* Reduced costs of every nonbasic, non-fixed column from one BTRAN. *)
+    let price () =
+      btran ();
+      for j = 0 to nt - 1 do
+        if ws.vstat.(j) <> st_basic && lbx j < ubx j then
+          ws.dj.(j) <- reduced_cost j
+      done
     in
     let ftran e =
       Array.fill ws.w 0 m 0.0;
@@ -363,6 +436,29 @@ module Make (B : Basis.S) = struct
         else ws.alpha.(j) <- 0.0
       done;
       flops := !flops + !t
+    in
+    (* The reduced costs after a pivot on row r (entering e, leaving k),
+       with ws.alpha holding row r: theta = d_e / alpha_e, then
+       d_j -= theta alpha_j and d_k = -theta.  [false] (nothing updated)
+       when the row's alpha_e and the FTRAN'd pivot ws.w.(r) disagree;
+       the caller then prices afresh. *)
+    let update_prices r e k =
+      let ae = ws.alpha.(e) and wr = ws.w.(r) in
+      if Float.abs (ae -. wr) > 1e-9 *. (1.0 +. Float.abs wr) then false
+      else begin
+        let theta = ws.dj.(e) /. ae in
+        let t = ref 0 in
+        for j = 0 to nt - 1 do
+          let a = ws.alpha.(j) in
+          if a <> 0.0 then begin
+            ws.dj.(j) <- ws.dj.(j) -. (theta *. a);
+            incr t
+          end
+        done;
+        flops := !flops + (2 * !t);
+        ws.dj.(k) <- -.theta;
+        true
+      end
     in
     (* Replace row r's basic column with e (ws.w must hold B^-1 A_e). *)
     let apply_pivot r e ~ve ~leave_st ~leave_val =
@@ -406,15 +502,15 @@ module Make (B : Basis.S) = struct
       !s
     in
     (* Steepest edge (d^2 over the reference weight), or Bland's
-       least-index rule once the primal phase has stalled. *)
+       least-index rule once the primal phase has stalled, over the
+       reduced costs in ws.dj. *)
     let choose_entering ~bland =
       let best = ref (-1) and best_score = ref 0.0 in
       (try
          for j = 0 to nt - 1 do
            let st = ws.vstat.(j) in
            if st <> st_basic && lbx j < ubx j then begin
-             let d = reduced_cost j in
-             ws.dj.(j) <- d;
+             let d = ws.dj.(j) in
              let elig =
                (d < -.eps && (st = st_lo || st = st_fr))
                || (d > eps && (st = st_up || st = st_fr))
@@ -443,13 +539,26 @@ module Make (B : Basis.S) = struct
       let bland = ref false in
       let last_z = ref infinity in
       let finished = ref None in
+      (* Prices are fresh here, after every refactorization and before
+         the phase is declared optimal; in between, each pivot updates
+         them along its row. *)
+      price ();
+      let fresh = ref true in
       while !finished = None do
         if B.needs_refactor bs then begin
           if not (refactor ()) then raise (Stuck phase);
-          compute_xb ()
+          compute_xb ();
+          price ();
+          fresh := true
         end;
-        btran ();
-        let e = choose_entering ~bland:!bland in
+        let e =
+          match choose_entering ~bland:!bland with
+          | e when e < 0 && not !fresh ->
+            price ();
+            fresh := true;
+            choose_entering ~bland:!bland
+          | e -> e
+        in
         if e < 0 then finished := Some `Optimal
         else if !iters >= max_iter then finished := Some `Limit
         else begin
@@ -528,7 +637,9 @@ module Make (B : Basis.S) = struct
                  warm-started, Iter_limit otherwise) *)
               if B.updates bs > 0 then begin
                 if not (refactor ()) then raise (Stuck phase);
-                compute_xb ()
+                compute_xb ();
+                price ();
+                fresh := true
               end
               else raise (Stuck phase)
             end
@@ -538,12 +649,18 @@ module Make (B : Basis.S) = struct
               let leave_st = if !leave_up then st_up else st_lo in
               let leave_val = if !leave_up then ubx k else lbx k in
               devex_update r e;
+              let updated = update_prices r e k in
               flops := !flops + (2 * m);
               for i = 0 to m - 1 do
                 if i <> r then ws.xb.(i) <- ws.xb.(i) -. (dir *. t *. ws.w.(i))
               done;
               let ve = ws.xval.(e) +. (dir *. t) in
               apply_pivot r e ~ve ~leave_st ~leave_val;
+              if updated then fresh := false
+              else begin
+                price ();
+                fresh := true
+              end;
               incr iters;
               incr primal_pivots;
               if !bland then incr blands
@@ -587,10 +704,18 @@ module Make (B : Basis.S) = struct
         end
       done
     in
+    (* Basic values afresh from the held factor, not the pivot loop's
+       running updates, checked against the rows: past [residual_tol]
+       the factor is rebuilt and x_B recomputed once. *)
     let finish () =
-      (* Basic values afresh from the held factor, not the pivot loop's
-         running updates. *)
       compute_xb ();
+      let res = residual_norm () in
+      if res > !res_max then res_max := res;
+      if res > residual_tol then begin
+        incr res_refactors;
+        if not (refactor ()) then raise (Stuck 2);
+        compute_xb ()
+      end;
       let values = Array.make n 0.0 in
       for j = 0 to n - 1 do
         if ws.vstat.(j) <> st_basic then values.(j) <- ws.xval.(j)
@@ -612,6 +737,10 @@ module Make (B : Basis.S) = struct
           b_sign = Array.sub ws.art_sign 0 m;
         }
       in
+      if pin then begin
+        B.pin bs;
+        ws.pinned <- Some (b, c.C.col_val)
+      end;
       raise (Stop (Optimal { objective = C.objective c values; values },
                    Some b))
     in
@@ -744,17 +873,19 @@ module Make (B : Basis.S) = struct
           ws.xval.(j) <- pinned st ~l ~u
         end
       done;
-      if not (refactor ()) then raise Fallback;
+      (* the basis this workspace pinned a factor for needs no
+         factorization *)
+      if not (pinned_for ws b c && B.restore bs) && not (refactor ()) then
+        raise Fallback;
       compute_xb ();
       set_phase2_cost ();
       Array.fill ws.refw 0 ncols 1.0;
-      btran ();
+      price ();
       let dual_ok = ref true in
       for j = 0 to nt - 1 do
         let st = ws.vstat.(j) in
         if st <> st_basic && lbx j < ubx j then begin
-          let d = reduced_cost j in
-          ws.dj.(j) <- d;
+          let d = ws.dj.(j) in
           if
             (d < -.eps && (st = st_lo || st = st_fr))
             || (d > eps && (st = st_up || st = st_fr))
@@ -772,7 +903,8 @@ module Make (B : Basis.S) = struct
         if !iters >= max_iter then raise (limit 2);
         if B.needs_refactor bs then begin
           if not (refactor ()) then raise Fallback;
-          compute_xb ()
+          compute_xb ();
+          price ()
         end;
         let r = ref (-1) and viol = ref feas_tol and need_up = ref false in
         for i = 0 to m - 1 do
@@ -792,10 +924,6 @@ module Make (B : Basis.S) = struct
         if !r < 0 then continue_dual := false
         else begin
           let r = !r in
-          btran ();
-          for j = 0 to nt - 1 do
-            if ws.vstat.(j) <> st_basic then ws.dj.(j) <- reduced_cost j
-          done;
           pivot_row r;
           let e = ref (-1) and best = ref infinity in
           for j = 0 to nt - 1 do
@@ -834,6 +962,7 @@ module Make (B : Basis.S) = struct
           let k = ws.basis.(r) in
           let target = if !need_up then lbx k else ubx k in
           let dx = (ws.xb.(r) -. target) /. ws.w.(r) in
+          let updated = update_prices r e k in
           flops := !flops + (2 * m);
           for i = 0 to m - 1 do
             if i <> r then ws.xb.(i) <- ws.xb.(i) -. (dx *. ws.w.(i))
@@ -841,6 +970,7 @@ module Make (B : Basis.S) = struct
           let ve = ws.xval.(e) +. dx in
           let leave_st = if !need_up then st_lo else st_up in
           apply_pivot r e ~ve ~leave_st ~leave_val:target;
+          if not updated then price ();
           incr dual_pivots;
           incr iters
         end
@@ -861,15 +991,8 @@ module Make (B : Basis.S) = struct
     in
     (st, b, stats ())
 
-  let solve_ext ?max_iter ?basis m =
-    solve_compiled ?max_iter ?basis (Compiled.of_model m)
-
   let solve ?max_iter m =
-    let st, _, _ = solve_ext ?max_iter m in
-    st
-
-  let solve_from_basis ?max_iter basis m =
-    let st, _, _ = solve_ext ?max_iter ~basis m in
+    let st, _, _ = solve_compiled ?max_iter (Compiled.of_model m) in
     st
 end
 

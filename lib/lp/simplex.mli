@@ -16,14 +16,22 @@
     product-form eta file, refactorized when the eta file outgrows the
     factorization.  A solve finishes on the factor the pivot loop
     already holds (one FTRAN recomputes the basic values; no dense
-    solve, no refactorization), so the workspace holds no [m]x[m]
-    array.  {!tableau} factors its basis the same way.  The test suite
-    checks this instance, and the tableau, against an explicit dense
-    inverse.
+    solve), so the workspace holds no [m]x[m] array.  That finish
+    checks the rows: when max_i |(B x_B - (b - N x_N))_i| / (1 + |b_i|)
+    exceeds [1e-9] it refactors and recomputes x_B once
+    ({!stats.residual_refactors}); a basis that proves singular then is
+    treated like any numerically hopeless state.  {!tableau} factors
+    its basis the same way.
+    The test suite checks this instance, and the tableau, against an
+    explicit dense inverse.
 
     Pricing is devex-style steepest edge, falling back to Bland's rule
     after 200 stalled (degenerate) iterations, so cycling cannot happen
-    silently.
+    silently.  Reduced costs come from one BTRAN after every
+    refactorization and before any phase is declared optimal; between
+    those, each primal and dual pivot updates them along the pivot row
+    it has already computed ([d_j -= theta alpha_j], [theta = d_e /
+    alpha_e]).
 
     Integrality markers on variables are ignored — this solves the
     relaxation; {!Dvs_milp} adds branch and bound on top.
@@ -34,13 +42,15 @@
 
     Re-solves of nearby models (branch-and-bound children differing from
     the parent by variable bounds only) warm start from the parent's
-    {!basis} via {!solve_compiled}, {!solve_ext} or {!solve_from_basis}:
-    the parent's optimal basis stays dual feasible under bound changes,
-    so the warm solve is a dual-simplex reoptimization that typically
-    needs a handful of pivots instead of a primal restart.  If the hint
-    is unusable (dimension mismatch, singular basis, loss of dual
-    feasibility), the kernel falls back to a cold solve — the hint can
-    never affect correctness.
+    {!basis} via {!solve_compiled}: the parent's optimal basis stays
+    dual feasible under bound changes, so the warm solve is a
+    dual-simplex reoptimization that typically needs a handful of pivots
+    instead of a primal restart.  If the hint is unusable (dimension
+    mismatch, singular basis, loss of dual feasibility), the kernel
+    falls back to a cold solve — the hint can never affect correctness.
+    A solve asked to [pin] keeps its final factor in the workspace, and
+    a later warm start there from the very basis it returned restores
+    that factor instead of factoring ({!stats.lu_restores}).
 
     Sized for the paper's instances (hundreds of rows/columns), not for
     industrial LPs. *)
@@ -81,6 +91,15 @@ type stats = {
           no dense m^2/m^3 formulas), comparable across basis modules *)
   lu_refactorizations : int;
       (** factorizations built by the basis module ({!Basis.counters}) *)
+  lu_restores : int;
+      (** pinned factors a warm start reused instead of factoring *)
+  residual_max : float;
+      (** largest scaled row residual
+          max_i |(B x_B - (b - N x_N))_i| / (1 + |b_i|) the finish
+          measured on the held factor; 0.0 when the solve did not reach
+          an optimum *)
+  residual_refactors : int;
+      (** finishes whose residual exceeded [1e-9] and refactored *)
   lu_fill_in_nnz : int;
       (** total factor entries beyond the basis nnz, summed over
           factorizations *)
@@ -101,39 +120,36 @@ module type S = sig
 
   val workspace : unit -> workspace
 
+  val unpin : workspace -> unit
+  (** Drop the workspace's pinned factor, if any. *)
+
   val solve : ?max_iter:int -> Model.t -> status
   (** [max_iter] bounds pivots per phase (default 100000); Bland's rule
       engages after 200 stalled iterations, so running out of budget
       yields {!Iter_limit} rather than silently looping.  Reduced costs
       and (scaled) feasibility are judged to [1e-7]. *)
 
-  val solve_ext :
-    ?max_iter:int -> ?basis:basis -> Model.t -> status * basis option * stats
-  (** Like {!solve}, additionally returning the optimal basis (when the
-      status is [Optimal]) and pivot statistics.  [basis] warm starts the
-      search from a previous solve's basis: correctness is unaffected (an
-      unusable hint falls back to a cold solve), but related re-solves
-      converge in far fewer pivots.  Compiles the model first; callers
-      solving many related instances should compile once and use
-      {!solve_compiled}. *)
-
   val solve_compiled :
     ?max_iter:int ->
     ?basis:basis ->
     ?ws:workspace ->
+    ?pin:bool ->
     Compiled.t ->
     status * basis option * stats
-  (** The core entry point: solve a compiled model under its {e current}
-      bounds.  The compiled structure is read-only; only
-      [Compiled.set_bounds] state distinguishes calls.  With [basis], the
-      solve is a dual-simplex reoptimization from that basis.  With [ws],
-      all scratch state is reused across calls (the intended mode for
-      branch and bound: one workspace per worker). *)
+  (** The entry point: solve a compiled model under its {e current}
+      bounds, returning the optimal basis (when the status is
+      [Optimal]) and pivot statistics.  The compiled structure is
+      read-only; only [Compiled.set_bounds] state distinguishes calls.
+      With [basis], the solve is a dual-simplex reoptimization from that
+      basis.  With [ws], all scratch state is reused across calls (the
+      intended mode for branch and bound: one workspace per worker).
 
-  val solve_from_basis : ?max_iter:int -> basis -> Model.t -> status
-  (** [solve_from_basis b m] is [solve m] warm started from basis [b]
-      (typically obtained from {!solve_ext} on a closely related
-      model). *)
+      [pin] (default [false]) drops the workspace's earlier pin and, on
+      an optimum, pins the factor the solve finished on.  Until {!unpin}
+      or the next pinning solve, any solve in [ws] whose [basis] is
+      physically the basis returned here, on the same constraint matrix
+      (bounds and right-hand sides may differ), starts from that factor
+      instead of factoring. *)
 end
 
 module Make (B : Basis.S) : S

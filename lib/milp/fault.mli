@@ -65,7 +65,7 @@ val on_node : t -> worker:int -> unit
 val pivot_budget : t -> int * int option
 (** [(ordinal, budget)]: [budget] is [Some 1] when the exhaustion
     trigger fires for this LP-solve ordinal; the solver passes it to
-    [Simplex.solve_ext] as [max_iter].  The ordinal identifies the
+    [Simplex.solve_compiled] as [max_iter].  The ordinal identifies the
     firing in exported traces — the {e set} of firing ordinals is a pure
     function of the spec, independent of worker count. *)
 

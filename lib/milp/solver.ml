@@ -9,6 +9,11 @@
    - every node below the root warm starts its LP from the parent's
      optimal basis (Simplex.solve_compiled), re-pivoting instead of
      re-running two-phase from scratch;
+   - a node's own LP pins the factor it finished on in the worker's
+     workspace, so the rounding LP, the probes and the root dive that
+     start from the node's basis skip their factorization; the pin is
+     dropped when the node is done, so every node's own solve factors
+     afresh whichever worker runs it;
    - the basis-free solves (the root and the warm-start seed) go through
      a fingerprint-keyed Lp_cache that can be shared across solves, which
      is what the bench sweep drivers do;
@@ -339,6 +344,17 @@ let solve ?(config = Config.default) model =
   let c_lu_refacts =
     Dvs_obs.Metrics.counter mx ~stability:Volatile "lu.refactorizations"
   in
+  let c_lu_restores =
+    Dvs_obs.Metrics.counter mx ~stability:Volatile "lu.restores"
+  in
+  (* The finish's residual check on the held factor: the worst scaled row
+     residual seen, and how often it forced a refactorization. *)
+  let g_residual_max =
+    Dvs_obs.Metrics.gauge mx ~stability:Volatile "lu.residual_max"
+  in
+  let c_residual_refactors =
+    Dvs_obs.Metrics.counter mx ~stability:Volatile "lu.residual_refactors"
+  in
   let c_lu_fill =
     Dvs_obs.Metrics.counter mx ~stability:Volatile "lu.fill_in_nnz"
   in
@@ -400,6 +416,10 @@ let solve ?(config = Config.default) model =
   let a_flops = Atomic.make 0 in
   let a_saved = Atomic.make 0 in
   let a_lu_refacts = Atomic.make 0 in
+  let a_lu_restores = Atomic.make 0 in
+  let a_residual_refactors = Atomic.make 0 in
+  (* Written by its own worker only, read after join. *)
+  let residual_max = Array.make n_workers 0.0 in
   let a_lu_fill = Atomic.make 0 in
   let a_lu_eta = Atomic.make 0 in
   let a_lu_fhits = Atomic.make 0 in
@@ -502,7 +522,7 @@ let solve ?(config = Config.default) model =
      in place with the worker's reusable workspace, then restores the
      touched bounds — no model copy, no per-node allocation beyond the
      returned solution. *)
-  let lp_solve ?basis ?iter_cap ~wid overrides =
+  let lp_solve ?basis ?iter_cap ?pin ~wid overrides =
     Atomic.incr lp_solves;
     let max_iter =
       match config.fault with
@@ -524,7 +544,7 @@ let solve ?(config = Config.default) model =
     let fixings = canonical_fixings overrides in
     List.iter (fun (v, lb, ub) -> Compiled.set_bounds sc v ~lb ~ub) fixings;
     let st, b, (sst : Simplex.stats) =
-      Simplex.solve_compiled ?max_iter ?basis ~ws:workspaces.(wid) sc
+      Simplex.solve_compiled ?max_iter ?basis ~ws:workspaces.(wid) ?pin sc
     in
     List.iter (fun (v, _, _) -> Compiled.reset_bounds sc v) fixings;
     ignore (Atomic.fetch_and_add lp_pivots sst.Simplex.pivots);
@@ -533,6 +553,12 @@ let solve ?(config = Config.default) model =
     ignore (Atomic.fetch_and_add a_bland sst.Simplex.bland_pivots);
     ignore (Atomic.fetch_and_add a_flops sst.Simplex.flops);
     ignore (Atomic.fetch_and_add a_lu_refacts sst.Simplex.lu_refactorizations);
+    ignore (Atomic.fetch_and_add a_lu_restores sst.Simplex.lu_restores);
+    ignore
+      (Atomic.fetch_and_add a_residual_refactors
+         sst.Simplex.residual_refactors);
+    if sst.Simplex.residual_max > residual_max.(wid) then
+      residual_max.(wid) <- sst.Simplex.residual_max;
     ignore (Atomic.fetch_and_add a_lu_fill sst.Simplex.lu_fill_in_nnz);
     ignore (Atomic.fetch_and_add a_lu_eta sst.Simplex.lu_eta_nnz);
     ignore (Atomic.fetch_and_add a_lu_fhits sst.Simplex.ftran_sparse_hits);
@@ -551,10 +577,12 @@ let solve ?(config = Config.default) model =
   in
   (* A solve with a basis warm starts from it; a basis-free one (the root,
      the warm-start seed) goes through the cache, so an entry never
-     depends on the path or the worker that solved it first. *)
-  let solve_relaxation ?basis ~wid overrides =
+     depends on the path or the worker that solved it first.  [pin]
+     reaches only a solve that runs: a cache hit leaves the workspace
+     holding some other basis's factor, so it pins nothing. *)
+  let solve_relaxation ?basis ?pin ~wid overrides =
     match basis with
-    | Some _ -> lp_solve ?basis ~wid overrides
+    | Some _ -> lp_solve ?basis ?pin ~wid overrides
     | None ->
       let forced_miss =
         match config.fault with
@@ -566,11 +594,11 @@ let solve ?(config = Config.default) model =
           miss
         | None -> false
       in
-      if forced_miss then lp_solve ~wid overrides
+      if forced_miss then lp_solve ?pin ~wid overrides
       else
         Lp_cache.find_or_add cache ~fingerprint:fp
           ~fixings:(canonical_fixings overrides)
-          (fun () -> lp_solve ~wid overrides)
+          (fun () -> lp_solve ?pin ~wid overrides)
   in
   (* Rounding heuristic, run at every fractional node: SOS1 groups round
      to their largest member (one on, rest off, respecting fixed bounds);
@@ -894,6 +922,33 @@ let solve ?(config = Config.default) model =
         | Some o -> spawn_child ~pc:(e, 1) wid n 1 s.objective basis o
         | None -> ()))
   in
+  let solve_node wid n =
+    match solve_relaxation ?basis:n.basis ~pin:true ~wid n.overrides with
+    | Simplex.Iter_limit _, _ ->
+      (* Numerical trouble in this node's relaxation: stop cleanly with
+         the incumbent rather than crash the search. *)
+      request_stop Iter_limit;
+      requeue wid n
+    | Simplex.Infeasible, _ -> ()
+    | Simplex.Unbounded, _ -> Atomic.set unbounded true
+    | Simplex.Optimal s, basis ->
+      (* Pseudocost feedback from the branch that created this node:
+         how much the relaxation degraded relative to the parent. *)
+      (match n.pc with
+      | Some (e, dir) when Float.is_finite n.bound ->
+        pc_record e dir (Float.abs (s.objective -. n.bound))
+      | Some _ | None -> ());
+      if gap_prune s.objective then ()
+      else if is_integral s then try_incumbent n.path s
+      else begin
+        rounding_pass ?basis ~wid n.path n.overrides s;
+        if n.depth = 0 && not (Float.is_finite (Atomic.get inc_obj)) then
+          dive ~wid n.path n.overrides basis s;
+        (* The rounding or the dive may have found an incumbent that
+           fathoms this node. *)
+        if not (gap_prune s.objective) then branch_pseudocost wid n s basis
+      end
+  in
   let process wid n =
     if stopping () then requeue wid n
     else if out_of_time () then begin
@@ -911,31 +966,11 @@ let solve ?(config = Config.default) model =
       (match config.fault with
       | Some f -> Fault.on_node f ~worker:wid
       | None -> ());
-      match solve_relaxation ?basis:n.basis ~wid n.overrides with
-      | Simplex.Iter_limit _, _ ->
-        (* Numerical trouble in this node's relaxation: stop cleanly with
-           the incumbent rather than crash the search. *)
-        request_stop Iter_limit;
-        requeue wid n
-      | Simplex.Infeasible, _ -> ()
-      | Simplex.Unbounded, _ -> Atomic.set unbounded true
-      | Simplex.Optimal s, basis ->
-        (* Pseudocost feedback from the branch that created this node:
-           how much the relaxation degraded relative to the parent. *)
-        (match n.pc with
-        | Some (e, dir) when Float.is_finite n.bound ->
-          pc_record e dir (Float.abs (s.objective -. n.bound))
-        | Some _ | None -> ());
-        if gap_prune s.objective then ()
-        else if is_integral s then try_incumbent n.path s
-        else begin
-          rounding_pass ?basis ~wid n.path n.overrides s;
-          if n.depth = 0 && not (Float.is_finite (Atomic.get inc_obj)) then
-            dive ~wid n.path n.overrides basis s;
-          (* The rounding or the dive may have found an incumbent that
-             fathoms this node. *)
-          if not (gap_prune s.objective) then branch_pseudocost wid n s basis
-        end
+      (* The node's LP pins its factor for the rounding LP, probes and
+         dive below, which start from its basis; dropped with the node. *)
+      Fun.protect
+        ~finally:(fun () -> Simplex.unpin workspaces.(wid))
+        (fun () -> solve_node wid n)
     end
   in
   let steal_from wid =
@@ -1095,6 +1130,10 @@ let solve ?(config = Config.default) model =
     Mc.add c_flips ~slot:0 (Atomic.get a_flips);
     Mc.add c_flops ~slot:0 (Atomic.get a_flops);
     Mc.add c_lu_refacts ~slot:0 (Atomic.get a_lu_refacts);
+    Mc.add c_lu_restores ~slot:0 (Atomic.get a_lu_restores);
+    Mc.add c_residual_refactors ~slot:0 (Atomic.get a_residual_refactors);
+    Dvs_obs.Metrics.Gauge.max g_residual_max
+      (Array.fold_left Float.max 0.0 residual_max);
     Mc.add c_lu_fill ~slot:0 (Atomic.get a_lu_fill);
     Mc.add c_lu_eta ~slot:0 (Atomic.get a_lu_eta);
     Mc.add c_lu_fhits ~slot:0 (Atomic.get a_lu_fhits);

@@ -94,6 +94,7 @@ let run ?config ?(cut_rounds = 3) ?pool ?per_point ?point_bound ?point_seed
      i.e. the loosest completed tighter point. *)
   let lifted : Simplex.solution option ref = ref None in
   let cuts_separated = ref 0 and root_flops = ref 0 in
+  let root_residual_max = ref 0.0 and root_residual_refactors = ref 0 in
   let point_config idx d lift =
     let cfg =
       match per_point with None -> config | Some f -> f idx d config
@@ -142,7 +143,10 @@ let run ?config ?(cut_rounds = 3) ?pool ?per_point ?point_bound ?point_seed
     let root_pivots = ref 0 in
     let charge (ls : Simplex.stats) =
       root_pivots := !root_pivots + ls.Simplex.pivots;
-      root_flops := !root_flops + ls.Simplex.flops
+      root_flops := !root_flops + ls.Simplex.flops;
+      root_residual_max := Float.max !root_residual_max ls.Simplex.residual_max;
+      root_residual_refactors :=
+        !root_residual_refactors + ls.Simplex.residual_refactors
     in
     let applied_rev = ref (List.rev pooled) in
     let n_pooled = List.length pooled in
@@ -338,4 +342,8 @@ let run ?config ?(cut_rounds = 3) ?pool ?per_point ?point_bound ?point_seed
   (* The root loops' LP solves and tableaux, on top of what each point's
      own solve charged. *)
   Mc.add (c "lp.flops") ~slot:0 !root_flops;
+  Mc.add (c "lu.residual_refactors") ~slot:0 !root_residual_refactors;
+  Dvs_obs.Metrics.Gauge.max
+    (Dvs_obs.Metrics.gauge mx ~stability:Volatile "lu.residual_max")
+    !root_residual_max;
   { points; stats }

@@ -58,6 +58,13 @@ module Gauge = struct
     let v = t.v in
     Mutex.unlock t.mutex;
     v
+
+  let max t x =
+    if t.on then begin
+      Mutex.lock t.mutex;
+      if Float.is_nan t.v || x > t.v then t.v <- x;
+      Mutex.unlock t.mutex
+    end
 end
 
 module Histogram = struct

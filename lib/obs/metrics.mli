@@ -56,6 +56,10 @@ module Gauge : sig
 
   val value : t -> float
   (** [nan] until first set. *)
+
+  val max : t -> float -> unit
+  (** [max g x] sets [g] to [x] when [x] is larger or [g] is unset: the
+      largest value reported so far, by any number of domains. *)
 end
 
 module Histogram : sig

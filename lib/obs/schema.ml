@@ -259,6 +259,15 @@ let bench_summary ?(experiment_walls = []) ~metrics ~experiments
       ( "lu",
         Json.Obj
           [ ("refactorizations", Json.Int (total "lu.refactorizations"));
+            ("restores", Json.Int (total "lu.restores"));
+            ("residual_refactors", Json.Int (total "lu.residual_refactors"));
+            ( "residual_max",
+              let v =
+                Metrics.Gauge.value
+                  (Metrics.gauge metrics ~stability:Metrics.Volatile
+                     "lu.residual_max")
+              in
+              Json.Float (if Float.is_nan v then 0.0 else v) );
             ("fill_in_nnz", Json.Int (total "lu.fill_in_nnz"));
             ("eta_nnz", Json.Int (total "lu.eta_nnz"));
             ("ftran_sparse_hits", Json.Int (total "lu.ftran_sparse_hits"));

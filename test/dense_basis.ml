@@ -4,7 +4,8 @@
    ([dense_inverse]) and updated by elementary row operations on every
    pivot; it is rebuilt every 128 pivots.  Flops are charged honestly
    (2 per entry touched), so the sparse basis must come out cheaper on
-   any sizeable model. *)
+   any sizeable model.  It keeps no pinned copy: [restore] answers
+   [false], so the kernel factors wherever the LU basis restores. *)
 
 open Dvs_lp
 
@@ -170,3 +171,9 @@ let update t ~r ~w =
     end
   done;
   t.updates <- t.updates + 1
+
+let pin _ = ()
+
+let restore _ = false
+
+let unpin _ = ()

@@ -17,17 +17,11 @@ module Dense = Simplex.Make (Dense_basis)
 
 (* ---- seeded LP instances ------------------------------------------- *)
 
-(* [x] meets every row of [m] and every bound in [lb]/[ub] to within
-   1e-9 x (1 + |rhs|), respectively 1e-9 x (1 + |bound|). *)
-let check_feasible ~what m ~lb ~ub (s : Simplex.solution) =
+let tol b = 1e-9 *. (1.0 +. Float.abs b)
+
+(* [x] meets every row of [m] to within 1e-9 x (1 + |rhs|). *)
+let check_rows ~what m (s : Simplex.solution) =
   let x = s.Simplex.values in
-  let tol b = 1e-9 *. (1.0 +. Float.abs b) in
-  Array.iteri
-    (fun j v ->
-      if v < lb.(j) -. tol lb.(j) || v > ub.(j) +. tol ub.(j) then
-        Alcotest.failf "%s: x%d = %.17g outside [%g, %g]" what j v lb.(j)
-          ub.(j))
-    x;
   List.iteri
     (fun i (r : Model.constr) ->
       let a = Expr.eval (fun v -> x.(v)) r.Model.expr in
@@ -41,6 +35,16 @@ let check_feasible ~what m ~lb ~ub (s : Simplex.solution) =
         Alcotest.failf "%s: row %d violated by %.3g (activity %.17g, rhs %g)"
           what i viol a r.Model.rhs)
     (Model.constraints m)
+
+(* ... and every bound in [lb]/[ub] to within 1e-9 x (1 + |bound|). *)
+let check_feasible ~what m ~lb ~ub (s : Simplex.solution) =
+  Array.iteri
+    (fun j v ->
+      if v < lb.(j) -. tol lb.(j) || v > ub.(j) +. tol ub.(j) then
+        Alcotest.failf "%s: x%d = %.17g outside [%g, %g]" what j v lb.(j)
+          ub.(j))
+    s.Simplex.values;
+  check_rows ~what m s
 
 let model_bounds m =
   let n = Model.num_vars m in
@@ -88,7 +92,9 @@ let seeded_lp seed =
     (Expr.of_terms (List.init n (fun j -> (frac (-4.0) 4.0, vars.(j)))));
   m
 
-let solve_both m = (Simplex.solve_ext m, Dense.solve_ext m)
+let solve_both m =
+  let c = Compiled.of_model m in
+  (Simplex.solve_compiled c, Dense.solve_compiled c)
 
 let check_objective ~what (a : Simplex.solution) (b : Simplex.solution) =
   let oa = a.Simplex.objective and ob = b.Simplex.objective in
@@ -165,11 +171,11 @@ let cadences : (string * (module Basis.S)) list =
 let test_refactor_policy_equivalent () =
   for seed = 1 to 5 do
     let m = seeded_lp seed in
-    let reference, _, _ = Simplex.solve_ext m in
+    let reference, _, _ = Simplex.solve_compiled (Compiled.of_model m) in
     List.iter
       (fun (name, b) ->
         let module S = Simplex.Make ((val b : Basis.S)) in
-        let st, _, _ = S.solve_ext m in
+        let st, _, _ = S.solve_compiled (Compiled.of_model m) in
         match (reference, st) with
         | Simplex.Optimal r, Simplex.Optimal a ->
           check_objective ~what:(Printf.sprintf "seed %d (%s)" seed name) r a
@@ -222,7 +228,7 @@ let singular_pair scale =
 let test_singular_hint_falls_back scale () =
   let a, b = singular_pair scale in
   let basis =
-    match Simplex.solve_ext a with
+    match Simplex.solve_compiled (Compiled.of_model a) with
     | Simplex.Optimal _, Some basis, _ -> basis
     | _ -> Alcotest.fail "model A must solve with both vars basic"
   in
@@ -234,15 +240,15 @@ let test_singular_hint_falls_back scale () =
         | st ->
           Alcotest.failf "cold solve of B: %a" Simplex.pp_status st
       in
-      match S.solve_from_basis basis b with
-      | Simplex.Optimal warm ->
+      match S.solve_compiled ~basis (Compiled.of_model b) with
+      | Simplex.Optimal warm, _, _ ->
         if
           Float.abs (warm.Simplex.objective -. cold.Simplex.objective)
           > 1e-9
         then
           Alcotest.failf "fallback objective %.12g vs cold %.12g"
             warm.Simplex.objective cold.Simplex.objective
-      | st ->
+      | st, _, _ ->
         Alcotest.failf "singular hint must fall back to optimal, got %a"
           Simplex.pp_status st)
     [ (module Simplex : Simplex.S); (module Dense) ]
@@ -528,6 +534,208 @@ let test_tableau_below_m_squared () =
   if words >= m * m then
     Alcotest.failf "tableau holds %d words, not below m^2 = %d" words (m * m)
 
+(* ---- the residual guard ---------------------------------------------- *)
+
+(* A Lu_eta whose FTRAN errs by 1e-7 relative, the sign alternating by
+   component, whenever its eta file is nonempty: a held factor that has
+   drifted.  A fresh factorization solves exactly. *)
+module Drifting = struct
+  include Lu_eta
+
+  let ftran t x =
+    Lu_eta.ftran t x;
+    if updates t > 0 then
+      Array.iteri
+        (fun i v ->
+          x.(i) <- v *. if i land 1 = 0 then 1.0 +. 1e-7 else 1.0 -. 1e-7)
+        x
+end
+
+(* On the drifting factor the finish's residual check must fire, and
+   every optimum returned must still meet its rows to 1e-9 x (1 + |rhs|):
+   the 25 seeded LPs cold, and warm chains (one binary fixed per step)
+   on two programs' Table-4 models. *)
+let test_residual_guard () =
+  let module S = Simplex.Make (Drifting) in
+  let fired = ref 0 and worst = ref 0.0 in
+  let solve ~what ?basis ~ws m c =
+    let ((st, _, stats) as r) = S.solve_compiled ?basis ~ws c in
+    fired := !fired + stats.Simplex.residual_refactors;
+    worst := Float.max !worst stats.Simplex.residual_max;
+    (match st with Simplex.Optimal s -> check_rows ~what m s | _ -> ());
+    r
+  in
+  for seed = 1 to 25 do
+    let m = seeded_lp seed in
+    ignore
+      (solve ~what:(Printf.sprintf "seed %d" seed) ~ws:(S.workspace ()) m
+         (Compiled.of_model m))
+  done;
+  List.iter
+    (fun name ->
+      let model = table4_model name 0 in
+      let c = Compiled.of_model model in
+      let ws = S.workspace () in
+      let binaries = Array.of_list (Model.integer_vars model) in
+      let rng = Rng.create (Hashtbl.hash name) in
+      let what step = Printf.sprintf "%s step %d" name step in
+      let rec chain step b =
+        if step <= 10 && Array.length binaries > 0 then begin
+          let v = binaries.(Rng.int rng (Array.length binaries)) in
+          let x = float_of_int (Rng.int rng 2) in
+          let lb, ub = (c.Compiled.lb.(v), c.Compiled.ub.(v)) in
+          Compiled.set_bounds c v ~lb:x ~ub:x;
+          match solve ~what:(what step) ?basis:b ~ws model c with
+          | Simplex.Optimal _, Some b', _ -> chain (step + 1) (Some b')
+          | _ ->
+            Compiled.set_bounds c v ~lb ~ub;
+            chain (step + 1) b
+        end
+      in
+      let _, b, _ = solve ~what:(what 0) ~ws model c in
+      chain 1 b)
+    [ "adpcm"; "gsm" ];
+  if !fired = 0 then
+    Alcotest.failf "residual guard never fired on a drifting factor (worst %g)"
+      !worst
+
+(* ---- pinned factors --------------------------------------------------- *)
+
+(* The pinned etas survive later factorizations: pin a factor holding
+   two updates, factor another matrix and update it twice, restore, and
+   FTRAN answers bit for bit as before the pin. *)
+let check_pinned_prefix () =
+  let t = Lu_eta.create () in
+  let factor d =
+    if
+      not
+        (Lu_eta.factor t ~m:3 ~ptr:[| 0; 1; 2; 3 |] ~row:[| 0; 1; 2 |]
+           ~vals:[| d; d; d |])
+    then Alcotest.fail "diagonal basis reported singular"
+  in
+  let solve () =
+    let x = [| 1.0; -2.0; 3.0 |] in
+    Lu_eta.ftran t x;
+    x
+  in
+  factor 2.0;
+  Lu_eta.update t ~r:0 ~w:[| 0.5; 0.25; 0.125 |];
+  Lu_eta.update t ~r:2 ~w:[| 0.1; 0.2; 0.4 |];
+  let before = solve () in
+  Lu_eta.pin t;
+  factor 5.0;
+  Lu_eta.update t ~r:1 ~w:[| 0.3; 0.6; 0.9 |];
+  Lu_eta.update t ~r:0 ~w:[| 0.7; 0.1; 0.2 |];
+  Alcotest.(check bool) "restore" true (Lu_eta.restore t);
+  Alcotest.(check int) "restored updates" 2 (Lu_eta.updates t);
+  Alcotest.(check (array (float 0.0))) "FTRAN on the restored factor" before
+    (solve ());
+  Lu_eta.unpin t;
+  Alcotest.(check bool) "restore after unpin" false (Lu_eta.restore t)
+
+(* Refactorization every 3 pivots: probes refactor mid-solve while the
+   root's factor stays pinned. *)
+module Every3 = Simplex.Make (struct
+  include Lu_eta
+
+  let needs_refactor = eta_fill_due ~max_updates:3 ~growth:2.0
+end)
+
+(* A restored factor answers like a fresh one.  On each program's
+   filtered Table-4 model at its tightest and loosest deadline, and
+   adpcm's unfiltered one: solve the root pinned, then run the probe
+   pattern from its basis (one binary fixed to 0, then to 1, 100-pivot
+   cap) on up to three binaries fractional at the root (the first
+   binaries when the root is integral).  Each probe
+   restores the pinned factor, must not trip the residual check, and
+   must give the status and objective (to 1e-9 relative) of the same
+   solve in an unpinned workspace.  A hint on another compiled matrix,
+   or one given after [unpin], factors; a scratch view of the same
+   matrix restores. *)
+let test_restored_factor_like_fresh () =
+  check_pinned_prefix ();
+  let cases =
+    List.concat_map
+      (fun name -> [ (name, true, 0); (name, true, loosest) ])
+      programs
+    @ [ ("adpcm", false, 0) ]
+  in
+  List.iter
+    (fun (kernel, (module K : Simplex.S)) ->
+      List.iter
+        (fun (name, filter, d) ->
+          let what =
+            Printf.sprintf "%s filter=%b deadline %d (%s)" name filter d
+              kernel
+          in
+          let model = table4_model ~filter name d in
+          let c = Compiled.of_model model in
+          let ws = K.workspace () and unpinned = K.workspace () in
+          let root, b =
+            match K.solve_compiled ~ws ~pin:true c with
+            | Simplex.Optimal s, Some b, _ -> (s, b)
+            | st, _, _ -> Alcotest.failf "%s: root %a" what Simplex.pp_status st
+          in
+          let fractional =
+            List.filter
+              (fun v ->
+                let x = root.Simplex.values.(v) in
+                Float.abs (x -. Float.round x) > 1e-6)
+              (Model.integer_vars model)
+          in
+          let probed =
+            List.filteri (fun i _ -> i < 3)
+              (if fractional = [] then Model.integer_vars model
+               else fractional)
+          in
+          let restores (st : Simplex.stats) = st.Simplex.lu_restores in
+          List.iter
+            (fun v ->
+              List.iter
+                (fun x ->
+                  let what = Printf.sprintf "%s x%d = %g" what v x in
+                  let lb, ub = (c.Compiled.lb.(v), c.Compiled.ub.(v)) in
+                  Compiled.set_bounds c v ~lb:x ~ub:x;
+                  let st_p, _, sp =
+                    K.solve_compiled ~max_iter:100 ~basis:b ~ws c
+                  in
+                  let st_f, _, sf =
+                    K.solve_compiled ~max_iter:100 ~basis:b ~ws:unpinned c
+                  in
+                  Compiled.set_bounds c v ~lb ~ub;
+                  if restores sp <> 1 || restores sf <> 0 then
+                    Alcotest.failf "%s: restores %d pinned, %d unpinned" what
+                      (restores sp) (restores sf);
+                  if sp.Simplex.residual_refactors <> 0 then
+                    Alcotest.failf "%s: restored factor off by %g" what
+                      sp.Simplex.residual_max;
+                  match (st_p, st_f) with
+                  | Simplex.Optimal a, Simplex.Optimal f ->
+                    check_objective ~what a f
+                  | Simplex.Infeasible, Simplex.Infeasible
+                  | Simplex.Iter_limit _, Simplex.Iter_limit _ ->
+                    ()
+                  | a, f ->
+                    Alcotest.failf "%s: %a (restored) vs %a (fresh)" what
+                      Simplex.pp_status a Simplex.pp_status f)
+                [ 0.0; 1.0 ])
+            probed;
+          let factored ~what' (_, _, (st : Simplex.stats)) =
+            if restores st <> 0 || st.Simplex.lu_refactorizations < 1 then
+              Alcotest.failf "%s: %s restored instead of factoring" what what'
+          in
+          factored ~what':"another compiled matrix"
+            (K.solve_compiled ~basis:b ~ws (Compiled.of_model model));
+          (match K.solve_compiled ~basis:b ~ws (Compiled.scratch c) with
+          | _, _, st when restores st = 1 -> ()
+          | _ -> Alcotest.failf "%s: a scratch view did not restore" what);
+          K.unpin ws;
+          factored ~what':"a hint after unpin"
+            (K.solve_compiled ~basis:b ~ws c))
+        cases)
+    [ ("default cadence", (module Simplex : Simplex.S));
+      ("every 3 pivots", (module Every3)) ]
+
 let suite =
   [ Alcotest.test_case "LP backends agree over 25 seeds" `Quick
       test_lp_backends_agree;
@@ -548,4 +756,8 @@ let suite =
     Alcotest.test_case "tableau = dense oracle on six programs" `Quick
       test_tableau_dense_oracle;
     Alcotest.test_case "tableau holds no m x m array" `Quick
-      test_tableau_below_m_squared ]
+      test_tableau_below_m_squared;
+    Alcotest.test_case "residual guard refactors a drifting factor" `Quick
+      test_residual_guard;
+    Alcotest.test_case "restored factor answers like a fresh one" `Quick
+      test_restored_factor_like_fresh ]

@@ -341,6 +341,54 @@ let test_optimize_sweep_within_bounds () =
         sw.Pipeline.results)
     [ ("mpg123", true); ("ghostscript", false) ]
 
+(* Unfiltered sweeps do not depend on the solver's job count (the CI
+   diff of reproduce tables at jobs 1 and 4 covers filtered models
+   only): mpeg with the edge filter off, on the reproduce grid and
+   machine, at solver jobs 1 and 2.  Schedules must be identical at all
+   seven points and predicted energies equal to 1e-9 relative. *)
+let test_unfiltered_sweep_jobs_agree () =
+  let machine =
+    Dvs_workloads.Workload.eval_config
+      ~regulator:(Dvs_power.Switch_cost.regulator ~capacitance:0.4e-6 ())
+      ()
+  in
+  let w = Dvs_workloads.Workload.find "mpeg" in
+  let cfg, _, memory =
+    Dvs_workloads.Workload.load w
+      ~input:(Dvs_workloads.Workload.default_input w)
+  in
+  let p = Dvs_profile.Profile.collect machine cfg ~memory in
+  let sweep jobs =
+    let config =
+      Pipeline.Config.make ~filter:false
+        ~solver:(Dvs_milp.Solver.Config.make ~jobs ())
+        ()
+    in
+    (Pipeline.optimize_sweep ~config ~profile:p machine cfg ~memory
+       ~deadlines:(Dvs_workloads.Deadlines.sweep_of_profile p))
+      .Pipeline.results
+  in
+  let one = sweep 1 and two = sweep 2 in
+  Alcotest.(check int) "points" 7 (Array.length one);
+  Alcotest.(check int) "points at jobs 2" 7 (Array.length two);
+  Array.iteri
+    (fun i (a : Pipeline.result) ->
+      let b = two.(i) in
+      (match (a.Pipeline.schedule, b.Pipeline.schedule) with
+      | Some sa, Some sb ->
+        if not (Schedule.equal sa sb) then
+          Alcotest.failf "point %d: schedules differ between jobs 1 and 2" i
+      | None, None -> ()
+      | _ -> Alcotest.failf "point %d: a schedule at one job count only" i);
+      match (a.Pipeline.predicted_energy, b.Pipeline.predicted_energy) with
+      | Some ea, Some eb ->
+        if Float.abs (ea -. eb) > 1e-9 *. Float.abs ea then
+          Alcotest.failf "point %d: predicted %.17g (jobs 1) vs %.17g (jobs 2)"
+            i ea eb
+      | None, None -> ()
+      | _ -> Alcotest.failf "point %d: a prediction at one job count only" i)
+    one
+
 let test_optimize_sweep_infeasible_point () =
   let cfg, _ = Lazy.force compiled in
   let p = Lazy.force profile_cached in
@@ -566,6 +614,8 @@ let suite =
       test_optimize_sweep_infeasible_point;
     Alcotest.test_case "optimize_sweep solutions within bounds" `Quick
       test_optimize_sweep_within_bounds;
+    Alcotest.test_case "unfiltered sweep: jobs 1 = jobs 2" `Quick
+      test_unfiltered_sweep_jobs_agree;
     Alcotest.test_case "multi-category optimization" `Slow
       test_multi_category ;
     Alcotest.test_case "handover: six programs = recorded oracle" `Slow

@@ -163,15 +163,15 @@ let test_warm_start_matches_cold () =
     m
   in
   let basis =
-    match Simplex.solve_ext (build 4.0) with
+    match Simplex.solve_compiled (Compiled.of_model (build 4.0)) with
     | Simplex.Optimal _, Some b, _ -> b
     | _ -> Alcotest.fail "cold solve of the base model failed"
   in
   let tightened = build 1.5 in
   let warm =
-    match Simplex.solve_from_basis basis tightened with
-    | Simplex.Optimal s -> s
-    | st -> Alcotest.failf "warm solve: %a" Simplex.pp_status st
+    match Simplex.solve_compiled ~basis (Compiled.of_model tightened) with
+    | Simplex.Optimal s, _, _ -> s
+    | st, _, _ -> Alcotest.failf "warm solve: %a" Simplex.pp_status st
   in
   let cold = solve_opt (build 1.5) in
   check_float ~eps:1e-9 "objective" cold.objective warm.objective;
