@@ -175,8 +175,8 @@ let optimize ?(kind = Xscale3) ?(filter = true) ?jobs ?regulator ?input
     [ { Dvs_core.Formulation.profile = p; weight = 1.0; deadline } ]
 
 (* A whole deadline grid in one call, through the parametric sweep
-   engine (shared cut pool, tightest-first incumbent lifting,
-   cross-point basis reuse). *)
+   engine (tightest-first incumbent lifting, continuous-bound
+   pruning). *)
 let optimize_sweep ?(kind = Xscale3) ?(filter = true) ?jobs ?regulator ?input
     ?solver name ~deadlines =
   let w = Workload.find name in

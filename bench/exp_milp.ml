@@ -164,8 +164,8 @@ type deadline_cell = {
 let deadline_sweep_cache = Hashtbl.create 16
 
 (* The grid runs through the parametric sweep engine: one formulation,
-   per-point RHS deltas, shared cut pool, tightest-first incumbent
-   lifting (the `sweep' experiment quantifies the saving vs cold). *)
+   per-point RHS deltas, tightest-first incumbent lifting (the `sweep'
+   experiment quantifies the saving vs cold). *)
 let deadline_sweep name =
   match Hashtbl.find_opt deadline_sweep_cache name with
   | Some r -> r
@@ -430,10 +430,10 @@ let sweep_compare () =
           Table.fmt_float ~digits:3 ts ])
     Context.all_names;
   Table.print t;
-  let pct a b = if a > 0.0 then 100.0 *. (1.0 -. (b /. a)) else 0.0 in
+  let pct a b = if a > 0.0 then 100.0 *. ((b /. a) -. 1.0) else 0.0 in
   Printf.printf
-    "totals: pivots %.0f -> %.0f (-%.1f%%), nodes %.0f -> %.0f (-%.1f%%), \
-     wall %.2fs -> %.2fs (-%.1f%%), solver wall %.3fs -> %.3fs (-%.1f%%)\n"
+    "totals: pivots %.0f -> %.0f (%+.1f%%), nodes %.0f -> %.0f (%+.1f%%), \
+     wall %.2fs -> %.2fs (%+.1f%%), solver wall %.3fs -> %.3fs (%+.1f%%)\n"
     sum.(0) sum.(1)
     (pct sum.(0) sum.(1))
     sum.(2) sum.(3)

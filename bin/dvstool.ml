@@ -509,8 +509,8 @@ let cold_opt =
     & info [ "cold" ]
         ~doc:
           "Solve each deadline independently instead of through the \
-           parametric sweep engine (shared cut pool, warm incumbent \
-           lifting, cross-point basis reuse).")
+           parametric sweep engine (warm incumbent lifting, \
+           continuous-bound pruning).")
 
 let cold_verify_opt =
   Arg.(
@@ -562,11 +562,9 @@ let reproduce_cmd =
         let st = sw.Dvs_core.Pipeline.sweep in
         Format.printf
           "sweep: %d/%d points warm-started, %d pruned by continuous \
-           bound, %d cuts applied (%d pool hits, pool size %d)@."
+           bound@."
           st.Dvs_milp.Sweep.instances_warm_started (Array.length deadlines)
-          st.Dvs_milp.Sweep.points_pruned_by_bound
-          st.Dvs_milp.Sweep.cuts_applied st.Dvs_milp.Sweep.cut_pool_hits
-          st.Dvs_milp.Sweep.pool_size;
+          st.Dvs_milp.Sweep.points_pruned_by_bound;
         sw.Dvs_core.Pipeline.results
       end
     in

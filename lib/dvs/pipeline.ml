@@ -656,7 +656,6 @@ let optimize_sweep ?config ?verify_config ?profile ?session machine cfg
     Tr.finish tr sweep_span
       ~attrs:
         [ ("warm_started", Tr.Int sw.Dvs_milp.Sweep.stats.Dvs_milp.Sweep.instances_warm_started);
-          ("cuts_applied", Tr.Int sw.Dvs_milp.Sweep.stats.Dvs_milp.Sweep.cuts_applied);
           ( "points_pruned",
             Tr.Int
               sw.Dvs_milp.Sweep.stats.Dvs_milp.Sweep.points_pruned_by_bound
@@ -740,8 +739,8 @@ let optimize_sweep ?config ?verify_config ?profile ?session machine cfg
   (* Verification (a full simulator run per point) and any ladder
      fallbacks are independent across points, and their metrics are
      order-independent totals — so they always fan out across available
-     cores, while the solver-side sweep (whose basis chaining and
-     incumbent lifting are order-sensitive) runs one point at a time. *)
+     cores, while the solver-side sweep (whose incumbent lifting is
+     order-sensitive) runs one point at a time. *)
   let points = sw.Dvs_milp.Sweep.points in
   let np = Array.length points in
   let results = Array.make np None in

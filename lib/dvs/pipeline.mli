@@ -220,17 +220,16 @@ val optimize_sweep :
     step) and formulated {e once} (at the loosest deadline, so the
     deadline-implied mode exclusions baked into the model stay exact
     everywhere), and each sweep point is an RHS delta on the shared
-    compiled form — with tightest-first incumbent lifting, cross-point
-    basis reuse and a shared cut pool.  Per-point implied fixings are
-    recomputed at each deadline via [Sweep.run]'s [per_point] hook.
+    model — with tightest-first incumbent lifting and continuous-bound
+    pruning.  Per-point implied fixings are recomputed at each deadline
+    via [Sweep.run]'s [per_point] hook.
 
     A point whose sweep solve comes back [Optimal] and verifies against
     its own deadline is accepted at the {!rung.Milp} rung; [Infeasible]
     and [Unbounded] points are terminal (no schedule), and anything else
     falls back to the classic {!optimize_multi} degradation ladder for
-    that point alone.  The sweep solves one point at a time, with the
-    engine's default three root cut rounds per point, and every solve
-    branches as {!Dvs_milp.Solver} always does.
+    that point alone.  The sweep solves one point at a time, and every
+    solve branches as {!Dvs_milp.Solver} always does.
 
     All per-point verifications run through one shared {!Verify.Session}:
     [session] if given, otherwise the profile's own recording when it

@@ -10,9 +10,8 @@
 
     The library carries one implementation, {!Lu_eta} (sparse LU plus a
     product-form eta file), and it is the only factorization in the
-    library: {!Simplex.tableau} factors with it too.  The test suite
-    instantiates the simplex a second time over an explicit dense
-    Gauss–Jordan inverse and uses it as the oracle for both. *)
+    library.  The test suite instantiates the simplex a second time over
+    an explicit dense Gauss–Jordan inverse and uses it as the oracle. *)
 
 type counters = {
   mutable flops : int;

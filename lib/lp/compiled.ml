@@ -17,8 +17,6 @@ type t = {
   row_col : int array;
   row_val : float array;
   rhs : float array;
-  rhs0 : float array;
-  row_scale : float array;
   fingerprint : int;
 }
 
@@ -76,7 +74,6 @@ let of_model model =
      the slack column keeps coefficient exactly 1 with scaled bounds
      folded into lb0/ub0 at [n + i]. *)
   let rhs = Array.make m 0.0 in
-  let row_scale = Array.make m 1.0 in
   let row_coeffs = Array.make m [] in
   let nnz = ref 0 in
   Array.iteri
@@ -98,7 +95,6 @@ let of_model model =
       in
       nnz := !nnz + List.length terms;
       row_coeffs.(i) <- terms;
-      row_scale.(i) <- scale;
       rhs.(i) <- r /. scale;
       let sl, su =
         match c.cmp with
@@ -172,8 +168,6 @@ let of_model model =
     row_col;
     row_val;
     rhs;
-    rhs0 = Array.copy rhs;
-    row_scale;
     fingerprint;
   }
 
@@ -184,11 +178,7 @@ let objective t x =
   done;
   !s
 
-let scratch t =
-  { t with
-    lb = Array.copy t.lb0;
-    ub = Array.copy t.ub0;
-    rhs = Array.copy t.rhs0 }
+let scratch t = { t with lb = Array.copy t.lb0; ub = Array.copy t.ub0 }
 
 let set_bounds t j ~lb ~ub =
   if j < 0 || j >= t.n then
@@ -201,26 +191,5 @@ let reset_bounds t j =
   if j < 0 || j >= t.nt then invalid_arg "Compiled.reset_bounds";
   t.lb.(j) <- t.lb0.(j);
   t.ub.(j) <- t.ub0.(j)
-
-let reset_all_bounds t =
-  Array.blit t.lb0 0 t.lb 0 t.nt;
-  Array.blit t.ub0 0 t.ub 0 t.nt
-
-let set_rhs t i v =
-  if i < 0 || i >= t.m then invalid_arg "Compiled.set_rhs: row out of range";
-  if Float.is_nan v then invalid_arg "Compiled.set_rhs: NaN rhs";
-  t.rhs.(i) <- v /. t.row_scale.(i)
-
-let rhs_value t i =
-  if i < 0 || i >= t.m then invalid_arg "Compiled.rhs_value: row out of range";
-  t.rhs.(i) *. t.row_scale.(i)
-
-let reset_rhs t i =
-  if i < 0 || i >= t.m then invalid_arg "Compiled.reset_rhs: row out of range";
-  t.rhs.(i) <- t.rhs0.(i)
-
-let reset_all_rhs t = Array.blit t.rhs0 0 t.rhs 0 t.m
-
-let nnz t = t.col_ptr.(t.n)
 
 let fingerprint t = t.fingerprint

@@ -37,10 +37,7 @@ type t = private {
   row_ptr : int array;
   row_col : int array;
   row_val : float array;
-  rhs : float array;  (** current right-hand sides, length [m], row-scaled;
-                          mutable via {!set_rhs} *)
-  rhs0 : float array;  (** pristine right-hand sides as compiled *)
-  row_scale : float array;  (** equilibration scale per row (positive) *)
+  rhs : float array;  (** right-hand sides, length [m], row-scaled *)
   fingerprint : int;  (** structural hash; see {!fingerprint} *)
 }
 
@@ -53,10 +50,9 @@ val objective : t -> float array -> float
     simplex solution of [t] reports for its values [x]. *)
 
 val scratch : t -> t
-(** A scratch view for one worker: fresh (pristine) bound and rhs arrays,
-    every other field shared with the original.  Mutating the scratch's
-    bounds or right-hand sides never affects the original or other
-    scratches. *)
+(** A scratch view for one worker: fresh (pristine) bound arrays, every
+    other field shared with the original.  Mutating the scratch's bounds
+    never affects the original or other scratches. *)
 
 val set_bounds : t -> int -> lb:float -> ub:float -> unit
 (** Override the current bounds of structural column [j].
@@ -64,28 +60,6 @@ val set_bounds : t -> int -> lb:float -> ub:float -> unit
 
 val reset_bounds : t -> int -> unit
 (** Restore column [j]'s bounds to their pristine compiled values. *)
-
-val reset_all_bounds : t -> unit
-(** Restore every column's bounds.  O(nt). *)
-
-val set_rhs : t -> int -> float -> unit
-(** [set_rhs t i v] overrides row [i]'s right-hand side with [v] given in
-    {e model} units; the row's equilibration scale is applied internally.
-    This is how a deadline sweep expresses each sweep point as an RHS
-    delta on one shared compiled form.  Raises [Invalid_argument] out of
-    range. *)
-
-val rhs_value : t -> int -> float
-(** Current right-hand side of row [i], unscaled back to model units. *)
-
-val reset_rhs : t -> int -> unit
-(** Restore row [i]'s right-hand side to its pristine compiled value. *)
-
-val reset_all_rhs : t -> unit
-(** Restore every row's right-hand side.  O(m). *)
-
-val nnz : t -> int
-(** Structural nonzeros (excludes the implicit slack identity). *)
 
 val fingerprint : t -> int
 (** Deterministic structural hash of the compiled form — pristine

@@ -18,8 +18,7 @@
    residual recomputes the basic values, and a residual check refactors
    only when that factor has drifted.  A solve may pin its final factor
    so that a later warm start from the basis it returned reuses it
-   instead of factoring.  [tableau] (cut separation) factors its basis
-   with [Lu_eta] too.  Everything the iteration touches lives in a
+   instead of factoring.  Everything the iteration touches lives in a
    reusable workspace, so the pivot loop allocates nothing beyond the
    basis module's own update storage. *)
 
@@ -77,8 +76,8 @@ let pp_status ppf = function
       p.iterations
 
 (* A nonbasic column snapped onto its current bounds, keeping its side
-   where that bound is finite: how a warm start (and [tableau]) reads a
-   basis snapshot against changed bounds. *)
+   where that bound is finite: how a warm start reads a basis snapshot
+   against changed bounds. *)
 let snap st ~l ~u =
   if l = neg_infinity && u = infinity then st_fr
   else if st = st_lo then if l > neg_infinity then st_lo else st_up
@@ -997,130 +996,3 @@ module Make (B : Basis.S) = struct
 end
 
 include Make (Lu_eta)
-
-(* ---- basis surgery ---------------------------------------------------- *)
-
-(* Append [rows] fresh rows to a basis, each with its own slack basic:
-   exactly the state a dual-simplex warm restart wants after cutting
-   planes are appended to the model (the new slacks start primal
-   infeasible when their cut is violated, and the dual iteration repairs
-   them).  Column layout note: slack columns sit at [n + i], so appending
-   rows at the end leaves every existing column index unchanged. *)
-let extend_basis (b : basis) ~rows =
-  if rows < 0 then invalid_arg "Simplex.extend_basis: negative row count";
-  if rows = 0 then b
-  else begin
-    let nt = b.b_n + b.b_m in
-    let nt' = nt + rows in
-    let b_stat = Bytes.make nt' (Char.chr st_basic) in
-    Bytes.blit b.b_stat 0 b_stat 0 nt;
-    let b_rows =
-      Array.append b.b_rows (Array.init rows (fun i -> nt + i))
-    in
-    let b_sign = Array.append b.b_sign (Array.make rows 0.0) in
-    { b_n = b.b_n; b_m = b.b_m + rows; b_stat; b_rows; b_sign }
-  end
-
-(* ---- tableau extraction (cut separation) ------------------------------ *)
-
-(* A factorized snapshot of a basis against a compiled model's current
-   bounds and rhs.  Not a solving path: built once per separation round
-   (root of the search) on its own sparse LU factor, so a row read is one
-   BTRAN.  [t_flops] counts the residual and every row read; the
-   factor's own work sits in its counters. *)
-type tableau = {
-  t_c : C.t;
-  t_lu : Lu_eta.t;
-  t_rows : int array;  (* basic column per row *)
-  t_stat : int array;  (* per-column status, nt entries *)
-  t_xb : float array;  (* basic values per row *)
-  t_rho : float array;  (* B^-T e_r scratch *)
-  mutable t_flops : int;
-}
-
-type col_status = Col_basic | Col_lower | Col_upper | Col_free
-
-let tableau c (b : basis) =
-  let n = c.C.n and m = c.C.m and nt = c.C.nt in
-  if b.b_n <> n || b.b_m <> m then None
-  else if Array.exists (fun k -> k < 0 || k >= nt) b.b_rows then
-    None (* kept artificials: no clean tableau over structural+slack *)
-  else begin
-    let stat = Array.make nt st_lo in
-    for j = 0 to nt - 1 do
-      stat.(j) <- Char.code (Bytes.get b.b_stat j)
-    done;
-    Array.iter (fun k -> stat.(k) <- st_basic) b.b_rows;
-    let xval = Array.make nt 0.0 in
-    for j = 0 to nt - 1 do
-      if stat.(j) <> st_basic then begin
-        let l = c.C.lb.(j) and u = c.C.ub.(j) in
-        let st = snap stat.(j) ~l ~u in
-        stat.(j) <- st;
-        xval.(j) <- pinned st ~l ~u
-      end
-    done;
-    let ptr = Array.make (m + 1) 0 in
-    let row = Array.make (basis_cap c) 0
-    and vals = Array.make (basis_cap c) 0.0 in
-    basis_csc c ~rows:b.b_rows ~sign:b.b_sign ~ptr ~row ~vals;
-    let lu = Lu_eta.create () in
-    if not (Lu_eta.factor lu ~m ~ptr ~row ~vals) then None
-    else begin
-      let xb = Array.make m 0.0 in
-      let flops = residual c ~stat ~xval ~rw:xb in
-      Lu_eta.ftran lu xb;
-      Some
-        {
-          t_c = c;
-          t_lu = lu;
-          t_rows = Array.copy b.b_rows;
-          t_stat = stat;
-          t_xb = xb;
-          t_rho = Array.make m 0.0;
-          t_flops = flops;
-        }
-    end
-  end
-
-let tableau_flops t = t.t_flops + (Lu_eta.counters t.t_lu).Basis.flops
-
-let tableau_basic_var t r = t.t_rows.(r)
-
-let tableau_basic_value t r = t.t_xb.(r)
-
-let tableau_col_status t j =
-  match t.t_stat.(j) with
-  | s when s = st_basic -> Col_basic
-  | s when s = st_lo -> Col_lower
-  | s when s = st_up -> Col_upper
-  | _ -> Col_free
-
-(* Row [r] of B^-1 [A | I] over every column: rho = B^-T e_r (one
-   BTRAN), then one sparse dot per nonbasic column, 0.0 for basic ones.
-   [alpha] must have length >= nt. *)
-let tableau_row t r alpha =
-  let c = t.t_c and rho = t.t_rho in
-  let n = c.C.n and nt = c.C.nt in
-  Array.fill rho 0 c.C.m 0.0;
-  rho.(r) <- 1.0;
-  Lu_eta.btran t.t_lu rho;
-  let touched = ref 0 in
-  for j = 0 to nt - 1 do
-    if t.t_stat.(j) <> st_basic then
-      alpha.(j) <-
-        (if j < n then begin
-           let s = ref 0.0 in
-           touched := !touched + (c.C.col_ptr.(j + 1) - c.C.col_ptr.(j));
-           for p = c.C.col_ptr.(j) to c.C.col_ptr.(j + 1) - 1 do
-             s := !s +. (rho.(c.C.col_row.(p)) *. c.C.col_val.(p))
-           done;
-           !s
-         end
-         else begin
-           incr touched;
-           rho.(j - n)
-         end)
-    else alpha.(j) <- 0.0
-  done;
-  t.t_flops <- t.t_flops + (2 * !touched)

@@ -20,10 +20,8 @@
     checks the rows: when max_i |(B x_B - (b - N x_N))_i| / (1 + |b_i|)
     exceeds [1e-9] it refactors and recomputes x_B once
     ({!stats.residual_refactors}); a basis that proves singular then is
-    treated like any numerically hopeless state.  {!tableau} factors
-    its basis the same way.
-    The test suite checks this instance, and the tableau, against an
-    explicit dense inverse.
+    treated like any numerically hopeless state.  The test suite checks
+    this instance against an explicit dense inverse.
 
     Pricing is devex-style steepest edge, falling back to Bland's rule
     after 200 stalled (degenerate) iterations, so cycling cannot happen
@@ -148,8 +146,8 @@ module type S = sig
       an optimum, pins the factor the solve finished on.  Until {!unpin}
       or the next pinning solve, any solve in [ws] whose [basis] is
       physically the basis returned here, on the same constraint matrix
-      (bounds and right-hand sides may differ), starts from that factor
-      instead of factoring. *)
+      (bounds may differ), starts from that factor instead of
+      factoring. *)
 end
 
 module Make (B : Basis.S) : S
@@ -157,51 +155,5 @@ module Make (B : Basis.S) : S
 
 include S
 (** [Make (Lu_eta)]. *)
-
-val extend_basis : basis -> rows:int -> basis
-(** [extend_basis b ~rows] adapts a basis to a model that gained [rows]
-    appended constraint rows (and nothing else): each new row's slack
-    starts basic.  Appended rows leave every existing column index
-    unchanged, so the result warm starts the grown model directly — when
-    the new rows are violated cutting planes, the warm solve is exactly
-    a dual-simplex reoptimization that prices the cuts in. *)
-
-(** {2 Tableau extraction}
-
-    Read-only access to the simplex tableau of a given basis against a
-    compiled model's current bounds and rhs — what Gomory cut separation
-    needs.  Built once per separation round on a fresh sparse LU factor
-    of the basis ({!Lu_eta}): the basic values are one FTRAN of the
-    residual, and each row read is one BTRAN of a unit vector plus a
-    sparse dot per nonbasic column.  Not a solving path; it holds no
-    [m]x[m] array, and its work is reported by {!tableau_flops}. *)
-
-type tableau
-
-type col_status = Col_basic | Col_lower | Col_upper | Col_free
-
-val tableau : Compiled.t -> basis -> tableau option
-(** [None] if the basis does not fit the compiled model (dimension
-    mismatch), still contains artificial columns, or is numerically
-    singular. *)
-
-val tableau_flops : tableau -> int
-(** Floating-point work of the tableau so far — the residual, the
-    factorization, the FTRAN and every {!tableau_row} read — counted as
-    {!stats.flops} counts it. *)
-
-val tableau_basic_var : tableau -> int -> int
-(** Column basic in row [r] (rows [0 .. m-1]): structural in [0, n),
-    slack in [n, n+m). *)
-
-val tableau_basic_value : tableau -> int -> float
-(** Current value of row [r]'s basic column. *)
-
-val tableau_col_status : tableau -> int -> col_status
-
-val tableau_row : tableau -> int -> float array -> unit
-(** [tableau_row t r alpha] fills [alpha] (length >= [n + m]) with row
-    [r] of [B^-1 [A | I]]: the tableau coefficient of every nonbasic
-    column, 0.0 at basic columns. *)
 
 val pp_status : Format.formatter -> status -> unit

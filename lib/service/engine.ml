@@ -366,7 +366,7 @@ let optimize_point t model ~frac ~budget ~remaining ~fault =
   summarize t ~budget_forced model ~deadline r
 
 (* One sweep solve over distinct deadlines through the parametric engine
-   (shared compiled form, cut pool, warm verification session). *)
+   (tightest-first incumbent lifting, warm verification session). *)
 let sweep_points t model ~fracs ~remaining =
   let deadlines =
     List.map (fun f -> deadline_of model ~frac:f) fracs

@@ -477,21 +477,11 @@ type sweep_essence = {
 let sweep_stats_to_json (s : Sweep.stats) =
   Json.Obj
     [ ("instances_warm_started", Json.Int s.Sweep.instances_warm_started);
-      ("cuts_separated", Json.Int s.Sweep.cuts_separated);
-      ("cuts_applied", Json.Int s.Sweep.cuts_applied);
-      ("cut_pool_hits", Json.Int s.Sweep.cut_pool_hits);
-      ("pool_size", Json.Int s.Sweep.pool_size);
-      ("root_pivots", Json.Int s.Sweep.root_pivots);
       ("points_pruned_by_bound", Json.Int s.Sweep.points_pruned_by_bound) ]
 
 let sweep_stats_of what j =
   { Sweep.instances_warm_started =
       dint what (mem what "instances_warm_started" j);
-    cuts_separated = dint what (mem what "cuts_separated" j);
-    cuts_applied = dint what (mem what "cuts_applied" j);
-    cut_pool_hits = dint what (mem what "cut_pool_hits" j);
-    pool_size = dint what (mem what "pool_size" j);
-    root_pivots = dint what (mem what "root_pivots" j);
     points_pruned_by_bound =
       dint what (mem what "points_pruned_by_bound" j) }
 

@@ -37,15 +37,15 @@
 type t
 
 val format_epoch : int
-(** The store-format epoch compiled into this binary (7: Gomory cuts
-    come from the LU tableau under a 1e6 coefficient-range rule,
-    incumbents are clamped into their bounds, and sweep keys lost the
-    [pipe.filter_threshold] component; since 6, every branch and bound
-    node below the root warm starts from its parent's basis and only
-    basis-free solves are cached; since 5, every LP finishes
-    on its LU factor and every branch and bound branches by pseudocost;
-    since 4, payloads carry a {!Codec} image table, each run's memory
-    an index into it).  Bump it whenever entry payload semantics change
+(** The store-format epoch compiled into this binary (8: sweeps run no
+    root cutting loop and sweep stats lost their cut and root-pivot
+    members; since 7, incumbents are clamped into their bounds, and
+    sweep keys lost the [pipe.filter_threshold] component; since 6,
+    every branch and bound node below the root warm starts from its
+    parent's basis and only basis-free solves are cached; since 5,
+    every LP finishes on its LU factor and every branch and bound
+    branches by pseudocost; since 4, payloads carry a {!Codec} image
+    table, each run's memory an index into it).  Bump it whenever entry payload semantics change
     (simulator cost model, solver semantics, codec layout): every entry
     written under an older epoch becomes stale everywhere at once. *)
 

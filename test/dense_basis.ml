@@ -1,11 +1,11 @@
 (* Explicit dense basis inverse: the oracle the sparse LU + eta-file
-   basis (Dvs_lp.Lu_eta) and Simplex.tableau are checked against.  B^-1
-   is a dense row-major m*m matrix, built by Gauss-Jordan
-   ([dense_inverse]) and updated by elementary row operations on every
-   pivot; it is rebuilt every 128 pivots.  Flops are charged honestly
-   (2 per entry touched), so the sparse basis must come out cheaper on
-   any sizeable model.  It keeps no pinned copy: [restore] answers
-   [false], so the kernel factors wherever the LU basis restores. *)
+   basis (Dvs_lp.Lu_eta) is checked against.  B^-1 is a dense row-major
+   m*m matrix, built by Gauss-Jordan ([dense_inverse]) and updated by
+   elementary row operations on every pivot; it is rebuilt every 128
+   pivots.  Flops are charged honestly (2 per entry touched), so the
+   sparse basis must come out cheaper on any sizeable model.  It keeps
+   no pinned copy: [restore] answers [false], so the kernel factors
+   wherever the LU basis restores. *)
 
 open Dvs_lp
 

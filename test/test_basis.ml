@@ -423,117 +423,6 @@ let test_workspace_below_m_squared () =
     Alcotest.failf "workspace holds %d words, not below m^2 = %d" words
       (m * m)
 
-(* ---- the tableau against the dense oracle ---------------------------- *)
-
-(* The root LP's basis and its tableau. *)
-let root_tableau ~what c =
-  match Simplex.solve_compiled c with
-  | Simplex.Optimal _, Some b, _ -> (
-    match Simplex.tableau c b with
-    | Some tab -> tab
-    | None -> Alcotest.failf "%s: root basis gave no tableau" what)
-  | st, _, _ -> Alcotest.failf "%s: root LP %a" what Simplex.pp_status st
-
-(* Rebuild the tableau densely from the basic columns and column
-   statuses it reports: B^-1 by Gauss-Jordan, x_B = B^-1 (rhs - N x_N),
-   row r = e_r^T B^-1 [A | I].  Every basic value and every nonbasic row
-   entry must match to 1e-9 x (1 + |v|). *)
-let check_tableau_dense ~what c tab =
-  let n = c.Compiled.n and m = c.Compiled.m and nt = c.Compiled.nt in
-  let fact = Array.make (m * m) 0.0 and binv = Array.make (m * m) 0.0 in
-  for i = 0 to m - 1 do
-    let k = Simplex.tableau_basic_var tab i in
-    if k < n then
-      for p = c.Compiled.col_ptr.(k) to c.Compiled.col_ptr.(k + 1) - 1 do
-        fact.((c.Compiled.col_row.(p) * m) + i) <- c.Compiled.col_val.(p)
-      done
-    else fact.(((k - n) * m) + i) <- 1.0
-  done;
-  if not (Dense_basis.dense_inverse ~m ~fact ~binv ~flops:(ref 0)) then
-    Alcotest.failf "%s: dense oracle finds the basis singular" what;
-  let close ~what' v_lu v =
-    if Float.abs (v_lu -. v) > 1e-9 *. (1.0 +. Float.abs v) then
-      Alcotest.failf "%s: %s = %.17g (LU) vs %.17g (dense)" what what' v_lu v
-  in
-  let rw = Array.sub c.Compiled.rhs 0 m in
-  for j = 0 to nt - 1 do
-    let x =
-      match Simplex.tableau_col_status tab j with
-      | Simplex.Col_lower -> c.Compiled.lb.(j)
-      | Simplex.Col_upper -> c.Compiled.ub.(j)
-      | Simplex.Col_free | Simplex.Col_basic -> 0.0
-    in
-    if x <> 0.0 then
-      if j < n then
-        for p = c.Compiled.col_ptr.(j) to c.Compiled.col_ptr.(j + 1) - 1 do
-          let r = c.Compiled.col_row.(p) in
-          rw.(r) <- rw.(r) -. (c.Compiled.col_val.(p) *. x)
-        done
-      else rw.(j - n) <- rw.(j - n) -. x
-  done;
-  let alpha = Array.make nt 0.0 in
-  for r = 0 to m - 1 do
-    let off = r * m in
-    let xb = ref 0.0 in
-    for k = 0 to m - 1 do
-      xb := !xb +. (binv.(off + k) *. rw.(k))
-    done;
-    close ~what':(Printf.sprintf "x_B(%d)" r)
-      (Simplex.tableau_basic_value tab r) !xb;
-    Simplex.tableau_row tab r alpha;
-    for j = 0 to nt - 1 do
-      if Simplex.tableau_col_status tab j <> Simplex.Col_basic then begin
-        let v =
-          if j < n then begin
-            let s = ref 0.0 in
-            for p = c.Compiled.col_ptr.(j) to c.Compiled.col_ptr.(j + 1) - 1
-            do
-              s := !s +. (binv.(off + c.Compiled.col_row.(p))
-                          *. c.Compiled.col_val.(p))
-            done;
-            !s
-          end
-          else binv.(off + (j - n))
-        in
-        close ~what':(Printf.sprintf "row %d col %d" r j) alpha.(j) v
-      end
-    done
-  done
-
-(* Each program's filtered Table-4 root tableau at its tightest and
-   loosest deadline, and adpcm's unfiltered one. *)
-let test_tableau_dense_oracle () =
-  let cases =
-    List.concat_map
-      (fun name -> [ (name, true, 0); (name, true, loosest) ])
-      programs
-    @ [ ("adpcm", false, 0) ]
-  in
-  List.iter
-    (fun (name, filter, d) ->
-      let what = Printf.sprintf "%s filter=%b deadline %d" name filter d in
-      let c = Compiled.of_model (table4_model ~filter name d) in
-      check_tableau_dense ~what c (root_tableau ~what c))
-    cases
-
-(* The tableau holds no m x m array: on adpcm's unfiltered root
-   (m = 234), after reading every row, it reaches fewer words than one
-   such array would hold, not counting the compiled model it shares. *)
-let test_tableau_below_m_squared () =
-  let c = Compiled.of_model (table4_model ~filter:false "adpcm" 0) in
-  let m = c.Compiled.m in
-  Alcotest.(check int) "adpcm unfiltered rows" 234 m;
-  let tab = root_tableau ~what:"adpcm unfiltered" c in
-  let alpha = Array.make c.Compiled.nt 0.0 in
-  for r = 0 to m - 1 do
-    Simplex.tableau_row tab r alpha
-  done;
-  let words =
-    Obj.reachable_words (Obj.repr tab) - Obj.reachable_words (Obj.repr c)
-  in
-  if words >= m * m then
-    Alcotest.failf "tableau holds %d words, not below m^2 = %d" words (m * m)
-
 (* ---- the residual guard ---------------------------------------------- *)
 
 (* A Lu_eta whose FTRAN errs by 1e-7 relative, the sign alternating by
@@ -753,10 +642,6 @@ let suite =
       test_real_model_oracle;
     Alcotest.test_case "workspace below m^2 words on adpcm unfiltered"
       `Quick test_workspace_below_m_squared;
-    Alcotest.test_case "tableau = dense oracle on six programs" `Quick
-      test_tableau_dense_oracle;
-    Alcotest.test_case "tableau holds no m x m array" `Quick
-      test_tableau_below_m_squared;
     Alcotest.test_case "residual guard refactors a drifting factor" `Quick
       test_residual_guard;
     Alcotest.test_case "restored factor answers like a fresh one" `Quick

@@ -1,12 +1,10 @@
 (* Deadline-sweep engine suite: the sweep must be a pure accelerator —
    per-point objectives and schedules identical to independent cold
-   solves, at any worker/instance count, with or without injected
-   faults — and every cut it separates must be a valid inequality for
-   the integer feasible set it is tagged for. *)
+   solves, at any worker count, with or without injected faults — and
+   every LP it runs must be one of its points' solves. *)
 
 module Solver = Dvs_milp.Solver
 module Sweep = Dvs_milp.Sweep
-module Cuts = Dvs_milp.Cuts
 module Fault = Dvs_milp.Fault
 module Model = Dvs_lp.Model
 module Expr = Dvs_lp.Expr
@@ -241,141 +239,46 @@ let test_sweep_under_crashes () =
         sw.Sweep.points)
     jobs_list
 
-(* --- Cut validity ------------------------------------------------------ *)
+(* --- LP accounting ------------------------------------------------------ *)
 
-(* Sample a random integer-feasible point: one mode per group, resampled
-   until the deadline row is satisfied. *)
-let feasible_point rng ~k ~time ~deadline ~num_vars =
-  let groups = Array.length k and modes = Array.length k.(0) in
-  let rec attempt tries =
-    if tries = 0 then None
-    else begin
-      let x = Array.make num_vars 0.0 in
-      let span = ref 0.0 in
-      for g = 0 to groups - 1 do
-        let j = Random.State.int rng modes in
-        x.(k.(g).(j)) <- 1.0;
-        span := !span +. time.(g).(j)
-      done;
-      if !span <= deadline then Some x else attempt (tries - 1)
-    end
-  in
-  attempt 200
-
-(* Every cut the sweep separates must hold at 100 random integer-feasible
-   points of every deadline it claims validity for. *)
-let test_cut_validity () =
-  let rng = Random.State.make [| 0xc07; 5 |] in
-  let checked = ref 0 in
-  for seed = 0 to 4 do
-    let m, k, deadline_row, time = sweep_model ~seed ~groups:5 ~modes:3 in
-    let deadlines = deadline_grid ~time ~points:4 in
-    let pool = Cuts.Pool.create () in
-    let cfg = config ~jobs:1 ~k in
-    ignore (Sweep.run ~config:cfg ~pool ~model:m ~deadline_row ~deadlines ());
-    let cuts = Cuts.Pool.applicable pool ~deadline:neg_infinity in
-    let num_vars = Model.num_vars m in
-    Array.iter
-      (fun d ->
-        let live =
-          List.filter (fun (c : Cuts.t) -> d <= c.Cuts.valid_le) cuts
-        in
-        if live <> [] then
-          for _ = 1 to 100 do
-            match feasible_point rng ~k ~time ~deadline:d ~num_vars with
-            | None -> ()
-            | Some x ->
-                List.iter
-                  (fun (c : Cuts.t) ->
-                    if not (Cuts.satisfied c x) then
-                      Alcotest.failf
-                        "seed %d: cut %a cuts off a feasible point at \
-                         deadline %.4f"
-                        seed Cuts.pp c d
-                    else incr checked)
-                  live
-          done)
-      deadlines
-  done;
-  if !checked = 0 then
-    Alcotest.fail "cut validity test exercised no cuts — separation is dead"
-
-(* The pool must dedup structurally identical cuts and report reuse. *)
-let test_pool_dedup_and_reuse () =
-  let m, k, deadline_row, time = sweep_model ~seed:2 ~groups:5 ~modes:3 in
-  let deadlines = deadline_grid ~time ~points:4 in
-  let pool = Cuts.Pool.create () in
-  let cfg = config ~jobs:1 ~k in
-  let first =
-    Sweep.run ~config:cfg ~pool ~model:m ~deadline_row ~deadlines ()
-  in
-  let size_after_first = Cuts.Pool.size pool in
-  (* Second sweep with separation off: pooled cuts are applied but no
-     new ones can appear, so reuse is isolated from rediscovery. *)
-  let second =
-    Sweep.run ~config:cfg ~cut_rounds:0 ~pool ~model:m ~deadline_row
-      ~deadlines ()
-  in
-  Alcotest.(check int) "separation off: pool unchanged" size_after_first
-    (Cuts.Pool.size pool);
-  if size_after_first > 0 && second.Sweep.stats.Sweep.cut_pool_hits = 0 then
-    Alcotest.fail "expected pooled cuts to be reused on the second sweep";
-  ignore first
-
-(* The root cutting loop's LP solves and tableaux are charged to
-   [lp.flops] on the sweep's own registry, on top of what each point's
-   solve charges.  Here every point's solve reports to a second registry
-   (through [per_point]), so the first holds the root loops' work alone.
-   A one-point sweep's loop starts with the point's cold root LP and the
-   tableau of its optimal basis, which the test recomputes.  At the
-   loosest deadline that LP is integral, nothing separates, and the loop
-   charges exactly those two. *)
-let test_root_flops_charged () =
+(* Every LP a sweep runs is one of its points' solves.  Each point's
+   solve reports to its own registry (through [per_point]), so the sweep
+   config's registry holds the sweep's own work alone: no LP solve and
+   no [lp.flops] there, while every point's registry counts its solves
+   and the points together count flops (after presolve the tightest
+   point's LP has nothing to do). *)
+let test_no_lp_outside_points () =
   let m, k, deadline_row, time = sweep_model ~seed:4 ~groups:6 ~modes:3 in
-  let flops obs =
+  let deadlines = deadline_grid ~time ~points:4 in
+  let counter obs name =
     Dvs_obs.Metrics.Counter.value
-      (Dvs_obs.Metrics.counter (Dvs_obs.metrics obs) ~stability:Volatile
-         "lp.flops")
+      (Dvs_obs.Metrics.counter (Dvs_obs.metrics obs) ~stability:Volatile name)
   in
-  let run ~cut_rounds d =
-    let root = Dvs_obs.metrics_only () and solves = Dvs_obs.metrics_only () in
-    let cfg = config ~jobs:1 ~k |> Solver.Config.with_obs root in
-    let sw =
-      Sweep.run ~config:cfg ~cut_rounds
-        ~per_point:(fun _ _ c -> Solver.Config.with_obs solves c)
-        ~model:m ~deadline_row ~deadlines:[| d |] ()
-    in
-    if flops solves <= 0 then Alcotest.fail "point solve charged no flops";
-    (sw.Sweep.stats, flops root)
+  let sweep_obs = Dvs_obs.metrics_only () in
+  let point_obs = Array.map (fun _ -> Dvs_obs.metrics_only ()) deadlines in
+  let sw =
+    Sweep.run
+      ~config:(config ~jobs:1 ~k |> Solver.Config.with_obs sweep_obs)
+      ~per_point:(fun i _ c -> Solver.Config.with_obs point_obs.(i) c)
+      ~model:m ~deadline_row ~deadlines ()
   in
-  let first_round d =
-    let c0 = Dvs_lp.Compiled.scratch (Dvs_lp.Compiled.of_model m) in
-    Dvs_lp.Compiled.set_rhs c0 deadline_row d;
-    match Simplex.solve_compiled c0 with
-    | Simplex.Optimal _, Some b, ls -> (
-        match Simplex.tableau c0 b with
-        | Some tab ->
-            let tf = Simplex.tableau_flops tab in
-            if tf <= 0 then Alcotest.fail "tableau charged no flops";
-            ls.Simplex.flops + tf
-        | None -> Alcotest.fail "root basis gave no tableau")
-    | _ -> Alcotest.fail "root LP did not solve to a basis"
-  in
-  let loosest = (List.nth (Model.constraints m) deadline_row).Model.rhs in
-  let st, root = run ~cut_rounds:3 loosest in
-  Alcotest.(check int) "loosest: nothing separates" 0 st.Sweep.cuts_separated;
-  Alcotest.(check int) "loosest: root LP + tableau" (first_round loosest) root;
-  let tight = (deadline_grid ~time ~points:3).(1) in
-  let st, root = run ~cut_rounds:3 tight in
-  if st.Sweep.cuts_separated = 0 then
-    Alcotest.fail "tight: no cuts separated, the loop ran one round only";
-  if root <= first_round tight then
-    Alcotest.failf "tight: root loop charged %d flops, not above its first \
-                    round's LP and tableau (%d)"
-      root (first_round tight);
-  let st, root = run ~cut_rounds:0 tight in
-  Alcotest.(check int) "cut_rounds 0: root loop charges nothing" 0 root;
-  Alcotest.(check int) "cut_rounds 0: no root pivots" 0 st.Sweep.root_pivots
+  Alcotest.(check int) "sweep registry: sweep.points"
+    (Array.length deadlines)
+    (counter sweep_obs "sweep.points");
+  Alcotest.(check int) "sweep registry: lp.flops" 0
+    (counter sweep_obs "lp.flops");
+  Alcotest.(check int) "sweep registry: solver.lp_solves" 0
+    (counter sweep_obs "solver.lp_solves");
+  Array.iteri
+    (fun i obs ->
+      let what = Printf.sprintf "point %d" i in
+      let solves = counter obs "solver.lp_solves" in
+      if solves <= 0 then Alcotest.failf "%s: no LP solve counted" what;
+      Alcotest.(check int) (what ^ ": lp_solves = its result's") solves
+        sw.Sweep.points.(i).Sweep.result.Solver.stats.Solver.lp_solves)
+    point_obs;
+  if Array.for_all (fun obs -> counter obs "lp.flops" = 0) point_obs then
+    Alcotest.fail "the points' solves charged no lp.flops"
 
 let suite =
   [
@@ -385,10 +288,6 @@ let suite =
       test_sweep_warm_lifting;
     Alcotest.test_case "crash injection leaves objectives exact" `Quick
       test_sweep_under_crashes;
-    Alcotest.test_case "separated cuts valid on feasible points" `Slow
-      test_cut_validity;
-    Alcotest.test_case "cut pool dedups and reuses" `Quick
-      test_pool_dedup_and_reuse;
-    Alcotest.test_case "root loop flops charged to lp.flops" `Quick
-      test_root_flops_charged;
+    Alcotest.test_case "a sweep runs no LP outside its points' solves" `Quick
+      test_no_lp_outside_points;
   ]
