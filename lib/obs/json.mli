@@ -25,8 +25,22 @@ val to_channel : out_channel -> t -> unit
 
 val of_string : string -> (t, string) result
 (** Parses one JSON value (surrounding whitespace allowed).  Numbers
-    without ['.'], ['e'] or ['E'] parse as [Int]; escapes including
-    [\uXXXX] are decoded to UTF-8. *)
+    without ['.'], ['e'] or ['E'] parse as [Int] (as [Float] past the
+    int range); escapes including [\uXXXX] are decoded to UTF-8, a
+    surrogate pair to one code point.
+
+    Never raises: every malformed input is an [Error] carrying the
+    reason and byte offset.  It rejects a [\u] escape that is not
+    exactly four hex digits, an unknown escape, an unterminated string,
+    a number that neither [int_of_string] nor [float_of_string] reads,
+    a misspelled literal, a missing [','], [':'], [']'] or ['}'], and
+    trailing bytes after the value.  It accepts leading zeros and raw
+    control bytes inside strings, as it always has.
+
+    Allocation: the tree itself, plus one [String.sub] per string
+    without escapes (a [Buffer] only for a string with one) and per
+    float; an integer that fits is read in place.  A list of ints
+    costs 8 words per element, a list of hex-float strings about 12. *)
 
 val equal : t -> t -> bool
 (** Structural equality; object member {e order matters} (printing is

@@ -25,13 +25,37 @@ type t = {
   total_energy : float array array;
   runs : Cpu.run_stats array;
   recording : recording option Atomic.t;
+  mutable fingerprint : fingerprint option;
 }
+
+(* A fingerprint is valid for the content it was computed from, which it
+   keeps by identity (a copy of the record with no fingerprint, so
+   nothing is cyclic): a [{ p with exec_count = ... }] copy inherits the
+   memo but fails [same_content]. *)
+and fingerprint = { value : string; of_content : t }
 
 let no_recording () = Atomic.make None
 
 let recording p = Atomic.get p.recording
 
 let take_recording p = Atomic.exchange p.recording None
+
+let same_content a b =
+  a.exec_count == b.exec_count
+  && a.edge_count == b.edge_count
+  && a.entry_count = b.entry_count
+  && a.paths == b.paths
+  && a.total_time == b.total_time
+  && a.total_energy == b.total_energy
+  && a.runs == b.runs
+
+let fingerprint p =
+  match p.fingerprint with
+  | Some f when same_content f.of_content p -> Some f.value
+  | Some _ | None -> None
+
+let remember_fingerprint p value =
+  p.fingerprint <- Some { value; of_content = { p with fingerprint = None } }
 
 (* Structural counts from the tape: per-position labels give
    [exec_count], the recorded incoming edges [edge_count] and
@@ -114,7 +138,8 @@ let collect ?fuel config cfg ~memory =
       Atomic.make
         (Some
            { rec_config = config; rec_cfg = cfg; rec_memory = memory;
-             rec_summary = session }) }
+             rec_summary = session });
+    fingerprint = None }
 
 let block_time p ~mode j =
   if p.exec_count.(j) = 0 then 0.0

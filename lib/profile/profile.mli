@@ -64,7 +64,14 @@ type t = {
           it.  Not part of the profile's content — the store neither
           writes nor fingerprints it, and a decoded profile starts
           empty.  Copies made with [{ p with ... }] share it. *)
+  mutable fingerprint : fingerprint option;
+      (** the store's content fingerprint once known ({!fingerprint}):
+          [None] from {!collect} and in every literal.  Not part of the
+          profile's content either. *)
 }
+
+and fingerprint
+(** A remembered fingerprint and the content it was computed from. *)
 
 val no_recording : unit -> recording option Atomic.t
 (** A fresh empty slot, for profiles built other than by {!collect}. *)
@@ -75,6 +82,19 @@ val recording : t -> recording option
 val take_recording : t -> recording option
 (** Atomically empty the slot and return what it held: of any number of
     concurrent takers, exactly one gets the recording. *)
+
+val fingerprint : t -> string option
+(** The value {!remember_fingerprint} stored, if this record still holds
+    the very content (the same arrays and list, the same [entry_count])
+    it was stored for.  A copy [{ p with exec_count = ... }] made after
+    it was stored therefore reads [None]; profile content is never
+    mutated in place.  Nothing outside the record holds the value, so
+    it lives and dies with the profile. *)
+
+val remember_fingerprint : t -> string -> unit
+(** Store the content fingerprint of [p]'s current content.  The caller
+    vouches for the value: [Dvs_store.Codec.profile_fingerprint] is the
+    only definition, and the store's checksums the only other source. *)
 
 val collect :
   ?fuel:int -> Dvs_machine.Config.t -> Dvs_ir.Cfg.t -> memory:int array -> t

@@ -210,12 +210,21 @@ let profile_of_json ~cfg ~config j =
           dlist what (mem what "runs" j)
           |> List.map (run_stats_of what images)
           |> Array.of_list;
-        recording = Profile.no_recording () })
+        recording = Profile.no_recording ();
+        fingerprint = None })
     j
 
 (* The profile's own JSON rendering is canonical (sorted construction,
-   bit-exact floats), so its hash is a faithful content fingerprint. *)
-let profile_fingerprint p = Key.hash_hex (Json.to_string (profile_to_json p))
+   bit-exact floats), so its hash is a faithful content fingerprint.  A
+   profile remembers it, so it is rendered for this at most once; [Exec]
+   seeds the memo with the store's checksum of the same bytes. *)
+let profile_fingerprint p =
+  match Profile.fingerprint p with
+  | Some fp -> fp
+  | None ->
+    let fp = Key.hash_hex (Json.to_string (profile_to_json p)) in
+    Profile.remember_fingerprint p fp;
+    fp
 
 (* ---- schedules, verification ------------------------------------------ *)
 

@@ -33,7 +33,18 @@ val profile_of_json :
 val profile_fingerprint : Dvs_profile.Profile.t -> string
 (** Content hash of the measured data (bit-exact on floats): the
     identity of a profile inside solve/sweep keys, independent of how
-    the caller names its workload. *)
+    the caller names its workload.  It is
+    [Key.hash_hex (Json.to_string (profile_to_json p))], which is
+    exactly a [sim] entry's checksum, so a profile carries the value
+    ({!Dvs_profile.Profile.fingerprint}) instead of re-rendering:
+    - from a [sim] hit, the entry's verified checksum;
+    - from a [sim] miss, the checksum [Store.put] computed over the
+      bytes it wrote;
+    - any other profile renders once, on first use, and keeps the
+      value.
+    A copy [{ p with ... }] that changes any measured field computes
+    its own value; one that changes only [cfg], [config] or the slots
+    keeps [p]'s, which is the same value. *)
 
 (** {2 Solve artifacts} *)
 

@@ -41,14 +41,23 @@ let profile ?store ?fuel ~source machine cfg ~memory =
               | Some f -> Key.L [ Key.I f ] )
          :: Codec.machine_components ~prefix:"m." machine)
     in
+    (* The entry's checksum hashes [Json.to_string (Codec.profile_to_json
+       p)], which is [Codec.profile_fingerprint p]: the read has just
+       verified it on a hit, and [put] computes it on a miss, so the
+       sweep and solve keys never render the profile again. *)
+    let fingerprinted p checksum =
+      Profile.remember_fingerprint p checksum;
+      p
+    in
     match
-      Store.get st key ~decode:(Codec.profile_of_json ~cfg ~config:machine)
+      Store.get st key ~decode:(fun ~checksum j ->
+          Codec.profile_of_json ~cfg ~config:machine j
+          |> Result.map (fun p -> fingerprinted p checksum))
     with
     | Some p -> p
     | None ->
       let p = collect () in
-      Store.put st key (Codec.profile_to_json p);
-      p)
+      fingerprinted p (Store.put st key (Codec.profile_to_json p)))
 
 (* ---- shared solve/sweep plumbing -------------------------------------- *)
 
@@ -129,7 +138,8 @@ let optimize_multi ?store ?config ?verify_config ?session ~regulator ~memory
     in
     let obs = Pipeline.Config.obs config in
     match
-      Store.get st key ~decode:(decode_with_counters Codec.essence_of_json)
+      Store.get st key ~decode:(fun ~checksum:_ ->
+          decode_with_counters Codec.essence_of_json)
     with
     | Some (essence, counters) ->
       (* Nothing verifies here, so nothing may keep the recording. *)
@@ -142,10 +152,11 @@ let optimize_multi ?store ?config ?verify_config ?session ~regulator ~memory
     | None ->
       let r, counters = capture_around obs run in
       if storable_result r then
-        Store.put st key
-          (payload_with_counters
-             (Codec.essence_to_json (Codec.essence_of_result r))
-             counters);
+        ignore
+          (Store.put st key
+             (payload_with_counters
+                (Codec.essence_to_json (Codec.essence_of_result r))
+                counters));
       r)
 
 (* ---- sweep: optimize_sweep -------------------------------------------- *)
@@ -191,7 +202,7 @@ let optimize_sweep ?store ?config ?verify_config ?profile:prof ?session
              Codec.solver_components config.Pipeline.Config.solver ])
     in
     let obs = Pipeline.Config.obs config in
-    let decode j =
+    let decode ~checksum:_ j =
       Result.bind (decode_with_counters Codec.sweep_of_json j)
         (fun ((sw : Codec.sweep_essence), cs) ->
           if Array.length sw.Codec.se_points <> Array.length deadlines then
@@ -225,11 +236,12 @@ let optimize_sweep ?store ?config ?verify_config ?profile:prof ?session
         Array.for_all storable_result r.Pipeline.results
       in
       if storable then
-        Store.put st key
-          (payload_with_counters
-             (Codec.sweep_to_json
-                { Codec.se_points =
-                    Array.map Codec.essence_of_result r.Pipeline.results;
-                  se_stats = r.Pipeline.sweep })
-             counters);
+        ignore
+          (Store.put st key
+             (payload_with_counters
+                (Codec.sweep_to_json
+                   { Codec.se_points =
+                       Array.map Codec.essence_of_result r.Pipeline.results;
+                     se_stats = r.Pipeline.sweep })
+                counters));
       r)

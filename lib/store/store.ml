@@ -128,6 +128,7 @@ let find_sub s sub =
 type entry = {
   en_key : string;
   en_epoch : int;
+  en_checksum : string;
   en_payload : Json.t;
 }
 
@@ -162,14 +163,14 @@ let read_entry path =
             match Json.of_string body with
             | Error e -> Error ("parse: " ^ e)
             | Ok en_payload ->
-              Ok { en_key; en_epoch; en_payload })
+              Ok { en_key; en_epoch; en_checksum = sum; en_payload })
         | _ -> not_envelope)))
 
 (* Classify one on-disk entry.  [expect] carries the canonical key when
    the caller looked the file up by name (a mismatch there is a
    filename-hash collision: valid data for some other key). *)
 type status =
-  | Entry of Json.t  (** the payload *)
+  | Entry of entry
   | Other_key  (** checksummed fine but belongs to a different canonical key *)
   | Stale_entry
   | Corrupt_entry of string
@@ -181,7 +182,7 @@ let classify ~epoch ?expect path =
   | Ok e -> (
     match expect with
     | Some canonical when canonical <> e.en_key -> Other_key
-    | _ -> Entry e.en_payload)
+    | _ -> Entry e)
 
 let touch path =
   try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> ()
@@ -195,8 +196,8 @@ let get t key ~decode =
   end
   else
     match classify ~epoch:t.epoch ~expect:(Key.canonical key) path with
-    | Entry payload -> (
-      match decode payload with
+    | Entry e -> (
+      match decode ~checksum:e.en_checksum e.en_payload with
       | Ok v ->
         touch path;
         note_hit t kind;
@@ -222,7 +223,7 @@ let get t key ~decode =
       note_miss t kind;
       None
 
-let get_json t key = get t key ~decode:(fun j -> Ok j)
+let get_json t key = get t key ~decode:(fun ~checksum:_ j -> Ok j)
 
 (* ---- size bounds ------------------------------------------------------ *)
 
@@ -271,6 +272,7 @@ let enforce_bounds t =
 
 let put t key payload =
   let body = Json.to_string payload in
+  let checksum = Key.hash_hex body in
   let header =
     Json.to_string
       (Json.Obj
@@ -278,7 +280,7 @@ let put t key payload =
            ("key", Json.String (Key.canonical key));
            ("kind", Json.String (Key.kind key));
            ("epoch", Json.Int t.epoch);
-           ("checksum", Json.String (Key.hash_hex body)) ])
+           ("checksum", Json.String checksum) ])
   in
   let tick =
     locked t (fun () ->
@@ -289,7 +291,7 @@ let put t key payload =
     Filename.concat t.root
       (Printf.sprintf ".tmp-%d-%d" (Unix.getpid ()) tick)
   in
-  match open_out_bin tmp with
+  (match open_out_bin tmp with
   | exception Sys_error _ -> ()
   | oc ->
     let wrote =
@@ -318,7 +320,8 @@ let put t key payload =
         note_put t;
         ignore (enforce_bounds t)
       | exception Sys_error _ -> remove_quiet tmp
-    end
+    end);
+  checksum
 
 (* ---- maintenance ------------------------------------------------------ *)
 

@@ -80,6 +80,8 @@ val epoch : t -> int
 type entry = {
   en_key : string;  (** the canonical key the entry was written for *)
   en_epoch : int;
+  en_checksum : string;
+      (** {!Key.hash_hex} of the payload bytes, checked against them *)
   en_payload : Dvs_obs.Json.t;
 }
 
@@ -92,20 +94,30 @@ val read_entry : string -> (entry, string) result
     the store's epoch.  [dvstool stats --store FILE --check] applies this
     same check. *)
 
-val get : t -> Key.t -> decode:(Dvs_obs.Json.t -> ('a, string) result) -> 'a option
-(** Look up an entry and decode its payload.  Any failure along the way
-    — absent file, unparseable JSON, schema/key/checksum mismatch, stale
-    epoch, decode error — is a miss ([None]); corrupt and stale entries
-    are deleted on sight.  A hit touches the entry's mtime (the LRU
-    clock shared with every other process using the store). *)
+val get :
+  t ->
+  Key.t ->
+  decode:(checksum:string -> Dvs_obs.Json.t -> ('a, string) result) ->
+  'a option
+(** Look up an entry and decode its payload.  [decode] also receives the
+    entry's verified checksum: {!Key.hash_hex} of
+    [Json.to_string payload] as {!put} rendered it, so a decoder whose
+    artifact is fingerprinted by that hash ([Exec]'s profiles) need not
+    render it again.  Any failure along the way — absent file,
+    unparseable JSON, schema/key/checksum mismatch, stale epoch, decode
+    error — is a miss ([None]); corrupt and stale entries are deleted on
+    sight.  A hit touches the entry's mtime (the LRU clock shared with
+    every other process using the store). *)
 
 val get_json : t -> Key.t -> Dvs_obs.Json.t option
 (** [get] with the identity decoder. *)
 
-val put : t -> Key.t -> Dvs_obs.Json.t -> unit
+val put : t -> Key.t -> Dvs_obs.Json.t -> string
 (** Insert (or overwrite) an entry atomically, then enforce the size
-    bounds.  Never raises on I/O failure — a store that cannot write
-    degrades to a cache that never hits, not a crashed run. *)
+    bounds, and return the entry's checksum, {!Key.hash_hex} of
+    [Json.to_string payload] (also when the write failed).  Never
+    raises on I/O failure — a store that cannot write degrades to a
+    cache that never hits, not a crashed run. *)
 
 type counts = {
   hits : int;

@@ -92,7 +92,7 @@ let profile =
   { Dvs_profile.Profile.cfg; config = machine; exec_count; edge_count;
     entry_count = 1; paths; total_time; total_energy;
     runs = Array.make n_modes dummy_run;
-    recording = Dvs_profile.Profile.no_recording () }
+    recording = Dvs_profile.Profile.no_recording (); fingerprint = None }
 
 let regulator = Dvs_power.Switch_cost.regulator ~capacitance:0.05e-6 ()
 

@@ -441,6 +441,230 @@ let test_pipeline_session_source () =
   check "fresh profile, sweep" "profile" (sessions sweep);
   check "same profile again, optimize_multi" "recorded" (sessions multi)
 
+(* --- Json.of_string: fuzzing, the replaced parser as oracle ----------- *)
+
+(* Real store entries of the tiny program, a [sim] and a [sweep], as the
+   fuzz corpus: what a damaged store file or frame looks like. *)
+let store_entries =
+  lazy
+    (let root =
+       Filename.concat
+         (Filename.get_temp_dir_name ())
+         (Printf.sprintf "dvs_obs_json_%d" (Unix.getpid ()))
+     in
+     let store = Dvs_store.Store.open_ ~root () in
+     let cfg, _ = Lazy.force compiled in
+     let p =
+       Dvs_store.Exec.profile ~store ~source:"tiny" tiny_config cfg
+         ~memory:(memory ())
+     in
+     ignore
+       (Dvs_store.Exec.optimize_sweep ~store ~verify_config:tiny_config
+          ~profile:p tiny_config cfg ~memory:(memory ())
+          ~deadlines:(Dvs_workloads.Deadlines.sweep_of_profile p));
+     let files = List.sort compare (Array.to_list (Sys.readdir root)) in
+     let texts =
+       List.map
+         (fun f ->
+           let path = Filename.concat root f in
+           let text = In_channel.with_open_bin path In_channel.input_all in
+           Sys.remove path;
+           text)
+         files
+     in
+     Unix.rmdir root;
+     Array.of_list texts)
+
+(* Bytes that JSON syntax turns on, for targeted damage. *)
+let syntax_chars = "\"\\u{}[]:,-+.eE019afAFnlt _\000\127\255"
+
+(* Lexemes for a token soup: escapes good and bad (surrogates, a '_'
+   inside [\u], non-hex digits), numbers at and past the int range, and
+   broken literals. *)
+let tokens =
+  [ "\""; "\\"; "\\u"; "\\u00e9"; "\\uD83D"; "\\ude00"; "\\u0_12";
+    "\\uZZZZ"; "\\u 123"; "\\n"; "\\/"; "\\x"; "0"; "7"; "-"; "+"; "."; "e";
+    "E"; "1e5"; "-0"; "007"; "4611686018427387903"; "4611686018427387904";
+    "-4611686018427387904"; "-4611686018427387905"; "99999999999999999999";
+    "0x1p3"; "null"; "nul"; "true"; "false"; "["; "]"; "{"; "}"; ":"; ",";
+    " "; "\n"; "a"; "_"; "\000"; "\255"; "\"k\":"; "[1,2]"; "{\"a\":1}" ]
+
+let gen_damaged_entry =
+  QCheck.Gen.(
+    let* e = map (fun i -> (Lazy.force store_entries).(i)) (int_bound 1) in
+    let n = String.length e in
+    let edit =
+      pair (int_bound (n - 1))
+        (oneof [ char; map (String.get syntax_chars)
+                         (int_bound (String.length syntax_chars - 1)) ])
+    in
+    oneof
+      [ map (fun k -> String.sub e 0 k) (int_bound n);
+        map
+          (fun edits ->
+            let b = Bytes.of_string e in
+            List.iter (fun (i, c) -> Bytes.set b i c) edits;
+            Bytes.to_string b)
+          (list_size (1 -- 4) edit) ])
+
+(* Mostly well-formed text whose leaves are the edge cases: numbers at
+   and past the int range or in unusual float spellings, and strings
+   full of escapes, surrogate pairs (a broken one too) and raw bytes. *)
+let gen_grammar_soup =
+  let numbers =
+    [ "0"; "-0"; "007"; "12"; "-4611686018427387904"; "4611686018427387903";
+      "4611686018427387904"; "99999999999999999999"; "1.5"; "1e5"; "1E+2";
+      "2e-3"; "1.e5"; "-.5"; "0.1e-7" ]
+  in
+  let pieces =
+    [ "a"; " "; "\\u00e9"; "\\uD83D\\uDE00"; "\\ud800\\u0041"; "\\uDBFF";
+      "\\u0000"; "\\n"; "\\\""; "\\\\"; "\\/"; "\\b"; "\\f"; "\\t"; "\\r";
+      "\001"; "\255"; "\\u0_12" ]
+  in
+  QCheck.Gen.(
+    let str =
+      map (fun ps -> "\"" ^ String.concat "" ps ^ "\"")
+        (list_size (0 -- 4) (oneofl pieces))
+    in
+    let ws = oneofl [ ""; " "; "\n\t " ] in
+    let spaced g = map (fun (a, v, b) -> a ^ v ^ b) (triple ws g ws) in
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             spaced (oneof [ oneofl numbers; str; oneofl [ "null"; "true" ] ])
+           in
+           if n <= 0 then leaf
+           else
+             frequency
+               [ (2, leaf);
+                 (1, map (fun vs -> "[" ^ String.concat "," vs ^ "]")
+                       (list_size (0 -- 4) (self (n / 3))));
+                 (1, map
+                       (fun kvs ->
+                         "{"
+                         ^ String.concat ","
+                             (List.map (fun (k, v) -> k ^ ":" ^ v) kvs)
+                         ^ "}")
+                       (list_size (0 -- 4) (pair (spaced str) (self (n / 3)))))
+               ]))
+
+let gen_hostile =
+  QCheck.Gen.(
+    frequency
+      [ (3, gen_damaged_entry);
+        (1, string_size ~gen:char (0 -- 64));
+        (2, map (String.concat "") (list_size (0 -- 24) (oneofl tokens)));
+        (2, gen_grammar_soup) ])
+
+let arb_hostile =
+  QCheck.make ~print:(fun s -> Printf.sprintf "%S" s) gen_hostile
+
+let qcheck_of_string_total =
+  QCheck.Test.make ~name:"of_string: damaged entries, random bytes: no raise"
+    ~count:600 arb_hostile (fun s ->
+      match Json.of_string s with Ok _ | Error _ -> true)
+
+(* The one input class the oracle reads differently: a [\u] not followed
+   by four hex digits, on which it raised or, given a '_', accepted
+   ([int_of_string "0x0_12"]). *)
+let non_hex_u_escape s =
+  let n = String.length s in
+  let is_hex c =
+    match c with '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false
+  in
+  let rec bad i =
+    i + 1 < n
+    && ((s.[i] = '\\' && s.[i + 1] = 'u'
+        && (i + 6 > n || not (String.for_all is_hex (String.sub s (i + 2) 4))))
+       || bad (i + 1))
+  in
+  bad 0
+
+let qcheck_of_string_oracle =
+  QCheck.Test.make ~name:"of_string = the replaced parser wherever it accepts"
+    ~count:600 arb_hostile (fun s ->
+      match Json_oracle.of_string s with
+      | Ok t -> (
+        match Json.of_string s with
+        | Ok t' -> Json.equal t t'
+        | Error _ -> non_hex_u_escape s)
+      | Error _ | (exception _) -> Result.is_error (Json.of_string s))
+
+let gen_tree =
+  QCheck.Gen.(
+    let str = string_size ~gen:char (0 -- 10) in
+    let float =
+      oneof
+        [ map Int64.float_of_bits int64;
+          oneofl
+            [ 0.0; -0.0; 0.1; 1e16; 2e16; -9.9e16; 1e17; 1e300; 5e-324;
+              max_float; min_float ] ]
+      |> map (fun f -> if Float.is_finite f then f else 0.5)
+    in
+    let int = oneof [ int; oneofl [ 0; -1; max_int; min_int ] ] in
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [ return Json.Null; map (fun b -> Json.Bool b) bool;
+                 map (fun i -> Json.Int i) int;
+                 map (fun f -> Json.Float f) float;
+                 map (fun s -> Json.String s) str ]
+           in
+           if n <= 0 then leaf
+           else
+             frequency
+               [ (3, leaf);
+                 (1, map (fun l -> Json.List l)
+                       (list_size (0 -- 5) (self (n / 3))));
+                 (1, map (fun l -> Json.Obj l)
+                       (list_size (0 -- 5) (pair str (self (n / 3))))) ]))
+
+let qcheck_tree_roundtrip =
+  QCheck.Test.make ~name:"generated trees round-trip through the text"
+    ~count:500
+    (QCheck.make ~print:Json.to_string gen_tree)
+    (fun t ->
+      match Json.of_string (Json.to_string t) with
+      | Ok t' -> Json.equal t t'
+      | Error _ -> false)
+
+(* Allocation of a parse, per element: a list cell and the value for an
+   int that fits; a list cell, the value and one [String.sub] for a
+   string without escapes. *)
+let test_of_string_alloc () =
+  let n = 10_000 in
+  let budget what items limit =
+    let text = Json.to_string (Json.List items) in
+    ignore (Json.of_string text);
+    let w0 = Gc.minor_words () in
+    let r = Json.of_string text in
+    let per = (Gc.minor_words () -. w0) /. float_of_int n in
+    (match r with
+    | Ok t when Json.equal t (Json.List items) -> ()
+    | _ -> Alcotest.failf "%s: does not parse back" what);
+    if per > limit then
+      Alcotest.failf "%s: %.1f words per element (budget %.0f)" what per limit
+  in
+  budget "10,000 ints"
+    (List.init n (fun i -> Json.Int ((i * 7919) - 40_000_000)))
+    10.0;
+  budget "10,000 hex-float strings"
+    (List.init n (fun i ->
+         Json.String (Printf.sprintf "%h" (1.1 *. float_of_int (i - 17)))))
+    16.0
+
+let test_of_string_rejects () =
+  List.iter
+    (fun s ->
+      match Json.of_string s with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%S parsed" s
+      | exception e ->
+        Alcotest.failf "%S raised %s" s (Printexc.to_string e))
+    [ "\"\\uZZZZ\""; "\"\\u 123\""; "\"\\u0_12\""; "\"\\u12\""; "[1,]";
+      "{\"a\"}"; "01a"; "-"; "1e"; "nul"; "" ]
+
 let suite =
   [ Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "disabled path does not allocate" `Quick
@@ -460,4 +684,11 @@ let suite =
     Alcotest.test_case "pipeline ladder events" `Quick
       test_pipeline_ladder_events;
     Alcotest.test_case "pipeline session source" `Quick
-      test_pipeline_session_source ]
+      test_pipeline_session_source;
+    Alcotest.test_case "of_string rejects bad escapes and numbers" `Quick
+      test_of_string_rejects;
+    Alcotest.test_case "of_string allocation budget" `Quick
+      test_of_string_alloc;
+    QCheck_alcotest.to_alcotest qcheck_of_string_total;
+    QCheck_alcotest.to_alcotest qcheck_of_string_oracle;
+    QCheck_alcotest.to_alcotest qcheck_tree_roundtrip ]

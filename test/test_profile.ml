@@ -70,7 +70,8 @@ let oracle ?fuel config cfg ~memory =
   in
   { cfg; config; exec_count; edge_count; entry_count = !entry_count;
     paths = Hashtbl.fold (fun p c acc -> (p, c) :: acc) path_tbl [];
-    total_time; total_energy; runs; recording = no_recording () }
+    total_time; total_energy; runs; recording = no_recording ();
+    fingerprint = None }
 
 (* ---- exact comparison ------------------------------------------------- *)
 
@@ -107,8 +108,11 @@ let check_profile what (expected : Profile.t) (actual : Profile.t) =
   if expected.Profile.paths <> actual.Profile.paths then
     Alcotest.failf "%s: paths differ (values or order)" what;
   (* Everything else structurally (floats are bit-equal by now), except
-     the recording slot, which is not part of a profile's content. *)
-  let content p = { p with Profile.recording = Profile.no_recording () } in
+     the recording slot and the fingerprint memo, which are not part of a
+     profile's content. *)
+  let content p =
+    { p with Profile.recording = Profile.no_recording (); fingerprint = None }
+  in
   if content expected <> content actual then
     Alcotest.failf "%s: profiles differ structurally" what;
   Alcotest.(check string)

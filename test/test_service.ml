@@ -506,6 +506,109 @@ let test_daemon_stale_socket () =
       Client.close c);
   Alcotest.(check bool) "socket cleaned up" false (Sys.file_exists path)
 
+(* A frame around arbitrary payload bytes: the length header is right,
+   the payload need not be JSON. *)
+let write_raw_frame fd payload =
+  let len = String.length payload in
+  let frame = Bytes.create (4 + len) in
+  Bytes.set_int32_be frame 0 (Int32.of_int len);
+  Bytes.blit_string payload 0 frame 4 len;
+  let rec go ofs =
+    if ofs < Bytes.length frame then
+      go (ofs + Unix.write fd frame ofs (Bytes.length frame - ofs))
+  in
+  go 0
+
+(* Damaged request frames: well delimited, the payload a valid request
+   with bytes replaced or cut off.  [read_frame] and [request_of_json]
+   answer with a typed result and never raise. *)
+let qcheck_damaged_frames =
+  let requests =
+    lazy
+      (Array.map
+         (fun r -> Json.to_string (P.request_to_json r))
+         [| opt ~input:"default" ~budget_s:1.5
+              ~chaos:(P.chaos ~crash_rate:0.5 ~seed:9 ())
+              "a";
+            { P.id = "b";
+              body =
+                P.Sweep
+                  { workload = wl; input = None; fracs = [ 0.2; 0.5 ];
+                    budget_s = None; chaos = None } };
+            { P.id = "c"; body = P.Simulate { workload = wl; input = None; mode = 1 } }
+         |])
+  in
+  QCheck.Test.make ~name:"damaged request frames decode typed" ~count:300
+    QCheck.(
+      quad (int_bound 2) bool small_nat
+        (list_of_size Gen.(1 -- 4) (pair small_nat char)))
+    (fun (which, truncate, cut, edits) ->
+      let text = (Lazy.force requests).(which) in
+      let n = String.length text in
+      let payload =
+        if truncate then String.sub text 0 (cut mod (n + 1))
+        else begin
+          let b = Bytes.of_string text in
+          List.iter (fun (i, c) -> Bytes.set b (i mod n) c) edits;
+          Bytes.to_string b
+        end
+      in
+      let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.close r;
+          Unix.close w)
+        (fun () ->
+          write_raw_frame w payload;
+          match P.read_frame r with
+          | Error _ -> true
+          | Ok j -> (
+            match P.request_of_json j with Ok _ | Error _ -> true)))
+
+(* A well-delimited frame whose payload does not parse, here a string
+   with a [\u] escape that is not four hex digits, gets a typed
+   [bad frame] reply, and the connection goes on serving. *)
+let test_daemon_bad_escape_frame () =
+  let path = socket_path "esc" in
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let d =
+    Daemon.start
+      ~engine_config:(Engine.Config.make ~workers:1 ())
+      ~socket:path ()
+  in
+  let runner = Thread.create Daemon.run d in
+  Fun.protect
+    ~finally:(fun () ->
+      Daemon.stop d;
+      Thread.join runner)
+    (fun () ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_UNIX path);
+          write_raw_frame fd "\"\\uZZZZ\"";
+          let reply () =
+            match P.read_frame fd with
+            | Ok j -> (
+              match P.reply_of_json j with
+              | Ok r -> r.P.body
+              | Error e -> Alcotest.failf "undecodable reply: %s" e)
+            | Error e -> Alcotest.failf "bad reply frame: %s" e
+            | exception P.Closed ->
+              Alcotest.fail "the daemon closed the connection"
+          in
+          (match reply () with
+          | P.Failed_reply msg when String.starts_with ~prefix:"bad frame" msg
+            ->
+            ()
+          | _ -> Alcotest.fail "expected a bad frame reply");
+          P.write_frame fd
+            (P.request_to_json { P.id = "after"; body = P.Ping });
+          match reply () with
+          | P.Pong -> ()
+          | _ -> Alcotest.fail "a ping after the bad frame should pong"))
+
 let test_loadgen_report () =
   let path = socket_path "lg" in
   (try Unix.unlink path with Unix.Unix_error _ -> ());
@@ -575,5 +678,8 @@ let suite =
       test_daemon_roundtrip;
     Alcotest.test_case "stale socket reclaimed, live refused" `Quick
       test_daemon_stale_socket;
+    Alcotest.test_case "bad escape frame answered, connection kept" `Quick
+      test_daemon_bad_escape_frame;
+    QCheck_alcotest.to_alcotest qcheck_damaged_frames;
     Alcotest.test_case "loadgen report + chaos burst" `Quick
       test_loadgen_report ]

@@ -163,7 +163,7 @@ let test_roundtrip () =
   let st = Store.open_ ~root () in
   let key = sample_key () in
   Alcotest.(check bool) "miss before put" true (Store.get_json st key = None);
-  Store.put st key sample_payload;
+  ignore (Store.put st key sample_payload);
   (match Store.get_json st key with
   | Some p ->
     Alcotest.(check bool) "payload round-trips" true
@@ -211,7 +211,7 @@ let test_put_bytes () =
   let root = fresh_root () in
   let st = Store.open_ ~root () in
   let key = sample_key () in
-  Store.put st key sample_payload;
+  ignore (Store.put st key sample_payload);
   let path = entry_path st key in
   let envelope =
     Json.Obj
@@ -256,7 +256,7 @@ let test_corrupt_entry () =
   let root = fresh_root () in
   let st = Store.open_ ~root () in
   let key = sample_key () in
-  Store.put st key sample_payload;
+  ignore (Store.put st key sample_payload);
   let path = entry_path st key in
   (* Truncate: unparseable JSON. *)
   let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
@@ -269,7 +269,7 @@ let test_corrupt_entry () =
   Alcotest.(check int)
     "counted corrupt" 1 (Store.counts st).Store.corrupt;
   (* Flip one payload byte: parseable, checksum mismatch. *)
-  Store.put st key sample_payload;
+  ignore (Store.put st key sample_payload);
   let ic = open_in path in
   let text = really_input_string ic (in_channel_length ic) in
   close_in ic;
@@ -283,10 +283,36 @@ let test_corrupt_entry () =
     "checksum mismatch is a miss" true
     (Store.get_json st key = None);
   (* Recompute path: a put after the miss works again. *)
-  Store.put st key sample_payload;
+  ignore (Store.put st key sample_payload);
   Alcotest.(check bool)
     "store recovers after corruption" true
     (Store.get_json st key <> None);
+  rm_rf root
+
+(* One damaged byte in a header: a real sweep key's "continuous" becomes
+   "conti\\uous", an escape that is not four hex digits.  The header is
+   parsed before the payload's checksum is checked, so the parse itself
+   must turn the damage into a miss. *)
+let test_damaged_header () =
+  let root = fresh_root () in
+  let st = Store.open_ ~root () in
+  let key =
+    Key.make ~kind:"sweep" (Codec.pipeline_components Pipeline.Config.default)
+  in
+  ignore (Store.put st key sample_payload);
+  let path = entry_path st key in
+  let text = read_text path in
+  let i = Str.search_forward (Str.regexp_string "continuous") text 0 + 5 in
+  write_text path (String.mapi (fun k c -> if k = i then '\\' else c) text);
+  (match Store.read_entry path with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "damaged header read as an entry");
+  Alcotest.(check int)
+    "verify reports it" 1
+    (List.length (Store.verify st).Store.vr_corrupt);
+  Alcotest.(check bool) "a miss" true (Store.get_json st key = None);
+  Alcotest.(check int) "counted corrupt" 1 (Store.counts st).Store.corrupt;
+  Alcotest.(check bool) "and deleted" false (Sys.file_exists path);
   rm_rf root
 
 (* Seeded corruption property: whatever byte is damaged (or wherever the
@@ -300,7 +326,7 @@ let qcheck_corruption =
       let root = fresh_root () in
       let st = Store.open_ ~root () in
       let key = sample_key () in
-      Store.put st key sample_payload;
+      ignore (Store.put st key sample_payload);
       let path = entry_path st key in
       let ic = open_in path in
       let text = really_input_string ic (in_channel_length ic) in
@@ -447,10 +473,10 @@ let test_codec_bad_images () =
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "%s decoded" what);
       let key = sample_key ~salt:i () in
-      Store.put st key bad;
+      ignore (Store.put st key bad);
       Alcotest.(check bool)
         (what ^ ": a store miss") true
-        (Store.get st key ~decode = None);
+        (Store.get st key ~decode:(fun ~checksum:_ -> decode) = None);
       Alcotest.(check int)
         (what ^ ": counted corrupt") (i + 1) (Store.counts st).Store.corrupt;
       Alcotest.(check bool)
@@ -458,6 +484,73 @@ let test_codec_bad_images () =
         (Sys.file_exists (entry_path st key)))
     damaged;
   rm_rf root
+
+(* --- profile fingerprints ---------------------------------------------- *)
+
+let rendered_fingerprint p =
+  Key.hash_hex (Json.to_string (Codec.profile_to_json p))
+
+(* A profile's fingerprint is the hash of its rendering wherever the
+   value comes from: the [sim] entry's checksum as [put] computed it (a
+   miss) or as the read verified it (a hit), both remembered before any
+   key needs them, or one rendering on first use (a plain collect). *)
+let test_profile_fingerprints () =
+  let machine = Workload.eval_config () in
+  let root = fresh_root () in
+  let st = Store.open_ ~root () in
+  let pairs =
+    List.concat_map
+      (fun (w : Workload.t) -> List.map (fun i -> (w, i)) w.Workload.inputs)
+      Workload.all
+  in
+  Alcotest.(check int) "15 (workload, input) pairs" 15 (List.length pairs);
+  List.iter
+    (fun ((w : Workload.t), input) ->
+      let what = w.Workload.name ^ "/" ^ input in
+      let cfg, _, memory = Workload.load w ~input in
+      let check case ~remembered p =
+        let expected = rendered_fingerprint p in
+        Alcotest.(check (option string))
+          (what ^ ", " ^ case ^ ": known before use")
+          (if remembered then Some expected else None)
+          (Profile.fingerprint p);
+        Alcotest.(check string)
+          (what ^ ", " ^ case) expected
+          (Codec.profile_fingerprint p);
+        Alcotest.(check (option string))
+          (what ^ ", " ^ case ^ ": known after use")
+          (Some expected) (Profile.fingerprint p)
+      in
+      let exec () = Exec.profile ~store:st ~source:what machine cfg ~memory in
+      check "sim miss" ~remembered:true (exec ());
+      check "sim hit" ~remembered:true (exec ());
+      check "plain collect" ~remembered:false
+        (Profile.collect machine cfg ~memory))
+    pairs;
+  let c = Store.counts st in
+  Alcotest.(check (pair int int)) "15 misses, 15 hits" (15, 15)
+    (c.Store.misses, c.Store.hits);
+  rm_rf root
+
+(* A copy with new content never reads the original's value. *)
+let test_fingerprint_copies () =
+  let _, _, _, p, _ = Lazy.force adpcm in
+  let fp = Codec.profile_fingerprint p in
+  List.iter
+    (fun (what, q) ->
+      Alcotest.(check (option string))
+        (what ^ ": nothing known") None (Profile.fingerprint q);
+      let fq = Codec.profile_fingerprint q in
+      Alcotest.(check string) (what ^ ": its own value")
+        (rendered_fingerprint q) fq;
+      if fq = fp then Alcotest.failf "%s: the original's value" what)
+    [ ( "new exec_count",
+        { p with Profile.exec_count = Array.map succ p.Profile.exec_count } );
+      ("new entry_count", { p with Profile.entry_count = p.Profile.entry_count + 1 })
+    ];
+  Alcotest.(check string)
+    "the original keeps its own" (rendered_fingerprint p)
+    (Codec.profile_fingerprint p)
 
 (* --- LRU bound -------------------------------------------------------- *)
 
@@ -469,13 +562,13 @@ let test_lru_bound () =
      clock ticks too coarsely for back-to-back writes). *)
   for i = 0 to 4 do
     let key = sample_key ~salt:i () in
-    Store.put st key sample_payload;
+    ignore (Store.put st key sample_payload);
     let t = now -. 100.0 +. (10.0 *. float_of_int i) in
     Unix.utimes (entry_path st key) t t
   done;
   (* Putting a 6th entry must evict the oldest two (salts 0 and 1),
      keeping the most recently used. *)
-  Store.put st (sample_key ~salt:5 ()) sample_payload;
+  ignore (Store.put st (sample_key ~salt:5 ()) sample_payload);
   Alcotest.(check int)
     "bounded to max_entries" 4 (Store.disk_stats st).Store.entries;
   Alcotest.(check bool)
@@ -494,7 +587,7 @@ let test_epoch_bump () =
   let root = fresh_root () in
   let st = Store.open_ ~root () in
   let key = sample_key () in
-  Store.put st key sample_payload;
+  ignore (Store.put st key sample_payload);
   let st2 = Store.open_ ~epoch:(Store.format_epoch + 1) ~root () in
   Alcotest.(check bool)
     "old-epoch entry is stale" true
@@ -521,9 +614,10 @@ let child_env_var = "DVS_STORE_TEST_CHILD"
 let child_main root =
   let st = Store.open_ ~root () in
   for i = 0 to concurrency_rounds - 1 do
-    Store.put st
-      (sample_key ~salt:(i mod 8) ())
-      (concurrency_payload (i mod 8))
+    ignore
+      (Store.put st
+         (sample_key ~salt:(i mod 8) ())
+         (concurrency_payload (i mod 8)))
   done;
   exit 0
 
@@ -542,7 +636,7 @@ let test_concurrent_processes () =
   let torn = ref 0 in
   for i = 0 to concurrency_rounds - 1 do
     let salt = i mod 8 in
-    Store.put st (sample_key ~salt ()) (concurrency_payload salt);
+    ignore (Store.put st (sample_key ~salt ()) (concurrency_payload salt));
     match Store.get_json st (sample_key ~salt ()) with
     | None -> ()
     | Some p -> if not (Json.equal p (concurrency_payload salt)) then incr torn
@@ -562,8 +656,8 @@ let test_concurrent_processes () =
 let test_gc () =
   let root = fresh_root () in
   let st = Store.open_ ~root () in
-  Store.put st (sample_key ~salt:0 ()) sample_payload;
-  Store.put st (sample_key ~salt:1 ()) sample_payload;
+  ignore (Store.put st (sample_key ~salt:0 ()) sample_payload);
+  ignore (Store.put st (sample_key ~salt:1 ()) sample_payload);
   (* Plant a foreign file: gc must drop it, verify must report it. *)
   let oc = open_out (Filename.concat root "sim-0000000000000000.json") in
   output_string oc "not json";
@@ -781,6 +875,7 @@ let suite =
     Alcotest.test_case "put writes the envelope rendering" `Quick
       test_put_bytes;
     Alcotest.test_case "corrupted entry is a miss" `Quick test_corrupt_entry;
+    Alcotest.test_case "damaged header is a miss" `Quick test_damaged_header;
     QCheck_alcotest.to_alcotest qcheck_corruption;
     Alcotest.test_case "codec: one image per profile" `Quick
       test_codec_profile_images;
@@ -788,6 +883,10 @@ let suite =
       test_codec_sweep_images;
     Alcotest.test_case "codec: bad image table is a miss" `Quick
       test_codec_bad_images;
+    Alcotest.test_case "fingerprint from sim miss, hit, collect: 15 inputs"
+      `Slow test_profile_fingerprints;
+    Alcotest.test_case "fingerprint of a copy is its own" `Quick
+      test_fingerprint_copies;
     Alcotest.test_case "LRU bound" `Quick test_lru_bound;
     Alcotest.test_case "epoch bump invalidates" `Quick test_epoch_bump;
     Alcotest.test_case "two-process concurrency" `Quick
