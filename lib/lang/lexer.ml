@@ -73,7 +73,9 @@ let lex_number st =
     advance st
   done;
   let text = String.sub st.src start (st.off - start) in
-  { Token.kind = INT_LIT (int_of_string text); pos = p }
+  match int_of_string_opt text with
+  | Some n -> { Token.kind = INT_LIT n; pos = p }
+  | None -> raise (Error ("integer literal out of range: " ^ text, p))
 
 let lex_ident st =
   let p = pos st in

@@ -7,4 +7,5 @@ exception Error of string * Token.pos
 
 val tokenize : string -> Token.t list
 (** The token stream, always ending with {!Token.EOF}.
-    Raises {!Error} on unexpected characters or unterminated comments. *)
+    Raises {!Error} on unexpected characters, unterminated comments and
+    integer literals past [max_int]. *)

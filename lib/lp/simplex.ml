@@ -203,6 +203,10 @@ module Make (B : Basis.S) = struct
     mutable alpha : float array;  (* pivot row *)
     mutable refw : float array;  (* devex reference weights *)
     mutable cost : float array;  (* current-phase costs *)
+    (* per-column bounds: the model's, then the artificials' 0 and their
+       shared upper bound for the current phase *)
+    mutable lo : float array;
+    mutable hi : float array;
     (* basis columns in CSC form, handed to B.factor *)
     mutable bptr : int array;
     mutable brow : int array;
@@ -230,6 +234,8 @@ module Make (B : Basis.S) = struct
       alpha = [||];
       refw = [||];
       cost = [||];
+      lo = [||];
+      hi = [||];
       bptr = [| 0 |];
       brow = [||];
       bval = [||];
@@ -256,7 +262,9 @@ module Make (B : Basis.S) = struct
       ws.dj <- Array.make ncols 0.0;
       ws.alpha <- Array.make ncols 0.0;
       ws.refw <- Array.make ncols 1.0;
-      ws.cost <- Array.make ncols 0.0
+      ws.cost <- Array.make ncols 0.0;
+      ws.lo <- Array.make ncols 0.0;
+      ws.hi <- Array.make ncols 0.0
     end;
     ws
 
@@ -289,10 +297,14 @@ module Make (B : Basis.S) = struct
       done;
       !s
     in
-    (* Artificials share one upper bound: +oo during phase 1, 0 after. *)
-    let art_ub = ref infinity in
-    let lbx j = if j < nt then c.C.lb.(j) else 0.0 in
-    let ubx j = if j < nt then c.C.ub.(j) else !art_ub in
+    (* Bounds are read from the workspace's flat arrays, never through a
+       closure, which would box each float it returns.  The artificials
+       sit at 0 and share one upper bound: +oo during phase 1, 0 after. *)
+    let lo = ws.lo and hi = ws.hi in
+    Array.blit c.C.lb 0 lo 0 nt;
+    Array.blit c.C.ub 0 hi 0 nt;
+    Array.fill lo nt m 0.0;
+    let set_art_ub u = Array.fill hi nt m u in
     let primal_pivots = ref 0
     and dual_pivots = ref 0
     and flips = ref 0
@@ -396,7 +408,7 @@ module Make (B : Basis.S) = struct
     let price () =
       btran ();
       for j = 0 to nt - 1 do
-        if ws.vstat.(j) <> st_basic && lbx j < ubx j then
+        if ws.vstat.(j) <> st_basic && lo.(j) < hi.(j) then
           ws.dj.(j) <- reduced_cost j
       done
     in
@@ -508,7 +520,7 @@ module Make (B : Basis.S) = struct
       (try
          for j = 0 to nt - 1 do
            let st = ws.vstat.(j) in
-           if st <> st_basic && lbx j < ubx j then begin
+           if st <> st_basic && lo.(j) < hi.(j) then begin
              let d = ws.dj.(j) in
              let elig =
                (d < -.eps && (st = st_lo || st = st_fr))
@@ -572,14 +584,14 @@ module Make (B : Basis.S) = struct
           end;
           let dir = if ws.dj.(e) < 0.0 then 1.0 else -1.0 in
           ftran e;
-          let span = ubx e -. lbx e in
+          let span = hi.(e) -. lo.(e) in
           let best_t = ref span
           and leave_r = ref (-1)
           and leave_up = ref false in
           for i = 0 to m - 1 do
             let a = dir *. ws.w.(i) in
             if a > piv_tol then begin
-              let l = lbx ws.basis.(i) in
+              let l = lo.(ws.basis.(i)) in
               if l > neg_infinity then begin
                 let t = Float.max 0.0 ((ws.xb.(i) -. l) /. a) in
                 if
@@ -597,7 +609,7 @@ module Make (B : Basis.S) = struct
               end
             end
             else if a < -.piv_tol then begin
-              let u = ubx ws.basis.(i) in
+              let u = hi.(ws.basis.(i)) in
               if u < infinity then begin
                 let t = Float.max 0.0 ((u -. ws.xb.(i)) /. -.a) in
                 if
@@ -619,7 +631,7 @@ module Make (B : Basis.S) = struct
           else if !leave_r < 0 then begin
             (* entering variable runs to its opposite bound: no basis change *)
             let t = !best_t in
-            ws.xval.(e) <- (if dir > 0.0 then ubx e else lbx e);
+            ws.xval.(e) <- (if dir > 0.0 then hi.(e) else lo.(e));
             ws.vstat.(e) <- (if dir > 0.0 then st_up else st_lo);
             flops := !flops + (2 * m);
             for i = 0 to m - 1 do
@@ -646,7 +658,7 @@ module Make (B : Basis.S) = struct
               let t = !best_t in
               let k = ws.basis.(r) in
               let leave_st = if !leave_up then st_up else st_lo in
-              let leave_val = if !leave_up then ubx k else lbx k in
+              let leave_val = if !leave_up then hi.(k) else lo.(k) in
               devex_update r e;
               let updated = update_prices r e k in
               flops := !flops + (2 * m);
@@ -699,7 +711,7 @@ module Make (B : Basis.S) = struct
             incr primal_pivots
           end
           (* else: redundant row; the artificial stays basic, pinned at 0
-             once art_ub drops to 0 *)
+             once the artificials' upper bound drops to 0 *)
         end
       done
     in
@@ -753,7 +765,7 @@ module Make (B : Basis.S) = struct
     in
     (* ---- cold start ---------------------------------------------------- *)
     let cold () =
-      art_ub := infinity;
+      set_art_ub infinity;
       Array.fill ws.art_sign 0 m 0.0;
       Array.fill ws.vstat 0 ncols st_lo;
       Array.fill ws.xval 0 ncols 0.0;
@@ -827,7 +839,7 @@ module Make (B : Basis.S) = struct
         if z1 > eps *. 10.0 *. rhs_scale then raise (Stop (Infeasible, None));
         drive_out_artificials ()
       end;
-      art_ub := 0.0;
+      set_art_ub 0.0;
       phase2_and_finish ()
     in
     (* ---- warm start: dual reoptimization ------------------------------- *)
@@ -835,7 +847,7 @@ module Make (B : Basis.S) = struct
       let ok = ref true in
       for i = 0 to m - 1 do
         let k = ws.basis.(i) in
-        if ws.xb.(i) < lbx k -. feas_tol || ws.xb.(i) > ubx k +. feas_tol then
+        if ws.xb.(i) < lo.(k) -. feas_tol || ws.xb.(i) > hi.(k) +. feas_tol then
           ok := false
       done;
       !ok
@@ -861,7 +873,7 @@ module Make (B : Basis.S) = struct
         ws.basis.(i) <- k;
         ws.vstat.(k) <- st_basic
       done;
-      art_ub := 0.0;
+      set_art_ub 0.0;
       (* snap nonbasics onto the current bounds *)
       for j = 0 to nt - 1 do
         let st = ws.vstat.(j) in
@@ -883,7 +895,7 @@ module Make (B : Basis.S) = struct
       let dual_ok = ref true in
       for j = 0 to nt - 1 do
         let st = ws.vstat.(j) in
-        if st <> st_basic && lbx j < ubx j then begin
+        if st <> st_basic && lo.(j) < hi.(j) then begin
           let d = ws.dj.(j) in
           if
             (d < -.eps && (st = st_lo || st = st_fr))
@@ -908,7 +920,7 @@ module Make (B : Basis.S) = struct
         let r = ref (-1) and viol = ref feas_tol and need_up = ref false in
         for i = 0 to m - 1 do
           let k = ws.basis.(i) in
-          let below = lbx k -. ws.xb.(i) and above = ws.xb.(i) -. ubx k in
+          let below = lo.(k) -. ws.xb.(i) and above = ws.xb.(i) -. hi.(k) in
           if below > !viol then begin
             viol := below;
             r := i;
@@ -927,7 +939,7 @@ module Make (B : Basis.S) = struct
           let e = ref (-1) and best = ref infinity in
           for j = 0 to nt - 1 do
             let st = ws.vstat.(j) in
-            if st <> st_basic && lbx j < ubx j then begin
+            if st <> st_basic && lo.(j) < hi.(j) then begin
               let a = ws.alpha.(j) in
               let good =
                 if !need_up then
@@ -959,7 +971,7 @@ module Make (B : Basis.S) = struct
           ftran e;
           if Float.abs ws.w.(r) < 1e-10 then raise Fallback;
           let k = ws.basis.(r) in
-          let target = if !need_up then lbx k else ubx k in
+          let target = if !need_up then lo.(k) else hi.(k) in
           let dx = (ws.xb.(r) -. target) /. ws.w.(r) in
           let updated = update_prices r e k in
           flops := !flops + (2 * m);

@@ -321,6 +321,9 @@ let exec_range t obs st ~edge_mode ~from_pos ~stride ~attrib =
   (match attrib with Some a -> attribute a | None -> ());
   !cks
 
+(* The final architectural state is the tape's own, aliased: a baseline
+   keeps these stats, and only [publish_stats] copies, once per result
+   handed out. *)
 let stats_of t st =
   let fs = st.f in
   { Cpu.time = fs.time; energy = fs.energy; dyn_instrs = st.dyn;
@@ -329,8 +332,8 @@ let stats_of t st =
     overlap_cycles = st.overlap;
     dependent_cycles = st.dependent; cache_hit_cycles = st.cache_hit;
     miss_busy_time = fs.miss_busy; stall_time = fs.stall;
-    registers = Array.copy t.tape.Tape.registers;
-    memory = Array.copy t.tape.Tape.memory }
+    registers = t.tape.Tape.registers;
+    memory = t.tape.Tape.memory }
 
 let publish_stats (s : Cpu.run_stats) =
   { s with
@@ -495,4 +498,4 @@ let replay_pinned t ~mode ~time ~energy =
        ~edge_mode:(Array.make (n_edges t) None)
        ~from_pos:0 ~stride:0
        ~attrib:(Some { a_time = time; a_energy = energy }));
-  stats_of t st
+  publish_stats (stats_of t st)

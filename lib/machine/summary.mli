@@ -57,6 +57,10 @@ val n_edges : t -> int
 val positions : t -> int
 (** Dynamic blocks on the recorded tape. *)
 
+(** Every [run_stats] a replay returns owns its [registers] and
+    [memory]: one copy of the tape's final state per result, aliased by
+    nothing else (the session's cached baselines keep the tape's arrays
+    themselves). *)
 type result = {
   stats : Cpu.run_stats;
   token : int;

@@ -201,8 +201,7 @@ let create r ~registers ~memory =
         first_edge_pos.(e) <- pos)
     steps;
   { variants = Array.sub r.vtab 0 r.n_vars; steps; edge_bits = r.edge_bits;
-    first_edge_pos; registers = Array.copy registers;
-    memory = Array.copy memory }
+    first_edge_pos; registers; memory }
 
 let positions t = Array.length t.steps
 

@@ -104,7 +104,10 @@ type t = {
 
 val create : recorder -> registers:int array -> memory:int array -> t
 (** Seal the recording, taking the schedule-independent final
-    architectural state from the recording run's stats.  The packed
+    architectural state from the recording run's stats.  The tape takes
+    ownership of [registers] and [memory] without copying them: pass
+    arrays nothing else holds or will write (the fresh ones a
+    {!Cpu.run} returns), and never mutate the tape's.  The packed
     steps were built while recording, so sealing allocates only the
     tape's own arrays.  Raises [Invalid_argument] if the recorder saw
     no blocks. *)

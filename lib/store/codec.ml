@@ -67,6 +67,31 @@ let dfloats what j = dlist what j |> List.map (dflo what) |> Array.of_list
 
 (* ---- memory images ---------------------------------------------------- *)
 
+(* Render [w] in decimal at the end of [buf], a buffer of [word_buf_len]
+   bytes, just before its last byte, and return the index of its first
+   byte.  Digits come from the non-positive magnitude, so [min_int] needs
+   no special case; the longest rendering, "-4611686018427387904", is 20
+   bytes. *)
+let word_buf_len = 21
+
+let render_word buf w =
+  let m = ref (if w > 0 then -w else w) in
+  let pos = ref (Bytes.length buf - 1) in
+  (* At least one digit, so 0 renders as "0". *)
+  decr pos;
+  Bytes.unsafe_set buf !pos (Char.unsafe_chr (48 - (!m mod 10)));
+  m := !m / 10;
+  while !m <> 0 do
+    decr pos;
+    Bytes.unsafe_set buf !pos (Char.unsafe_chr (48 - (!m mod 10)));
+    m := !m / 10
+  done;
+  if w < 0 then begin
+    decr pos;
+    Bytes.unsafe_set buf !pos '-'
+  end;
+  !pos
+
 (* A run's final memory image is most of an artifact's bytes (40,964
    words for mpeg), and it repeats: every mode run of a profile and every
    verified point of a sweep ends with the same memory.  Encoders intern
@@ -88,17 +113,99 @@ let intern imgs mem =
     imgs.n <- imgs.n + 1;
     imgs.n - 1
 
-let images_to_json imgs = Json.List (List.rev_map jints imgs.rev)
+(* One image is one string of comma-separated decimal words, each
+   rendered straight into the output buffer. *)
+let image_to_string mem =
+  let n = Array.length mem in
+  let out = Buffer.create ((4 * n) + 16) in
+  let buf = Bytes.create word_buf_len in
+  for i = 0 to n - 1 do
+    if i > 0 then Buffer.add_char out ',';
+    let pos = render_word buf (Array.unsafe_get mem i) in
+    Buffer.add_subbytes out buf pos (word_buf_len - 1 - pos)
+  done;
+  Buffer.contents out
+
+(* The inverse of [image_to_string], in one pass into an array of exactly
+   the image's length.  An image is the empty string or words joined by
+   single commas; a word is an optional '-' and decimal digits without a
+   leading zero, in the int range.  Anything else, which the encoder
+   never writes, is an [Error]: an empty word, a '+', a leading zero, "-0",
+   a stray byte, a value out of range. *)
+let min_int_div_10 = min_int / 10
+
+let image_of_string s =
+  let len = String.length s in
+  let words = ref (if len = 0 then 0 else 1) in
+  for i = 0 to len - 1 do
+    if String.unsafe_get s i = ',' then incr words
+  done;
+  let mem = Array.make !words 0 in
+  let pos = ref 0 and ok = ref true and k = ref 0 in
+  while !ok && !pos < len do
+    let neg = String.unsafe_get s !pos = '-' in
+    if neg then incr pos;
+    let start = !pos in
+    (* Accumulated negatively, so that min_int fits. *)
+    let acc = ref 0 in
+    while !ok && !pos < len && String.unsafe_get s !pos <> ',' do
+      let d = Char.code (String.unsafe_get s !pos) - 48 in
+      if d < 0 || d > 9 || !acc < min_int_div_10 || !acc * 10 < min_int + d
+      then ok := false
+      else begin
+        acc := (!acc * 10) - d;
+        incr pos
+      end
+    done;
+    let digits = !pos - start in
+    if
+      (not !ok) || digits = 0
+      || (digits > 1 && String.unsafe_get s start = '0')
+      || (neg && !acc = 0)
+      || ((not neg) && !acc = min_int)
+    then ok := false
+    else begin
+      (* Word [k] is followed by comma [k], so [k] < [words]. *)
+      Array.unsafe_set mem !k (if neg then !acc else - !acc);
+      incr k;
+      (* Past the comma; one that ends the string leaves a word empty. *)
+      if !pos < len then begin
+        incr pos;
+        if !pos = len then ok := false
+      end
+    end
+  done;
+  if !ok then Ok mem else Error "malformed memory image"
+
+let images_to_json imgs =
+  Json.List (List.rev_map (fun m -> Json.String (image_to_string m)) imgs.rev)
+
+(* The decoded images of one entry.  The first run that refers to an
+   image takes the decoded array itself and every later run a copy, so
+   decoded runs never alias one another and no image is copied for
+   nothing. *)
+type table = { decoded : int array array; taken : bool array }
 
 let images_of what j =
-  dlist what (mem what "images" j) |> List.map (dints what) |> Array.of_list
+  let decoded =
+    dlist what (mem what "images" j)
+    |> List.map (fun ij ->
+           match image_of_string (dstr what ij) with
+           | Ok m -> m
+           | Error e -> fail "%s: %s" what e)
+    |> Array.of_list
+  in
+  { decoded; taken = Array.make (Array.length decoded) false }
 
-(* Each run gets its own copy: decoded runs never alias one another. *)
-let image_of what images j =
+let image_of what t j =
   let i = dint what j in
-  if i < 0 || i >= Array.length images then
+  if i < 0 || i >= Array.length t.decoded then
     fail "%s: image index %d out of range" what i;
-  Array.copy images.(i)
+  if t.taken.(i) then Array.copy t.decoded.(i)
+  else begin
+    t.taken.(i) <- true;
+    t.decoded.(i)
+  end
 
 (* ---- simulator artifacts ---------------------------------------------- *)
 
@@ -522,32 +629,13 @@ let sweep_of_json j =
 
 (* FNV-1a of the concatenated [string_of_int w ^ ","] of every word, fed
    into the hash state byte by byte instead of built as one string.  Keys
-   and file names depend on this exact value.  Each word is rendered
-   backwards into [buf] from its non-positive magnitude, so [min_int]
-   needs no special case; the longest rendering is "-4611686018427387904,". *)
+   and file names depend on this exact value. *)
 let memory_fingerprint mem =
-  let buf = Bytes.create 21 in
-  let last = Bytes.length buf - 1 in
-  Bytes.set buf last ',';
+  let buf = Bytes.make word_buf_len ',' in
+  let last = word_buf_len - 1 in
   let h = ref Key.fnv_offset in
   for i = 0 to Array.length mem - 1 do
-    let w = Array.unsafe_get mem i in
-    let m = ref (if w > 0 then -w else w) in
-    let pos = ref last in
-    (* At least one digit, so 0 renders as "0". *)
-    decr pos;
-    Bytes.set buf !pos (Char.unsafe_chr (48 - (!m mod 10)));
-    m := !m / 10;
-    while !m <> 0 do
-      decr pos;
-      Bytes.set buf !pos (Char.unsafe_chr (48 - (!m mod 10)));
-      m := !m / 10
-    done;
-    if w < 0 then begin
-      decr pos;
-      Bytes.set buf !pos '-'
-    end;
-    for j = !pos to last do
+    for j = render_word buf (Array.unsafe_get mem i) to last do
       h :=
         Int64.mul
           (Int64.logxor !h

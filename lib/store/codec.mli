@@ -14,9 +14,31 @@
     carries an ["images"] member listing every distinct image once, and
     each run's ["memory"] member is an index into it.  A 3-mode profile
     carries one image, not three; a 7-point sweep one, not seven.
-    Decoding gives every run its own copy of its image (runs never
-    alias one another); a missing ["images"] member or an index out of
-    range is an [Error]. *)
+
+    Each image is one JSON string, {!image_to_string}: its words in
+    decimal, joined by single commas, with no per-word JSON value.
+    Decoding reads each string in one pass into an array of exactly its
+    length ({!image_of_string}).  The first run that refers to an image
+    gets that array and every later run its own copy, so runs never
+    alias one another and an entry allocates one image fewer than it
+    has runs.  A missing ["images"] member, an image that is not such a
+    string, or an index out of range is an [Error]. *)
+
+(** {2 Memory images} *)
+
+val image_to_string : int array -> string
+(** The image's words in decimal ([string_of_int]), joined by single
+    commas: [[|1; -20; 0|]] is ["1,-20,0"], [[||]] is [""].  Rendered
+    into one buffer, with no string per word. *)
+
+val image_of_string : string -> (int array, string) result
+(** The inverse of {!image_to_string}, allocating only the result.  It
+    accepts exactly what the encoder writes: the empty string, or words
+    joined by single commas, a word being an optional ['-'] and decimal
+    digits with no leading zero whose value fits an [int].  Anything
+    else is an [Error], never an exception: an empty word (["1,,2"],
+    [",1"], ["1,"]), a lone ["-"], a ['+'], ["-0"], a leading zero, any
+    other byte (["1a"]), or a value past [max_int] or [min_int]. *)
 
 (** {2 Simulator artifacts} *)
 

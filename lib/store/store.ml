@@ -1,7 +1,7 @@
 module Json = Dvs_obs.Json
 module Metrics = Dvs_obs.Metrics
 
-let format_epoch = 8
+let format_epoch = 9
 
 let default_root = "_store"
 

@@ -37,7 +37,12 @@
 type t
 
 val format_epoch : int
-(** The store-format epoch compiled into this binary (8: sweeps run no
+(** The store-format epoch compiled into this binary (9: each memory
+    image in a payload's {!Codec} image table is one string of
+    comma-separated decimal words instead of a list of integers, so
+    every payload that carries one changed bytes, and with them every
+    profile fingerprint (a [sim] payload's checksum) and every [sweep]
+    key; since 8, sweeps run no
     root cutting loop and sweep stats lost their cut and root-pivot
     members; since 7, incumbents are clamped into their bounds, and
     sweep keys lost the [pipe.filter_threshold] component; since 6,

@@ -300,6 +300,75 @@ let qcheck_pp_roundtrip =
       let reg = List.assoc "r" layout.Lower.scalars in
       r.Interp.registers.(reg) = eval_ast e)
 
+(* --- typed failure on hostile input ------------------------------------ *)
+
+(* A literal past [max_int] is a lexer error at its position, not an
+   [int_of_string] failure escaping from the compiler. *)
+let test_literal_out_of_range () =
+  (match Lower.compile_string "int x; x = 4611686018427387903;" with
+  | _ -> ()
+  | exception e ->
+    Alcotest.failf "max_int literal raised %s" (Printexc.to_string e));
+  match Lower.compile_string "int x;\nx = 4611686018427387904;" with
+  | exception Lexer.Error (_, pos) ->
+    Alcotest.(check (pair int int))
+      "at the literal" (2, 5)
+      (pos.Token.line, pos.Token.col)
+  | exception e ->
+    Alcotest.failf "raised %s, not Lexer.Error" (Printexc.to_string e)
+  | _ -> Alcotest.fail "an out-of-range literal compiled"
+
+let sources =
+  lazy
+    (Array.map
+       (fun name ->
+         (Dvs_workloads.Workload.find name).Dvs_workloads.Workload.source)
+       [| "adpcm"; "epic"; "gsm"; "mpeg"; "ghostscript"; "mpg123" |])
+
+let soup_tokens =
+  [| "int"; "if"; "else"; "while"; "for"; "return"; "x"; "a"; "f"; "main";
+     "("; ")"; "{"; "}"; "["; "]"; ";"; ","; "="; "=="; "!="; "<"; "<=";
+     ">"; ">="; "<<"; ">>"; "+"; "-"; "*"; "/"; "%"; "&"; "|"; "^"; "&&";
+     "||"; "!"; "0"; "1"; "42"; "4611686018427387903";
+     "4611686018427387904"; "99999999999999999999999999"; "/*"; "*/"; "//";
+     "\n"; " "; "@"; "$"; "\000" |]
+
+(* Hostile MiniC: a workload source cut short, one with 1-4 bytes
+   overwritten, a soup of tokens (overlong literals and unterminated
+   comments among them), or random bytes. *)
+let hostile_gen =
+  QCheck.Gen.(
+    let source = map (fun i -> (Lazy.force sources).(i)) (int_bound 5) in
+    let truncated =
+      source >>= fun src ->
+      map (fun n -> String.sub src 0 n) (int_bound (String.length src))
+    in
+    let mutated =
+      source >>= fun src ->
+      list_size (1 -- 4) (pair (int_bound (String.length src - 1)) char)
+      >|= fun edits ->
+      let b = Bytes.of_string src in
+      List.iter (fun (i, c) -> Bytes.set b i c) edits;
+      Bytes.to_string b
+    in
+    let soup =
+      list_size (0 -- 60) (oneofa soup_tokens) >|= String.concat " "
+    in
+    let random_bytes = string_size ~gen:char (0 -- 200) in
+    frequency
+      [ (3, truncated); (3, mutated); (3, soup); (1, random_bytes) ])
+
+let compiles_or_fails_typed src =
+  match Lower.compile_string src with
+  | _ -> true
+  | exception (Parser.Error _ | Lexer.Error _ | Typecheck.Error _) -> true
+
+let qcheck_hostile_minic =
+  QCheck.Test.make
+    ~name:"hostile MiniC compiles or fails with a typed error" ~count:400
+    (QCheck.make ~print:(Printf.sprintf "%S") hostile_gen)
+    compiles_or_fails_typed
+
 let suite =
   [ Alcotest.test_case "lexer basic" `Quick test_lexer_basic;
     Alcotest.test_case "lexer comments and ops" `Quick
@@ -333,4 +402,7 @@ let suite =
       test_builder_rejects_unterminated;
     Alcotest.test_case "interp out of fuel" `Quick test_interp_out_of_fuel;
     QCheck_alcotest.to_alcotest qcheck_compiled_expr_matches_eval;
-    QCheck_alcotest.to_alcotest qcheck_pp_roundtrip ]
+    QCheck_alcotest.to_alcotest qcheck_pp_roundtrip;
+    Alcotest.test_case "out-of-range literal is a lexer error" `Quick
+      test_literal_out_of_range;
+    QCheck_alcotest.to_alcotest qcheck_hostile_minic ]

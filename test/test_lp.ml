@@ -291,6 +291,53 @@ let qcheck_strong_duality =
         <= 1e-5 *. Float.max 1.0 (Float.abs p.objective)
       | _ -> false)
 
+(* Lu_eta, with the words each factorization allocates tallied. *)
+let factor_words = ref 0.0
+
+module Tallied = Simplex.Make (struct
+  include Lu_eta
+
+  let factor t ~m ~ptr ~row ~vals =
+    let w0 = Gc.minor_words () in
+    let ok = Lu_eta.factor t ~m ~ptr ~row ~vals in
+    factor_words := !factor_words +. (Gc.minor_words () -. w0);
+    ok
+end)
+
+(* A solve reads its bounds unboxed.  The second cold solve of gsm's
+   unfiltered Table-4 root LP in one workspace spends about 420 minor
+   words per pivot in its 13 factorizations and about 50 in everything
+   else; when every bound read boxed a float, everything else took about
+   930. *)
+let test_solve_alloc_per_pivot () =
+  let c =
+    Compiled.of_model (Test_basis.table4_model ~filter:false "gsm" 0)
+  in
+  let ws = Tallied.workspace () in
+  let solve () =
+    match Tallied.solve_compiled ~ws c with
+    | Simplex.Optimal _, _, st -> st.Simplex.pivots
+    | st, _, _ -> Alcotest.failf "gsm root LP: %a" Simplex.pp_status st
+  in
+  ignore (solve ());
+  factor_words := 0.0;
+  let w0 = Gc.minor_words () in
+  let pivots = solve () in
+  let total = Gc.minor_words () -. w0 in
+  if pivots < 50 then Alcotest.failf "gsm root LP took only %d pivots" pivots;
+  let per_pivot w = w /. float_of_int pivots in
+  let outside = per_pivot (total -. !factor_words) in
+  if outside >= 100.0 then
+    Alcotest.failf
+      "gsm root LP allocated %.0f minor words per pivot outside its \
+       factorizations (budget 100, %d pivots)"
+      outside pivots;
+  if per_pivot total >= 600.0 then
+    Alcotest.failf
+      "gsm root LP allocated %.0f minor words per pivot (budget 600, %d \
+       pivots)"
+      (per_pivot total) pivots
+
 let suite =
   [ Alcotest.test_case "dantzig example" `Quick test_dantzig_example;
     Alcotest.test_case "ge constraints" `Quick test_ge_constraints;
@@ -310,5 +357,7 @@ let suite =
     Alcotest.test_case "iter limit status" `Quick test_iter_limit_status;
     Alcotest.test_case "warm start matches cold" `Quick
       test_warm_start_matches_cold;
+    Alcotest.test_case "solve allocation per pivot on gsm unfiltered" `Quick
+      test_solve_alloc_per_pivot;
     QCheck_alcotest.to_alcotest qcheck_random_lp_feasible_and_no_worse;
     QCheck_alcotest.to_alcotest qcheck_strong_duality ]

@@ -456,13 +456,31 @@ let with_first_image i =
       Json.List (map_member "memory" (fun _ -> Json.Int i) r :: rest)
     | j -> j)
 
+(* Rewrite the first image string. *)
+let with_first_image_string f =
+  map_member "images" (function
+    | Json.List (Json.String s :: rest) -> Json.List (Json.String (f s) :: rest)
+    | j -> j)
+
 let test_codec_bad_images () =
   let machine, cfg, _, p, _ = Lazy.force adpcm in
   let j = Codec.profile_to_json p in
+  (* [put] checksums the damaged payload, so the damage reaches the
+     decoder rather than the read check. *)
   let damaged =
     [ ("negative image index", with_first_image (-1) j);
       ("image index past the table", with_first_image (image_count j) j);
-      ("no images member", drop_member "images" j) ]
+      ("no images member", drop_member "images" j);
+      ( "a letter inside an image",
+        with_first_image_string
+          (fun s -> String.mapi (fun i c -> if i = 3 then 'x' else c) s)
+          j );
+      ( "an image cut after a comma",
+        with_first_image_string (fun s -> s ^ ",") j );
+      ( "an image as a list of ints",
+        map_member "images"
+          (fun _ -> Json.List [ Json.List [ Json.Int 1; Json.Int 2 ] ])
+          j ) ]
   in
   let decode = Codec.profile_of_json ~cfg ~config:machine in
   let root = fresh_root () in
@@ -484,6 +502,106 @@ let test_codec_bad_images () =
         (Sys.file_exists (entry_path st key)))
     damaged;
   rm_rf root
+
+(* --- codec: packed image strings ---------------------------------------- *)
+
+let edge_words =
+  [| 0; 1; -1; 9; -9; 10; -10; max_int; min_int; max_int - 1; min_int + 1 |]
+
+let image_gen =
+  QCheck.Gen.(
+    let word =
+      frequency
+        [ (4, int); (3, int_range (-1000) 1000); (1, oneofa edge_words) ]
+    in
+    frequency
+      [ (1, return [||]);
+        (1, return edge_words);
+        (8, array_size (0 -- 300) word) ])
+
+(* [image_to_string] is [string_of_int] joined by commas, and
+   [image_of_string] reads every such string back to the same words. *)
+let qcheck_image_roundtrip =
+  QCheck.Test.make ~name:"image strings round-trip int arrays" ~count:300
+    (QCheck.make
+       ~print:(fun a ->
+         String.concat ";" (Array.to_list (Array.map string_of_int a)))
+       image_gen)
+    (fun a ->
+      let s = Codec.image_to_string a in
+      s = String.concat "," (Array.to_list (Array.map string_of_int a))
+      && Codec.image_of_string s = Ok a)
+
+let test_image_strings () =
+  List.iter
+    (fun (s, want) ->
+      match Codec.image_of_string s with
+      | Ok got when got = want -> ()
+      | Ok _ -> Alcotest.failf "%S decoded to other words" s
+      | Error e -> Alcotest.failf "%S rejected: %s" s e)
+    [ ("", [||]);
+      ("0", [| 0 |]);
+      ("-7,0,12", [| -7; 0; 12 |]);
+      ("4611686018427387903", [| max_int |]);
+      ("-4611686018427387904", [| min_int |]) ];
+  List.iter
+    (fun s ->
+      match Codec.image_of_string s with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%S decoded" s
+      | exception e ->
+        Alcotest.failf "%S raised %s" s (Printexc.to_string e))
+    [ "1,,2"; ",1"; "1,"; "-"; "+1"; "1a"; "4611686018427387904";
+      "-4611686018427387905"; ","; "-0"; "01"; "00"; "--1"; " 1"; "1 ";
+      "99999999999999999999999"; "1,-" ]
+
+(* Words allocated by [f], major-heap arrays included: the minor
+   collections settle [Gc.quick_stat]'s lagging counters. *)
+let allocated_words f =
+  let total () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let w0 = total () in
+  let r = f () in
+  let w1 = total () in
+  (w1 -. w0, r)
+
+(* Reading mpeg's profile back from its payload bytes costs its image
+   string, one decoded image, a copy for each further run and a small
+   remainder for everything else: no boxed value or list cell per word. *)
+let test_codec_decode_budget () =
+  let w = Workload.find "mpeg" in
+  let cfg, _, memory = Workload.load w ~input:(Workload.default_input w) in
+  let machine = Workload.eval_config () in
+  let p = Profile.collect machine cfg ~memory in
+  let words = Array.length p.Profile.runs.(0).Cpu.memory in
+  Alcotest.(check int) "mpeg's image" 40964 words;
+  let text = Json.to_string (Codec.profile_to_json p) in
+  let decode () =
+    match Json.of_string text with
+    | Error e -> Alcotest.failf "payload does not parse: %s" e
+    | Ok j -> Codec.profile_of_json ~cfg ~config:machine j
+  in
+  ignore (decode ());
+  let alloc, q = allocated_words decode in
+  (match q with
+  | Ok q -> check_runs "mpeg" p.Profile.runs q.Profile.runs
+  | Error e -> Alcotest.failf "profile does not round-trip: %s" e);
+  let runs = Array.length p.Profile.runs in
+  let string_words =
+    String.length (Codec.image_to_string p.Profile.runs.(0).Cpu.memory) / 8
+    + 2
+  in
+  (* The other members parse and decode in about 10,700 words. *)
+  let remainder = 12_288 in
+  let budget = string_words + (runs * (words + 1)) + remainder in
+  if alloc > float_of_int budget then
+    Alcotest.failf
+      "decoding mpeg's profile allocated %.0f words, over its budget of %d \
+       (string %d + %d images of %d + %d)"
+      alloc budget string_words runs (words + 1) remainder
 
 (* --- profile fingerprints ---------------------------------------------- *)
 
@@ -883,6 +1001,11 @@ let suite =
       test_codec_sweep_images;
     Alcotest.test_case "codec: bad image table is a miss" `Quick
       test_codec_bad_images;
+    QCheck_alcotest.to_alcotest qcheck_image_roundtrip;
+    Alcotest.test_case "codec: malformed image strings are errors" `Quick
+      test_image_strings;
+    Alcotest.test_case "codec: decoding mpeg's profile within budget" `Quick
+      test_codec_decode_budget;
     Alcotest.test_case "fingerprint from sim miss, hit, collect: 15 inputs"
       `Slow test_profile_fingerprints;
     Alcotest.test_case "fingerprint of a copy is its own" `Quick

@@ -455,6 +455,82 @@ let test_tape_words () =
           positions)
     [ "adpcm"; "gsm"; "mpeg" ]
 
+(* Every replay result and every pinned run owns its final registers and
+   memory: no alias of the tape's arrays nor of another result's.  The
+   session's baselines keep the tape's arrays themselves, so a replay
+   copies the final state once: it allocates at most one image, the
+   registers, its checkpoints and its copy of the schedule. *)
+let test_results_own_state () =
+  let config = Dvs_workloads.Workload.eval_config () in
+  let w = Dvs_workloads.Workload.find "mpeg" in
+  let cfg, _, memory =
+    Dvs_workloads.Workload.load w
+      ~input:(Dvs_workloads.Workload.default_input w)
+  in
+  let s = Summary.create config cfg ~memory in
+  let tape = Summary.tape s in
+  let n_edges = Summary.n_edges s in
+  let edge_mode = Array.make n_edges None in
+  let changed = Array.init n_edges (fun i -> if i = 0 then Some 2 else None) in
+  let first = Summary.replay s ~entry_mode:1 ~edge_mode in
+  let replays =
+    [ ("replay", first);
+      ("replay, another entry mode", Summary.replay s ~entry_mode:0 ~edge_mode);
+      ( "incremental, same schedule",
+        Summary.replay_incremental s ~against:first.Summary.token
+          ~entry_mode:1 ~edge_mode );
+      ( "incremental, one edge changed",
+        Summary.replay_incremental s ~against:first.Summary.token
+          ~entry_mode:1 ~edge_mode:changed ) ]
+  in
+  let blocks = Array.length (Cfg.blocks cfg) in
+  let pinned =
+    List.init (Dvs_power.Mode.size config.Config.mode_table) (fun mode ->
+        ( Printf.sprintf "pinned at mode %d" mode,
+          Summary.replay_pinned s ~mode ~time:(Array.make blocks 0.0)
+            ~energy:(Array.make blocks 0.0) ))
+  in
+  let all =
+    List.map (fun (what, r) -> (what, r.Summary.stats)) replays @ pinned
+  in
+  List.iteri
+    (fun i (what, (st : Cpu.run_stats)) ->
+      if
+        st.Cpu.memory == tape.Tape.memory
+        || st.Cpu.registers == tape.Tape.registers
+      then Alcotest.failf "%s: shares the tape's final state" what;
+      if st.Cpu.memory <> tape.Tape.memory then
+        Alcotest.failf "%s: memory differs from the tape's" what;
+      List.iteri
+        (fun k (other, (o : Cpu.run_stats)) ->
+          if k < i
+             && (o.Cpu.memory == st.Cpu.memory
+                || o.Cpu.registers == st.Cpu.registers)
+          then Alcotest.failf "%s shares its state with %s" what other)
+        all)
+    all;
+  let image = Array.length tape.Tape.memory + 1
+  and regs = Array.length tape.Tape.registers + 1 in
+  let positions = Summary.positions s in
+  let stride = Int.max 64 (positions / 256) in
+  let checkpoints = (positions + stride - 1) / stride in
+  (* A checkpoint is a pair, the state record, its float record and its
+     copy of the pending-register times, collected in a list, reversed
+     and stored in an array. *)
+  let checkpoint = 3 + 12 + 12 + regs + 3 + 3 + 1 in
+  let budget =
+    image + regs + (checkpoints * checkpoint) + (n_edges + 1) + 512
+  in
+  let words, _ =
+    Test_store.allocated_words (fun () ->
+        Summary.replay s ~entry_mode:1 ~edge_mode)
+  in
+  if words > float_of_int budget then
+    Alcotest.failf
+      "one replay allocated %.0f words, over %d (an image of %d, registers \
+       %d, %d checkpoints)"
+      words budget image regs checkpoints
+
 let suite =
   [ Alcotest.test_case "session matches cycle-accurate (25 seeds)" `Slow
       test_session_matches;
@@ -475,4 +551,6 @@ let suite =
     Alcotest.test_case "tape steps at the edge_bits boundary" `Quick
       test_steps_edge_bits_boundary;
     Alcotest.test_case "tape holds one word per position" `Quick
-      test_tape_words ]
+      test_tape_words;
+    Alcotest.test_case "replays own their final state, copied once" `Quick
+      test_results_own_state ]
