@@ -7,19 +7,12 @@ open Dvs_workloads
 
 type table_kind = Xscale3 | Levels of int
 
-(* Level tables span exactly the XScale frequency range (200-800 MHz), so
-   their feasible-deadline window matches the measured one. *)
-let v_200mhz =
-  Dvs_power.Alpha_power.voltage Dvs_power.Alpha_power.default 200e6
-
-let levels n = Dvs_power.Mode.levels ~v_lo:v_200mhz ~v_hi:1.65 n
-
-let mode_table = function
-  | Xscale3 -> Dvs_power.Mode.xscale3
-  | Levels n -> levels n
-
-let config_of ?regulator kind =
-  Workload.eval_config ~mode_table:(mode_table kind) ?regulator ()
+(* Every harness regulator is [Switch_cost.regulator ~capacitance] at its
+   default efficiency and current, so its capacitance names it. *)
+let config_of ?(regulator = Dvs_power.Switch_cost.default) kind =
+  Workload.machine
+    ?levels:(match kind with Xscale3 -> None | Levels n -> Some n)
+    ~capacitance:regulator.Dvs_power.Switch_cost.capacitance ()
 
 (* Shared metrics registry for the whole sweep: every solve the harness
    runs reports into it, and `--emit-bench' derives BENCH_milp.json from
@@ -116,12 +109,6 @@ let session_cache :
     Hashtbl.t =
   Hashtbl.create 16
 
-(* DVS_BENCH_COLD_VERIFY=1 swaps every session for a cold one (each
-   check re-runs the cycle-accurate simulator) — the pre-summary
-   behavior, kept as a knob so the EXPERIMENTS.md before/after walls
-   stay reproducible from the same binary. *)
-let cold_verify = Sys.getenv_opt "DVS_BENCH_COLD_VERIFY" <> None
-
 let session ?(kind = Xscale3) ~regulator ~input name =
   let key = (name, input, kind, regulator) in
   match Hashtbl.find_opt session_cache key with
@@ -130,8 +117,8 @@ let session ?(kind = Xscale3) ~regulator ~input name =
     let w = Workload.find name in
     let cfg, _, mem = Workload.load w ~input in
     let s =
-      Dvs_core.Verify.Session.create ~cold:cold_verify
-        (config_of ~regulator kind) cfg ~memory:mem
+      Dvs_core.Verify.Session.create (config_of ~regulator kind) cfg
+        ~memory:mem
     in
     Hashtbl.replace session_cache key s;
     s

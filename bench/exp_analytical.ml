@@ -93,7 +93,7 @@ let fig7 () =
 
 (* --- Figure 8: discrete Emin(y) -------------------------------------- *)
 
-let levels7 = Context.levels 7
+let levels7 = Dvs_power.Mode.xscale_levels 7
 
 let fig8 () =
   heading "Figure 8" "discrete case: energy vs y (time given to Ncache)"
@@ -201,13 +201,13 @@ let table1_savings name =
      phase boundaries there). *)
   let params = Dvs_profile.Categorize.of_profile prof ~deadline:1.0 in
   let f_of m = (m : Dvs_power.Mode.t).frequency in
-  let table = Context.levels 3 in
+  let table = Dvs_power.Mode.xscale_levels 3 in
   let t_fast = Params.total_time params (f_of (Dvs_power.Mode.max_mode table)) in
   let t_slow = Params.total_time params (f_of (Dvs_power.Mode.min_mode table)) in
   let ds = Dvs_workloads.Deadlines.of_times ~t_fast ~t_slow in
   List.map
     (fun n ->
-      let table = Context.levels n in
+      let table = Dvs_power.Mode.xscale_levels n in
       let row =
         Array.map
           (fun d ->

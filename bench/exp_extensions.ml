@@ -271,7 +271,7 @@ let ablation_core () =
       let savings (r : Dvs_machine.Cpu.run_stats) =
         (* Self-consistent analytic deadline range per platform. *)
         let params = Dvs_profile.Categorize.params r ~deadline:1.0 in
-        let tbl = Context.levels 3 in
+        let tbl = Dvs_power.Mode.xscale_levels 3 in
         let f_of (m : Dvs_power.Mode.t) = m.frequency in
         let t_fast =
           Dvs_analytical.Params.total_time params
@@ -330,7 +330,7 @@ let ablation_runtime () =
       let mem = Context.default_memory name in
       (* Interval ~ a scheduler tick scaled to our run lengths. *)
       let governor =
-        Baselines.weiser_governor ~interval:(d /. 50.0) ()
+        Baselines.weiser_governor ~interval:(d /. 50.0)
       in
       let gov =
         Dvs_machine.Cpu.run

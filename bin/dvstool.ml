@@ -17,19 +17,6 @@
 
 open Cmdliner
 
-let machine ~capacitance ~levels =
-  let mode_table =
-    match levels with
-    | None -> Dvs_power.Mode.xscale3
-    | Some n ->
-      Dvs_power.Mode.levels
-        ~v_lo:(Dvs_power.Alpha_power.voltage Dvs_power.Alpha_power.default 200e6)
-        ~v_hi:1.65 n
-  in
-  Dvs_workloads.Workload.eval_config ~mode_table
-    ~regulator:(Dvs_power.Switch_cost.regulator ~capacitance ())
-    ()
-
 (* ---------------- common args ---------------- *)
 
 (* Levenshtein distance, for near-miss suggestions on workload names. *)
@@ -109,6 +96,33 @@ let input_of w = function
   | Some i -> i
   | None -> Dvs_workloads.Workload.default_input w
 
+(* ---------------- input files ---------------- *)
+
+let read_file file =
+  let ic = open_in file in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+(* [file] as one JSON document checked by [validate].  A file that is
+   not JSON exits with [code]; so does a schema violation, reported as
+   [what], unless [warn] is set, which prints it and goes on. *)
+let read_json ~code ?(warn = false) ?(what = "schema violation") validate
+    file =
+  let fail fmt =
+    Format.kasprintf (fun s -> Format.eprintf "%s@." s; exit code) fmt
+  in
+  let j =
+    match Dvs_obs.Json.of_string (read_file file) with
+    | Ok j -> j
+    | Error e -> fail "%s: not JSON: %s" file e
+  in
+  (match validate j with
+  | Ok () -> ()
+  | Error e when warn -> Format.eprintf "warning: %s: %s@." file e
+  | Error e -> fail "%s: %s: %s" file what e);
+  j
+
 (* ---------------- observability plumbing ---------------- *)
 
 let trace_out_opt =
@@ -176,7 +190,7 @@ let simulate_cmd =
   let run w input capacitance levels ooo trace metrics =
     let input = input_of w input in
     let cfg, _, mem = Dvs_workloads.Workload.load w ~input in
-    let machine = machine ~capacitance ~levels in
+    let machine = Dvs_workloads.Workload.machine ?levels ~capacitance () in
     let obs = obs_for ~trace ~metrics in
     let n = Dvs_power.Mode.size machine.Dvs_machine.Config.mode_table in
     for m = 0 to n - 1 do
@@ -225,7 +239,7 @@ let profile_cmd =
   let run w input capacitance levels =
     let input = input_of w input in
     let cfg, _, mem = Dvs_workloads.Workload.load w ~input in
-    let machine = machine ~capacitance ~levels in
+    let machine = Dvs_workloads.Workload.machine ?levels ~capacitance () in
     let p = Dvs_profile.Profile.collect machine cfg ~memory:mem in
     Format.printf "%a@." Dvs_profile.Profile.pp_summary p;
     let params =
@@ -331,7 +345,7 @@ let optimize_cmd =
       no_continuous_bound store_root trace metrics =
     let input = input_of w input in
     let cfg, _, mem = Dvs_workloads.Workload.load w ~input in
-    let machine = machine ~capacitance ~levels in
+    let machine = Dvs_workloads.Workload.machine ?levels ~capacitance () in
     let obs = obs_for ~trace ~metrics in
     let store =
       Option.map
@@ -464,11 +478,8 @@ let apply_cmd =
   let run w input capacitance levels file =
     let input = input_of w input in
     let cfg, _, mem = Dvs_workloads.Workload.load w ~input in
-    let machine = machine ~capacitance ~levels in
-    let ic = open_in file in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Dvs_core.Schedule.of_string text with
+    let machine = Dvs_workloads.Workload.machine ?levels ~capacitance () in
+    match Dvs_core.Schedule.of_string (read_file file) with
     | Error msg ->
       Format.eprintf "bad schedule file: %s@." msg;
       exit 1
@@ -526,7 +537,7 @@ let reproduce_cmd =
       no_continuous_bound store_root trace metrics =
     let input = input_of w input in
     let cfg, _, mem = Dvs_workloads.Workload.load w ~input in
-    let machine = machine ~capacitance ~levels in
+    let machine = Dvs_workloads.Workload.machine ?levels ~capacitance () in
     let obs = obs_for ~trace ~metrics in
     let store =
       Option.map
@@ -656,24 +667,11 @@ let stats_cmd =
             "Validate the files against their documented schemas; exit 1 \
              on the first violation.")
   in
-  let read_file file =
-    let ic = open_in file in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
   let fail fmt = Format.kasprintf (fun s -> Format.eprintf "%s@." s; exit 1) fmt in
   let show_metrics file check =
     let j =
-      match Dvs_obs.Json.of_string (read_file file) with
-      | Ok j -> j
-      | Error e -> fail "%s: not JSON: %s" file e
+      read_json ~code:1 ~warn:(not check) Dvs_obs.Schema.validate_metrics file
     in
-    (match Dvs_obs.Schema.validate_metrics j with
-    | Ok () -> ()
-    | Error e ->
-      if check then fail "%s: schema violation: %s" file e
-      else Format.eprintf "warning: %s: %s@." file e);
     let open Dvs_obs.Json in
     (match member "meta" j with
     | Some (Obj kvs) when kvs <> [] ->
@@ -764,15 +762,8 @@ let stats_cmd =
   in
   let show_service file check =
     let j =
-      match Dvs_obs.Json.of_string (read_file file) with
-      | Ok j -> j
-      | Error e -> fail "%s: not JSON: %s" file e
+      read_json ~code:1 ~warn:(not check) Dvs_obs.Schema.validate_service file
     in
-    (match Dvs_obs.Schema.validate_service j with
-    | Ok () -> ()
-    | Error e ->
-      if check then fail "%s: schema violation: %s" file e
-      else Format.eprintf "warning: %s: %s@." file e);
     let open Dvs_obs.Json in
     let str k = Option.bind (member k j) to_string_opt in
     let num ?(in_ = j) k = Option.bind (member k in_) to_float in
@@ -810,15 +801,8 @@ let stats_cmd =
   in
   let show_store file check =
     let j =
-      match Dvs_obs.Json.of_string (read_file file) with
-      | Ok j -> j
-      | Error e -> fail "%s: not JSON: %s" file e
+      read_json ~code:1 ~warn:(not check) Dvs_obs.Schema.validate_store file
     in
-    (match Dvs_obs.Schema.validate_store j with
-    | Ok () -> ()
-    | Error e ->
-      if check then fail "%s: schema violation: %s" file e
-      else Format.eprintf "warning: %s: %s@." file e);
     let open Dvs_obs.Json in
     let str k =
       Option.value ~default:"?" (Option.bind (member k j) to_string_opt)
@@ -928,25 +912,12 @@ let bench_diff_cmd =
              shed rate before the diff fails (default 0.25); only \
              checked when both summaries carry a service section.")
   in
-  let read_file file =
-    let ic = open_in file in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
   let fail fmt =
     Format.kasprintf (fun s -> Format.eprintf "%s@." s; exit 2) fmt
   in
-  let load file =
-    let j =
-      match Dvs_obs.Json.of_string (read_file file) with
-      | Ok j -> j
-      | Error e -> fail "%s: not JSON: %s" file e
-    in
-    (match Dvs_obs.Schema.validate_bench j with
-    | Ok () -> ()
-    | Error e -> fail "%s: not a dvs-bench/v2 summary: %s" file e);
-    j
+  let load =
+    read_json ~code:2 ~what:"not a dvs-bench/v2 summary"
+      Dvs_obs.Schema.validate_bench
   in
   (* A dotted name is a path into nested objects: "lu.refactorizations"
      reads the summary's lu section. *)
@@ -1749,12 +1720,9 @@ let analyze_cmd =
     | Some r -> Format.printf "continuous savings bound: %.1f%%@." (100.0 *. r)
     | None -> Format.printf "infeasible deadline@.");
     let n = Option.value ~default:7 levels in
-    let table =
-      Dvs_power.Mode.levels
-        ~v_lo:(Dvs_power.Alpha_power.voltage Dvs_power.Alpha_power.default 200e6)
-        ~v_hi:1.65 n
-    in
-    match Dvs_analytical.Savings.discrete p table with
+    match
+      Dvs_analytical.Savings.discrete p (Dvs_power.Mode.xscale_levels n)
+    with
     | Some r ->
       Format.printf "%d-level discrete savings: %.1f%%@." n (100.0 *. r)
     | None -> Format.printf "%d-level table cannot meet the deadline@." n
@@ -1810,7 +1778,7 @@ let loops_cmd =
     let cfg, _, mem = Dvs_workloads.Workload.load w ~input in
     let dom = Dvs_ir.Dominators.compute cfg in
     let loops = Dvs_ir.Dominators.natural_loops cfg dom in
-    let machine = machine ~capacitance:0.4e-6 ~levels:None in
+    let machine = Dvs_workloads.Workload.machine ~capacitance:0.4e-6 () in
     let p = Dvs_profile.Profile.collect machine cfg ~memory:mem in
     Format.printf "%d natural loops@." (List.length loops);
     List.iter
@@ -1844,11 +1812,7 @@ let compile_cmd =
     Arg.(value & flag & info [ "dot" ] ~doc:"Emit Graphviz instead of text.")
   in
   let run file dot =
-    let ic = open_in file in
-    let len = in_channel_length ic in
-    let src = really_input_string ic len in
-    close_in ic;
-    match Dvs_lang.Lower.compile_string src with
+    match Dvs_lang.Lower.compile_string (read_file file) with
     | cfg, layout ->
       if dot then print_string (Dvs_ir.Cfg.to_dot cfg)
       else begin

@@ -1,20 +1,2 @@
-open Dvs_power
-
-let single_voltage ?(law = Alpha_power.default) ~cycles deadline =
-  if cycles <= 0.0 then 0.0
-  else Alpha_power.voltage law (cycles /. deadline)
-
-let continuous_energy ?(law = Alpha_power.default) ~cycles deadline =
-  if cycles <= 0.0 then 0.0
-  else begin
-    let v = single_voltage ~law ~cycles deadline in
-    cycles *. v *. v
-  end
-
-let discrete_energy table ~cycles ~deadline =
-  match Discrete.split table ~cycles ~time:deadline with
-  | Some (e, _) -> Some e
-  | None -> None
-
 let of_params (p : Params.t) =
   p.n_overlap +. p.n_dependent +. p.n_cache

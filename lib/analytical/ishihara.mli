@@ -6,22 +6,8 @@
     single voltage is optimal, and under a discrete table the two
     neighbors of the ideal frequency are.  Included here so the bound
     comparison experiment can show exactly what ignoring [t_invariant]
-    costs (the paper's Section 3 motivation). *)
-
-val single_voltage :
-  ?law:Dvs_power.Alpha_power.t -> cycles:float -> float -> float
-(** [single_voltage ~cycles deadline]: optimal (single) supply voltage
-    for [cycles] within [deadline] seconds. *)
-
-val continuous_energy :
-  ?law:Dvs_power.Alpha_power.t -> cycles:float -> float -> float
-(** [continuous_energy ~cycles deadline]: minimum energy in
-    [volt^2 * cycles] under continuous scaling. *)
-
-val discrete_energy :
-  Dvs_power.Mode.table -> cycles:float -> deadline:float -> float option
-(** Minimum energy with a mode table (two-neighbor split); [None] if the
-    fastest mode cannot make the deadline. *)
+    costs (the paper's Section 3 motivation): the bench runs the single
+    frequency [cycles / deadline] against the paper's model. *)
 
 val of_params : Params.t -> float
 (** Total cycle count an IY-style model would see for a program with

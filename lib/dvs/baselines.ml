@@ -61,13 +61,10 @@ let hsu_kremer ?fuel config cfg ~memory ~profile ~deadline =
     Some (schedule_of assignment)
   end
 
-let weiser_governor ?(up_threshold = 0.9) ?(down_threshold = 0.65) ~interval
-    () =
-  if not (down_threshold < up_threshold) then
-    invalid_arg "Baselines.weiser_governor: thresholds out of order";
+let weiser_governor ~interval =
   { Dvs_machine.Cpu.gov_interval = interval;
     gov_decide =
       (fun ~busy_fraction ~current_mode ->
-        if busy_fraction > up_threshold then current_mode + 1
-        else if busy_fraction < down_threshold then current_mode - 1
+        if busy_fraction > 0.9 then current_mode + 1
+        else if busy_fraction < 0.65 then current_mode - 1
         else current_mode) }

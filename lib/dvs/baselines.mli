@@ -21,11 +21,8 @@ val hsu_kremer :
     block at a time while re-simulation confirms the deadline.  [None]
     when even the all-fast schedule misses the deadline. *)
 
-val weiser_governor :
-  ?up_threshold:float -> ?down_threshold:float -> interval:float -> unit ->
-  Dvs_machine.Cpu.governor
+val weiser_governor : interval:float -> Dvs_machine.Cpu.governor
 (** Weiser-style interval policy (the OS-level related work): every
     [interval] seconds, step the mode up when the core was busy more
-    than [up_threshold] (default 0.9) of the window, down when below
-    [down_threshold] (default 0.65).  Deadline-unaware — the comparison
-    point that motivates compile-time DVS. *)
+    than 90% of the window, down when below 65%.  Deadline-unaware —
+    the comparison point that motivates compile-time DVS. *)

@@ -7,10 +7,7 @@ module Resilience = struct
 
   type t = { max_retries : int; entry : entry }
 
-  let make ?(max_retries = 2) ?(entry = From_milp) () =
-    if max_retries < 0 then
-      invalid_arg "Pipeline.Resilience.make: max_retries must be >= 0";
-    { max_retries; entry }
+  let make ?(entry = From_milp) () = { max_retries = 2; entry }
 
   let default = make ()
 
@@ -292,15 +289,10 @@ let optimize_multi ?config ?verify_config ?session ~regulator ~memory
       if obs_on then Tr.start tr ~stability:Tr.Stable "pipeline.verify"
       else Tr.start Tr.disabled "pipeline.verify"
     in
-    let s = Lazy.force the_session in
     let v =
-      match !last_report with
-      | None ->
-        Verify.Session.check ~obs s ~schedule ~deadline:deadline0
-          ~predicted_energy:predicted
-      | Some r ->
-        Verify.Session.check_incremental ~obs s ~against:r ~schedule
-          ~deadline:deadline0 ~predicted_energy:predicted
+      Verify.Session.check ~obs ?against:!last_report
+        (Lazy.force the_session) ~schedule ~deadline:deadline0
+        ~predicted_energy:predicted
     in
     last_report := Some v;
     if obs_on then
@@ -682,13 +674,8 @@ let optimize_sweep ?config ?verify_config ?profile ?session machine cfg
       (* Adjacent sweep points differ on few mode-set edges, so chain
          each worker's verifications incrementally. *)
       let v =
-        match !last with
-        | None ->
-          Verify.Session.check ~obs session ~schedule ~deadline:d
-            ~predicted_energy:predicted
-        | Some r ->
-          Verify.Session.check_incremental ~obs session ~against:r ~schedule
-            ~deadline:d ~predicted_energy:predicted
+        Verify.Session.check ~obs ?against:!last session ~schedule
+          ~deadline:d ~predicted_energy:predicted
       in
       last := Some v;
       if v.Verify.meets_deadline then

@@ -24,16 +24,16 @@ module Resilience : sig
 
   type t = {
     max_retries : int;
-        (** cold MILP retries before falling to the LP rung (default 2);
-            retry [k] runs with half the node budget of retry [k - 1] *)
+        (** cold MILP retries before falling to the LP rung: 2, or 0
+            from {!for_budget}; retry [k] runs with half the node budget
+            of retry [k - 1] *)
     entry : entry;
         (** first rung attempted (default {!From_milp}); the [dvsd]
             service lowers it as a request's wall-clock budget drains
             ({!for_budget}) *)
   }
 
-  val make : ?max_retries:int -> ?entry:entry -> unit -> t
-  (** Raises [Invalid_argument] when [max_retries < 0]. *)
+  val make : ?entry:entry -> unit -> t
 
   val default : t
   (** [make ()]: 2 retries, entry {!From_milp}. *)

@@ -20,7 +20,7 @@ val diff : t -> t -> bool * int list
 (** [diff a b] is [(entry_changed, edges)]: whether the entry modes
     differ, and the {!Dvs_ir.Cfg.edge_index} list (ascending) where the
     edge modes differ.  Incremental re-verification
-    ({!Verify.Session.check_incremental}) re-simulates only from the
+    ({!Verify.Session.check}'s [against]) re-simulates only from the
     first traversal of a differing edge.  Raises [Invalid_argument] when
     the schedules have different edge counts. *)
 

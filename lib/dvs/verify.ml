@@ -90,7 +90,7 @@ module Session = struct
   let edge_mode_of schedule =
     Array.map Option.some schedule.Schedule.edge_mode
 
-  let check ?obs t ~schedule ~deadline ~predicted_energy =
+  let check ?obs ?against t ~schedule ~deadline ~predicted_energy =
     match t.summary with
     | None ->
       let stats =
@@ -99,32 +99,10 @@ module Session = struct
       make_report stats ~deadline ~predicted_energy ~token:0
     | Some s ->
       let r =
-        Dvs_machine.Summary.replay ?obs s
-          ~entry_mode:schedule.Schedule.entry_mode
+        Dvs_machine.Summary.replay ?obs
+          ?against:(Option.map (fun r -> r.token) against)
+          s ~entry_mode:schedule.Schedule.entry_mode
           ~edge_mode:(edge_mode_of schedule)
-      in
-      make_report r.Dvs_machine.Summary.stats ~deadline ~predicted_energy
-        ~token:r.Dvs_machine.Summary.token
-
-  let check_incremental ?obs t ~against ~schedule ~deadline ~predicted_energy
-      =
-    match t.summary with
-    | None ->
-      let stats =
-        simulate ?fuel:t.fuel ?obs t.config t.cfg ~memory:t.memory ~schedule
-      in
-      make_report stats ~deadline ~predicted_energy ~token:0
-    | Some s ->
-      let r =
-        if against.token = 0 then
-          Dvs_machine.Summary.replay ?obs s
-            ~entry_mode:schedule.Schedule.entry_mode
-            ~edge_mode:(edge_mode_of schedule)
-        else
-          Dvs_machine.Summary.replay_incremental ?obs s
-            ~against:against.token
-            ~entry_mode:schedule.Schedule.entry_mode
-            ~edge_mode:(edge_mode_of schedule)
       in
       make_report r.Dvs_machine.Summary.stats ~deadline ~predicted_energy
         ~token:r.Dvs_machine.Summary.token

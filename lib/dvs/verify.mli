@@ -31,8 +31,8 @@ type report = {
   energy_error : float;  (** |measured - predicted| / predicted *)
   token : int;
       (** names the verification's cached segments inside its session
-          (pass the report to {!Session.check_incremental}'s [against]);
-          [0] when the check did not run through a warm session *)
+          (pass the report to {!Session.check}'s [against]); [0] when the
+          check did not run through a warm session *)
 }
 
 (** A verification session: owns the recorded workload and the summary
@@ -54,22 +54,16 @@ module Session : sig
       run. *)
 
   val check :
-    ?obs:Dvs_obs.t ->
+    ?obs:Dvs_obs.t -> ?against:report ->
     t -> schedule:Schedule.t -> deadline:float -> predicted_energy:float ->
     report
   (** Verify one schedule.  [obs] receives the simulator's instruments
-      for this check (replayed or cycle-accurate). *)
-
-  val check_incremental :
-    ?obs:Dvs_obs.t ->
-    t -> against:report -> schedule:Schedule.t -> deadline:float ->
-    predicted_energy:float -> report
-  (** Like {!check}, but splice against [against]'s cached segments:
-      only the region from the first mode-set edge on which the two
-      schedules differ is re-simulated ({!Schedule.diff}).  Results are
-      bit-identical to {!check}; falls back to a full replay (or, cold,
-      a full simulation) when [against]'s segments are no longer
-      cached. *)
+      for this check (replayed or cycle-accurate).  With [against], splice
+      against that report's cached segments: only the region from the
+      first mode-set edge on which the two schedules differ is
+      re-simulated ({!Schedule.diff}).  Results are bit-identical to a
+      check without [against]; a cold session, or segments no longer
+      cached, get a full simulation or replay. *)
 
   val cold : t -> bool
 

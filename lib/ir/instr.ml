@@ -34,10 +34,6 @@ let uses = function
   | Load (_, rs, _) -> [ rs ]
   | Store (rv, rs, _) -> [ rv; rs ]
 
-let is_memory = function
-  | Load _ | Store _ -> true
-  | Li _ | Mov _ | Binop _ | Nop | Modeset _ -> false
-
 let max_reg i =
   List.fold_left Int.max (-1) (defs i @ uses i)
 

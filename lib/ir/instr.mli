@@ -35,8 +35,6 @@ val defs : t -> reg list
 val uses : t -> reg list
 (** Registers read. *)
 
-val is_memory : t -> bool
-
 val max_reg : t -> reg
 (** Largest register mentioned; [-1] if none. *)
 

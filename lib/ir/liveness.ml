@@ -75,8 +75,6 @@ let compute ?exit_live cfg =
 
 let live_in t l = Reg_set.elements t.l_in.(l)
 
-let live_out t l = Reg_set.elements t.l_out.(l)
-
 let live_after t l i r =
   let blk = Cfg.block t.cfg l in
   let len = Array.length blk.body in

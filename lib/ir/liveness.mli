@@ -15,8 +15,6 @@ val compute : ?exit_live:Instr.reg list -> Cfg.t -> t
 val live_in : t -> Cfg.label -> Instr.reg list
 (** Sorted. *)
 
-val live_out : t -> Cfg.label -> Instr.reg list
-
 val live_after : t -> Cfg.label -> int -> Instr.reg -> bool
 (** [live_after t l i r]: is [r] live immediately after instruction
     index [i] of block [l] (i.e. could a later use read the value it

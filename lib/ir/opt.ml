@@ -110,7 +110,7 @@ let instruction_count cfg =
     (fun acc (b : Cfg.block) -> acc + Array.length b.body)
     0 (Cfg.blocks cfg)
 
-let optimize ?(rounds = 3) ?exit_live cfg =
+let optimize ?exit_live cfg =
   let rec go n cfg =
     if n <= 0 then cfg
     else begin
@@ -119,4 +119,4 @@ let optimize ?(rounds = 3) ?exit_live cfg =
       else go (n - 1) cfg'
     end
   in
-  go rounds cfg
+  go 3 cfg

@@ -18,8 +18,8 @@ val dead_code : ?exit_live:Instr.reg list -> Cfg.t -> Cfg.t
 (** Remove pure instructions whose destination is dead (global liveness;
     [exit_live] as in {!Liveness.compute}). *)
 
-val optimize : ?rounds:int -> ?exit_live:Instr.reg list -> Cfg.t -> Cfg.t
-(** [constant_fold] then [dead_code], iterated (default 3 rounds or to a
-    fixed point, whichever first). *)
+val optimize : ?exit_live:Instr.reg list -> Cfg.t -> Cfg.t
+(** [constant_fold] then [dead_code], iterated 3 rounds or to a fixed
+    point, whichever first. *)
 
 val instruction_count : Cfg.t -> int

@@ -46,23 +46,6 @@ module Run_config = struct
     { fuel; initial_mode; edge_modes; governor; observer; obs; recorder }
 
   let default = make ()
-
-  let with_fuel fuel t =
-    if fuel <= 0 then
-      invalid_arg "Cpu.Run_config.with_fuel: fuel must be positive";
-    { t with fuel }
-
-  let with_initial_mode m t = { t with initial_mode = Some m }
-
-  let with_edge_modes f t = { t with edge_modes = Some f }
-
-  let with_governor g t = { t with governor = Some g }
-
-  let with_observer f t = { t with observer = Some f }
-
-  let with_obs obs t = { t with obs }
-
-  let with_recorder r t = { t with recorder = Some r }
 end
 
 (* The run's float state.  An all-float record is stored flat, so

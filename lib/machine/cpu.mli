@@ -68,8 +68,7 @@ type observer =
 
 (** How to run: fuel, schedule hooks, policies and instrumentation,
     gathered into one value (mirrors [Solver.Config]).  Build with
-    {!Run_config.make} or refine {!Run_config.default} with the
-    value-first [with_*] combinators. *)
+    {!Run_config.make}. *)
 module Run_config : sig
   type t = private {
     fuel : int;  (** bound on executed blocks *)
@@ -98,20 +97,6 @@ module Run_config : sig
       when [fuel <= 0]. *)
 
   val default : t
-
-  val with_fuel : int -> t -> t
-
-  val with_initial_mode : int -> t -> t
-
-  val with_edge_modes : (Dvs_ir.Cfg.edge -> int option) -> t -> t
-
-  val with_governor : governor -> t -> t
-
-  val with_observer : observer -> t -> t
-
-  val with_obs : Dvs_obs.t -> t -> t
-
-  val with_recorder : Tape.recorder -> t -> t
 end
 
 val run : ?rc:Run_config.t -> Config.t -> Dvs_ir.Cfg.t -> memory:int array

@@ -410,8 +410,7 @@ let find_baseline t token =
 
 let fresh_token t = Atomic.fetch_and_add t.next_token 1
 
-let replay ?(obs = Dvs_obs.disabled) t ~entry_mode ~edge_mode =
-  check_edge_mode t edge_mode;
+let full_replay obs t ~entry_mode ~edge_mode =
   let run_span = start_span obs t in
   let st = init_state t ~entry_mode in
   let cks =
@@ -427,11 +426,10 @@ let replay ?(obs = Dvs_obs.disabled) t ~entry_mode ~edge_mode =
     ~misses:st.misses ~spliced:0;
   { stats = publish_stats stats; token }
 
-let replay_incremental ?(obs = Dvs_obs.disabled) t ~against ~entry_mode
-    ~edge_mode =
+let replay ?(obs = Dvs_obs.disabled) ?against t ~entry_mode ~edge_mode =
   check_edge_mode t edge_mode;
-  match find_baseline t against with
-  | None -> replay ~obs t ~entry_mode ~edge_mode
+  match Option.bind against (find_baseline t) with
+  | None -> full_replay obs t ~entry_mode ~edge_mode
   | Some b ->
     let entry_changed = entry_mode <> b.b_entry in
     let edges = ref [] in

@@ -15,7 +15,7 @@
       arithmetically (stalls, miss windows, transition costs), which
       costs a handful of float ops per recorded event rather than a full
       instruction dispatch.
-    - {b splice} ({!replay_incremental}): when the schedule differs from
+    - {b splice} ({!replay}'s [against]): when the schedule differs from
       an already-replayed baseline on few edges, resume from the last
       checkpoint before the first position that could diverge and reuse
       the shared prefix outright.
@@ -64,18 +64,24 @@ val positions : t -> int
 type result = {
   stats : Cpu.run_stats;
   token : int;
-      (** names this replay's cached baseline; pass to
-          {!replay_incremental}'s [against].  Tokens are positive and
-          unique per session. *)
+      (** names this replay's cached baseline; pass to {!replay}'s
+          [against].  Tokens are positive and unique per session. *)
 }
 
 val replay :
-  ?obs:Dvs_obs.t -> t -> entry_mode:int -> edge_mode:int option array ->
-  result
+  ?obs:Dvs_obs.t -> ?against:int -> t -> entry_mode:int ->
+  edge_mode:int option array -> result
 (** Re-cost the recorded execution under a schedule: [entry_mode] is the
     mode at program start, [edge_mode.(i)] an optional mode-set on CFG
     edge [i] (applied on every traversal, silent when unchanged — same
     semantics as {!Cpu.Run_config.t}'s [edge_modes]).
+
+    With [against], splice against the baseline cached under that
+    token: positions before the first traversal of a differing edge (or
+    position 0 when [entry_mode] differs) are reused from the baseline's
+    checkpoints rather than replayed.  The result is bit-identical to a
+    replay without [against].  A token whose baseline has been evicted
+    (the store keeps the 8 most recently used) gets a full replay.
 
     [obs] (default {!Dvs_obs.disabled}) gets the same stable [sim.*]
     span, events, counters and gauges as a cycle-accurate run, plus
@@ -86,17 +92,6 @@ val replay :
 
     Raises [Invalid_argument] when [edge_mode] has the wrong length or a
     mode index is out of range. *)
-
-val replay_incremental :
-  ?obs:Dvs_obs.t -> t -> against:int -> entry_mode:int ->
-  edge_mode:int option array -> result
-(** Like {!replay}, but splice against the baseline cached under token
-    [against]: positions before the first traversal of a differing edge
-    (or position 0 when [entry_mode] differs) are reused from the
-    baseline's checkpoints rather than replayed.  The result is
-    bit-identical to {!replay} of the same schedule.  Falls back to a
-    full replay when the baseline has been evicted (the store keeps the
-    most recently used handful). *)
 
 val replay_pinned :
   t -> mode:int -> time:float array -> energy:float array -> Cpu.run_stats

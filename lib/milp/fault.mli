@@ -1,4 +1,4 @@
-(** Deterministic, seeded fault injection for the MILP solve pipeline.
+(** Deterministic fault injection for the MILP solve pipeline.
 
     Attach an injector to a solve via
     {!Solver.Config.with_fault} and it will fire faults at the solver's
@@ -12,13 +12,11 @@
       {!Dvs_lp.Simplex.Iter_limit} error path;
     - {b cache misses}: {!force_cache_miss} makes a root or [warm_start]
       seed solve, the only solves that consult the {!Lp_cache}, bypass
-      it (a seeded Bernoulli draw per lookup);
-    - {b clock skew}: {!clock_skew} shifts the wall clock the solver
-      compares against [time_limit], simulating timer trouble.
+      it (a hashed Bernoulli draw per lookup).
 
-    Triggers are pure functions of the spec and a monotonic ordinal, so
-    a spec replays the same fault sequence deterministically at jobs=1,
-    and injects the same {e set} of faults at any job count.  Used by
+    Triggers are pure functions of the settings and a monotonic ordinal,
+    so an injector replays the same fault sequence deterministically at
+    jobs=1, and injects the same {e set} of faults at any job count.  Used by
     the fault-injection test suite and the [resilience] bench
     experiment; production solves never construct one. *)
 
@@ -26,35 +24,20 @@ exception Injected_crash of { worker : int; node : int }
 (** Raised by {!on_node} inside a worker; contained by {!Solver} like
     any other worker exception. *)
 
-type spec = {
-  crash_at_nodes : int list;  (** 1-based node ordinals that crash *)
-  crash_every : int option;  (** also crash every Nth node *)
-  exhaust_pivots_at : int list;  (** 1-based LP-solve ordinals *)
-  exhaust_pivots_every : int option;
-  cache_miss_rate : float;  (** probability in [0, 1] per cache lookup *)
-  clock_skew : float;  (** seconds added to the solver's wall clock *)
-  seed : int;  (** seeds the cache-miss Bernoulli stream *)
-}
-
 type t
 
 val make :
   ?crash_at_nodes:int list ->
   ?crash_every:int ->
-  ?exhaust_pivots_at:int list ->
   ?exhaust_pivots_every:int ->
   ?cache_miss_rate:float ->
-  ?clock_skew:float ->
-  ?seed:int ->
   unit -> t
-(** All faults default to off.  Raises [Invalid_argument] on a rate
-    outside [0, 1], a non-positive period, or a non-positive ordinal. *)
-
-val spec : t -> spec
-
-val reset : t -> unit
-(** Zero the ordinals and injection counters so the injector replays the
-    same fault sequence on a fresh solve. *)
+(** [crash_at_nodes] lists 1-based node ordinals that crash,
+    [crash_every] also crashes every Nth node, [exhaust_pivots_every]
+    exhausts every Nth LP solve and [cache_miss_rate] is the miss
+    probability per cache lookup.  All faults default to off.  Raises
+    [Invalid_argument] on a rate outside [0, 1], a non-positive period,
+    or a non-positive ordinal. *)
 
 (** {2 Hooks} — called by {!Solver}; counters advance on every call. *)
 
@@ -73,13 +56,9 @@ val force_cache_miss : t -> int * bool
 (** [(ordinal, miss)]; [ordinal] is 0 when the rate is 0 (the injector
     is not consulted and no ordinal is consumed). *)
 
-val clock_skew : t -> float
-
 (** {2 Accounting} *)
 
 type injected = { crashes : int; exhaustions : int; forced_misses : int }
 
 val injected : t -> injected
 (** Faults actually fired so far. *)
-
-val pp_injected : Format.formatter -> injected -> unit

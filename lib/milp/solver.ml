@@ -89,6 +89,11 @@ let gap_rel = 1e-9
 (* Integrality tolerance of relaxation values. *)
 let int_tol = 1e-6
 
+(* Distance to the nearest integer: the one measure every integrality
+   test and the branching scan read, so a node that fails [is_integral]
+   always has a fractional entity. *)
+let int_dist x = Float.abs (x -. Float.round x)
+
 (* Pseudocost reliability threshold: an entity with fewer observed gains
    per direction is probed with a pivot-capped LP before its score is
    trusted. *)
@@ -213,9 +218,7 @@ let most_fractional int_vars (sol : Simplex.solution) =
   let best = ref None in
   List.iter
     (fun v ->
-      let x = sol.values.(v) in
-      let frac = x -. Float.of_int (int_of_float (Float.floor x)) in
-      let dist = Float.min frac (1.0 -. frac) in
+      let dist = int_dist sol.values.(v) in
       if dist > int_tol then
         match !best with
         | Some (_, d) when d >= dist -> ()
@@ -387,15 +390,9 @@ let solve ?(config = Config.default) model =
             ("int_vars", Tr.Int (List.length int_vars)) ]
     else Tr.start Tr.disabled "solver.solve"
   in
-  (* Fault injection (tests and the resilience bench only): [skew] shifts
-     the clock the time-limit check reads, the other hooks fire at their
-     call sites below. *)
-  let skew =
-    match config.fault with Some f -> Fault.clock_skew f | None -> 0.0
-  in
   let out_of_time () =
     match config.time_limit with
-    | Some l -> Unix.gettimeofday () +. skew -. wall_start > l
+    | Some l -> Unix.gettimeofday () -. wall_start > l
     | None -> false
   in
   let cache =
@@ -511,11 +508,7 @@ let solve ?(config = Config.default) model =
     | Maximize -> bound <= inc +. slack
   in
   let is_integral (s : Simplex.solution) =
-    List.for_all
-      (fun v ->
-        let x = s.values.(v) in
-        Float.abs (x -. Float.round x) <= int_tol)
-      int_vars
+    List.for_all (fun v -> int_dist s.values.(v) <= int_tol) int_vars
   in
   (* LP solves, with pivot accounting.  A node solve applies its bound
      overrides to the worker's scratch view of the compiled model, solves
@@ -645,7 +638,7 @@ let solve ?(config = Config.default) model =
           if not (in_sos1 v) then begin
             let lb, ub = bounds_of v in
             let x = Float.max lb (Float.min ub (Float.round s.values.(v))) in
-            if Float.abs (x -. Float.round x) <= int_tol then
+            if int_dist x <= int_tol then
               fixes := (v, x, x) :: !fixes
             else ok := false
           end)
@@ -769,20 +762,6 @@ let solve ?(config = Config.default) model =
     Atomic.incr in_flight;
     Work_queue.push queues.(wid) n
   in
-  (* Classic most-fractional variable dichotomy: the fallback when the
-     entity view finds nothing to branch on. *)
-  let branch_fractional wid n (s : Simplex.solution) basis =
-    match most_fractional int_vars s with
-    | None -> try_incumbent n.path s
-    | Some v ->
-      let x = s.values.(v) in
-      let lb, ub = effective_bounds wm n.overrides v in
-      let fl = Float.floor x and ce = Float.ceil x in
-      if fl >= lb then
-        spawn_child wid n 0 s.objective basis ((v, lb, fl) :: n.overrides);
-      if ce <= ub then
-        spawn_child wid n 1 s.objective basis ((v, ce, ub) :: n.overrides)
-  in
   (* GUB dichotomy over mode groups + pseudocost entity selection with
      reliability initialization: an entity whose pseudocosts rest on
      fewer than [reliability] (4) observations per direction is probed with
@@ -793,11 +772,7 @@ let solve ?(config = Config.default) model =
      so the one-mode equality row keeps the other half alive. *)
   let max_probes_per_node = 4 in
   let branch_pseudocost wid n (s : Simplex.solution) basis =
-    let var_frac v =
-      let x = s.values.(v) in
-      let fr = x -. Float.floor x in
-      Float.min fr (1.0 -. fr)
-    in
+    let var_frac v = int_dist s.values.(v) in
     let frac_of e =
       match entities.(e) with
       | `Group vars ->
@@ -809,7 +784,11 @@ let solve ?(config = Config.default) model =
       if frac_of e > int_tol then candidates := e :: !candidates
     done;
     match !candidates with
-    | [] -> branch_fractional wid n s basis
+    | [] ->
+      (* Unreachable after [is_integral] fails: every integer variable
+         is an entity or a group member, measured by the same
+         [int_dist]. *)
+      try_incumbent n.path s
     | cands ->
       (* Down/up child override sets; [None] marks a side already proven
          infeasible by existing bounds. *)

@@ -43,8 +43,8 @@
     lost), the pool drains normally, and the result carries a
     {!outcome.Degraded} outcome recording every contained crash together
     with the best incumbent found.  A {!Fault} injector can be attached
-    ([Config.with_fault]) to force crashes, pivot exhaustion, cache
-    misses and clock skew deterministically in tests.
+    ([Config.with_fault]) to force crashes, pivot exhaustion and cache
+    misses deterministically in tests.
 
     This replaces the paper's CPLEX: the DVS MILPs it targets have a few
     hundred binaries (after edge filtering) with a one-mode-per-edge SOS1

@@ -1,12 +1,8 @@
 let inv_phi = (sqrt 5.0 -. 1.0) /. 2.0
 
-let golden_section ?tol ~lo ~hi f =
+let golden_section ~lo ~hi f =
   if not (lo <= hi) then invalid_arg "Optimize.golden_section: lo > hi";
-  let tol =
-    match tol with
-    | Some t -> t
-    | None -> Float.max 1e-12 (1e-9 *. (hi -. lo))
-  in
+  let tol = Float.max 1e-12 (1e-9 *. (hi -. lo)) in
   let a = ref lo and b = ref hi in
   let c = ref (!b -. (inv_phi *. (!b -. !a))) in
   let d = ref (!a +. (inv_phi *. (!b -. !a))) in
@@ -30,7 +26,7 @@ let golden_section ?tol ~lo ~hi f =
   let x = (!a +. !b) /. 2.0 in
   (x, f x)
 
-let grid_minimize ?(refine = 2) ~n ~lo ~hi f =
+let grid_minimize ~n ~lo ~hi f =
   if n < 2 then invalid_arg "Optimize.grid_minimize: need n >= 2";
   if not (lo <= hi) then invalid_arg "Optimize.grid_minimize: lo > hi";
   let step = (hi -. lo) /. float_of_int (n - 1) in
@@ -43,10 +39,10 @@ let grid_minimize ?(refine = 2) ~n ~lo ~hi f =
       best_x := x
     end
   done;
-  (* Refine around the best sample: the function is locally unimodal there
-     for the staircase objectives we care about. *)
+  (* Two refinements around the best sample: the function is locally
+     unimodal there for the staircase objectives we care about. *)
   let x = ref !best_x and fx = ref !best_f in
-  for _ = 1 to refine do
+  for _ = 1 to 2 do
     let a = Float.max lo (!x -. step) and b = Float.min hi (!x +. step) in
     let x', fx' = golden_section ~lo:a ~hi:b f in
     if fx' < !fx then begin
@@ -56,7 +52,7 @@ let grid_minimize ?(refine = 2) ~n ~lo ~hi f =
   done;
   (!x, !fx)
 
-let bisect ?(tol = 1e-12) ?(max_iter = 200) ~lo ~hi f =
+let bisect ~lo ~hi f =
   let flo = f lo and fhi = f hi in
   if flo = 0.0 then Some lo
   else if fhi = 0.0 then Some hi
@@ -64,7 +60,7 @@ let bisect ?(tol = 1e-12) ?(max_iter = 200) ~lo ~hi f =
   else begin
     let a = ref lo and b = ref hi and fa = ref flo in
     let iter = ref 0 in
-    while !b -. !a > tol && !iter < max_iter do
+    while !b -. !a > 1e-12 && !iter < 200 do
       let m = (!a +. !b) /. 2.0 in
       let fm = f m in
       if fm = 0.0 then begin
@@ -81,10 +77,10 @@ let bisect ?(tol = 1e-12) ?(max_iter = 200) ~lo ~hi f =
     Some ((!a +. !b) /. 2.0)
   end
 
-let invert_increasing ?(tol = 1e-12) ~lo ~hi f y =
+let invert_increasing ~lo ~hi f y =
   if y <= f lo then lo
   else if y >= f hi then hi
   else
-    match bisect ~tol ~lo ~hi (fun x -> f x -. y) with
+    match bisect ~lo ~hi (fun x -> f x -. y) with
     | Some x -> x
     | None -> (* cannot happen for a nondecreasing f given the guards *) lo

@@ -39,8 +39,6 @@ let sub x y =
 
 let norm_inf x = Array.fold_left (fun m v -> Float.max m (Float.abs v)) 0.0 x
 
-let norm2 x = sqrt (dot x x)
-
 let extreme_index better x =
   if Array.length x = 0 then invalid_arg "Vec.extreme_index: empty vector";
   let best = ref 0 in

@@ -30,8 +30,6 @@ val sub : t -> t -> t
 
 val norm_inf : t -> float
 
-val norm2 : t -> float
-
 val max_index : t -> int
 (** Index of the maximum entry (first one on ties). Raises on empty. *)
 

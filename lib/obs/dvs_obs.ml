@@ -5,12 +5,11 @@ module Schema = Schema
 
 type t = { metrics : Metrics.t; trace : Trace.t }
 
-let create ?trace_capacity ?max_slots () =
-  { metrics = Metrics.create ?max_slots ();
+let create ?trace_capacity () =
+  { metrics = Metrics.create ();
     trace = Trace.create ?capacity:trace_capacity () }
 
-let metrics_only ?max_slots () =
-  { metrics = Metrics.create ?max_slots (); trace = Trace.disabled }
+let metrics_only () = { metrics = Metrics.create (); trace = Trace.disabled }
 
 let disabled = { metrics = Metrics.disabled; trace = Trace.disabled }
 

@@ -23,10 +23,10 @@ module Schema = Schema
 
 type t
 
-val create : ?trace_capacity:int -> ?max_slots:int -> unit -> t
+val create : ?trace_capacity:int -> unit -> t
 (** Metrics and tracing both enabled. *)
 
-val metrics_only : ?max_slots:int -> unit -> t
+val metrics_only : unit -> t
 (** Metrics enabled, tracing disabled — for long sweeps (the bench
     harness) where an event log would just saturate its capacity. *)
 

@@ -9,20 +9,22 @@
 
 type stability = Stable | Volatile
 
+(* Slots attributed per counter; higher slot indices fold onto
+   [slot mod max_slots]. *)
+let max_slots = 64
+
 module Counter = struct
-  type t = { on : bool; slots : int Atomic.t array; mask_mod : int }
+  type t = { on : bool; slots : int Atomic.t array }
 
-  let make max_slots =
-    { on = true;
-      slots = Array.init max_slots (fun _ -> Atomic.make 0);
-      mask_mod = max_slots }
+  let make () =
+    { on = true; slots = Array.init max_slots (fun _ -> Atomic.make 0) }
 
-  let noop = { on = false; slots = [||]; mask_mod = 1 }
+  let noop = { on = false; slots = [||] }
 
   let add t ~slot n =
     if t.on then
-      let i = if slot >= 0 && slot < t.mask_mod then slot else
-          ((slot mod t.mask_mod) + t.mask_mod) mod t.mask_mod
+      let i = if slot >= 0 && slot < max_slots then slot else
+          ((slot mod max_slots) + max_slots) mod max_slots
       in
       ignore (Atomic.fetch_and_add t.slots.(i) n)
 
@@ -130,19 +132,14 @@ type instrument =
 
 type t = {
   on : bool;
-  max_slots : int;
   mutex : Mutex.t;
   table : (string, stability * instrument) Hashtbl.t;
 }
 
-let create ?(max_slots = 64) () =
-  if max_slots < 1 then
-    invalid_arg "Metrics.create: max_slots must be >= 1";
-  { on = true; max_slots; mutex = Mutex.create (); table = Hashtbl.create 32 }
+let create () =
+  { on = true; mutex = Mutex.create (); table = Hashtbl.create 32 }
 
-let disabled =
-  { on = false; max_slots = 1; mutex = Mutex.create ();
-    table = Hashtbl.create 1 }
+let disabled = { on = false; mutex = Mutex.create (); table = Hashtbl.create 1 }
 
 let enabled t = t.on
 
@@ -170,7 +167,7 @@ let counter t ?(stability = Stable) name =
   if not t.on then Counter.noop
   else
     register t name stability
-      (fun () -> Counter.make t.max_slots)
+      Counter.make
       (function C c -> Some c | G _ | H _ -> None)
       (fun c -> C c)
 

@@ -25,10 +25,9 @@ type t
 
 type stability = Stable | Volatile
 
-val create : ?max_slots:int -> unit -> t
-(** An enabled registry.  [max_slots] (default 64) bounds per-slot
-    attribution; higher slot indices fold onto [slot mod max_slots].
-    Raises [Invalid_argument] when [max_slots < 1]. *)
+val create : unit -> t
+(** An enabled registry.  Each counter attributes 64 slots; higher slot
+    indices fold onto [slot mod 64]. *)
 
 val disabled : t
 (** The shared no-op registry. *)

@@ -103,19 +103,6 @@ let finish t ?(attrs = []) sp =
       ~dur:(Some (Float.max 0.0 (now t -. sp.sp_t0)))
       ~attrs:(sp.sp_attrs @ attrs) ~t0:sp.sp_t0 sp.sp_name
 
-let with_span t ?slot ?stability ?attrs name f =
-  if not t.on then f ()
-  else begin
-    let sp = start t ?slot ?stability ?attrs name in
-    match f () with
-    | r ->
-      finish t sp;
-      r
-    | exception e ->
-      finish t ~attrs:[ ("raised", String (Printexc.to_string e)) ] sp;
-      raise e
-  end
-
 let entries t =
   let all =
     Array.fold_left

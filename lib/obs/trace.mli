@@ -42,8 +42,8 @@ val create : ?capacity:int -> unit -> t
     entries.  Raises [Invalid_argument] when [capacity < 0]. *)
 
 val disabled : t
-(** Shared no-op trace: recording is a boolean test, {!with_span} just
-    runs its thunk. *)
+(** Shared no-op trace: recording is a boolean test, {!start} returns a
+    shared dummy span. *)
 
 val enabled : t -> bool
 
@@ -64,12 +64,6 @@ val start :
 val finish : t -> ?attrs:(string * value) list -> span -> unit
 (** Records the span with its measured duration; [attrs] are appended to
     the ones given at {!start}.  Finishing a dummy span is a no-op. *)
-
-val with_span :
-  t -> ?slot:int -> ?stability:stability -> ?attrs:(string * value) list ->
-  string -> (unit -> 'a) -> 'a
-(** [start]/[finish] around a thunk; the span is recorded even when the
-    thunk raises. *)
 
 val entries : t -> entry list
 (** Everything recorded so far, merged across slots and sorted by

@@ -41,6 +41,9 @@ let levels ?(law = Alpha_power.default) ~v_lo ~v_hi n =
           (fun v -> make ~voltage:v ~frequency:(Alpha_power.frequency law v))
           voltages))
 
+let xscale_levels n =
+  levels ~v_lo:(Alpha_power.voltage Alpha_power.default 200e6) ~v_hi:1.65 n
+
 let min_mode (tbl : table) = tbl.(0)
 
 let max_mode (tbl : table) = tbl.(Array.length tbl - 1)

@@ -27,6 +27,11 @@ val levels : ?law:Alpha_power.t -> v_lo:float -> v_hi:float -> int -> table
     [[v_lo, v_hi]] and frequencies from the alpha-power [law]
     (default {!Alpha_power.default}).  Used for the 3/7/13-level studies. *)
 
+val xscale_levels : int -> table
+(** [n] evenly spaced levels over {!xscale3}'s frequency range: from the
+    {!Alpha_power.default} voltage at 200 MHz to 1.65 V, so a level
+    table's feasible-deadline window matches the measured one. *)
+
 val min_mode : table -> t
 (** Lowest-frequency mode. *)
 

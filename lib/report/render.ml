@@ -1,6 +1,6 @@
 let shades = [| ' '; '.'; ':'; '-'; '='; '+'; '*'; '#'; '%'; '@' |]
 
-let surface ?(scale = 100.0) ?(digits = 1) (s : Dvs_analytical.Sweep.surface) =
+let surface (s : Dvs_analytical.Sweep.surface) =
   let buf = Buffer.create 1024 in
   let vmax =
     Array.fold_left
@@ -17,14 +17,14 @@ let surface ?(scale = 100.0) ?(digits = 1) (s : Dvs_analytical.Sweep.surface) =
     (Printf.sprintf "cols %s: %s\n" s.x_label
        (String.concat " "
           (Array.to_list (Array.map (fun x -> Printf.sprintf "%.3g" x) s.xs))));
-  (* Numeric grid, one row per y (descending, like a plot). *)
+  (* Numeric grid in percent, one row per y (descending, like a plot). *)
   for iy = Array.length s.ys - 1 downto 0 do
     Buffer.add_string buf (Printf.sprintf "%10.3g | " s.ys.(iy));
     Array.iter
       (fun v ->
         if Float.is_finite v then
-          Buffer.add_string buf (Printf.sprintf "%*.*f " (digits + 4) digits (scale *. v))
-        else Buffer.add_string buf (String.make (digits + 4) '-' ^ " "))
+          Buffer.add_string buf (Printf.sprintf "%5.1f " (100.0 *. v))
+        else Buffer.add_string buf "----- ")
       s.z.(iy);
     (* Shade strip. *)
     Buffer.add_string buf "  ";
@@ -43,7 +43,7 @@ let surface ?(scale = 100.0) ?(digits = 1) (s : Dvs_analytical.Sweep.surface) =
   (match Dvs_analytical.Sweep.max_point s with
   | Some (x, y, v) ->
     Buffer.add_string buf
-      (Printf.sprintf "peak: %.4g at %s=%.4g, %s=%.4g\n" (scale *. v)
+      (Printf.sprintf "peak: %.4g at %s=%.4g, %s=%.4g\n" (100.0 *. v)
          s.x_label x s.y_label y)
   | None -> Buffer.add_string buf "peak: none (all infeasible)\n");
   Buffer.contents buf

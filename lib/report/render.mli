@@ -3,10 +3,8 @@
     in percent for savings surfaces) plus a coarse character shade so the
     peaks are visible at a glance. *)
 
-val surface :
-  ?scale:float -> ?digits:int -> Dvs_analytical.Sweep.surface -> string
-(** [scale] multiplies values before printing (default 100: fractions as
-    percent). *)
+val surface : Dvs_analytical.Sweep.surface -> string
+(** Values print as percent (fractions times 100), one decimal. *)
 
 val series :
   x_label:string -> y_label:string -> ?digits:int ->

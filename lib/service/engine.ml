@@ -15,9 +15,6 @@ module Config = struct
     queue_depth : int;
     default_budget_s : float;
     batch_max : int;
-    batch_window : float;
-    reply_cache : int;
-    solver_jobs : int;
     max_nodes : int;
     capacitance : float;
     levels : int option;
@@ -26,8 +23,7 @@ module Config = struct
   }
 
   let make ?(workers = 2) ?(queue_depth = 64) ?(default_budget_s = 2.0)
-      ?(batch_max = 8) ?(batch_window = 0.05) ?(reply_cache = 1024)
-      ?(solver_jobs = 1) ?(max_nodes = 4000) ?(capacitance = 0.4e-6) ?levels
+      ?(batch_max = 8) ?(max_nodes = 4000) ?(capacitance = 0.4e-6) ?levels
       ?store_root ?(obs = Dvs_obs.disabled) () =
     if workers < 1 then invalid_arg "Engine.Config: workers must be >= 1";
     if queue_depth < 1 then
@@ -35,11 +31,8 @@ module Config = struct
     if batch_max < 1 then invalid_arg "Engine.Config: batch_max must be >= 1";
     if not (default_budget_s > 0.0) then
       invalid_arg "Engine.Config: default_budget_s must be > 0";
-    if solver_jobs < 1 then
-      invalid_arg "Engine.Config: solver_jobs must be >= 1";
-    { workers; queue_depth; default_budget_s; batch_max; batch_window;
-      reply_cache; solver_jobs; max_nodes; capacitance; levels; store_root;
-      obs }
+    { workers; queue_depth; default_budget_s; batch_max; max_nodes;
+      capacitance; levels; store_root; obs }
 
   let default = make ()
 end
@@ -139,20 +132,6 @@ let class_counter t cls =
 
 (* ---- warm store ------------------------------------------------------ *)
 
-let machine_config (cfg : Config.t) =
-  let mode_table =
-    match cfg.levels with
-    | None -> Dvs_power.Mode.xscale3
-    | Some n ->
-      Dvs_power.Mode.levels
-        ~v_lo:
-          (Dvs_power.Alpha_power.voltage Dvs_power.Alpha_power.default 200e6)
-        ~v_hi:1.65 n
-  in
-  Workload.eval_config ~mode_table
-    ~regulator:(Dvs_power.Switch_cost.regulator ~capacitance:cfg.capacitance ())
-    ()
-
 (* Compile + profile + verification session once per (workload, input);
    raises [Not_found] on an unknown workload name. *)
 let model_for t ~workload ~input =
@@ -167,7 +146,10 @@ let model_for t ~workload ~input =
     | Some m -> m
     | None -> (
       match
-        let machine = machine_config t.cfg in
+        let machine =
+          Workload.machine ?levels:t.cfg.Config.levels
+            ~capacitance:t.cfg.Config.capacitance ()
+        in
         let prog, _, mem = Workload.load w ~input in
         (* Profiling (one recorded simulation, re-costed per mode) is
            the expensive part of warming a model.  With a store
@@ -243,11 +225,14 @@ let fault_for ~crash ~exhaust =
 
 (* ---- reply bookkeeping ----------------------------------------------- *)
 
+(* Replies memoized by id. *)
+let reply_cache = 1024
+
 let cache_reply t (reply : P.reply) =
   if not (Hashtbl.mem t.replies reply.P.id) then begin
     Hashtbl.replace t.replies reply.P.id reply;
     Queue.push reply.P.id t.reply_order;
-    while Hashtbl.length t.replies > t.cfg.Config.reply_cache do
+    while Hashtbl.length t.replies > reply_cache do
       Hashtbl.remove t.replies (Queue.pop t.reply_order)
     done
   end
@@ -277,8 +262,7 @@ let reply_of job ~queue_ms ~service_ms ~batched body =
 
 let solver_config t ~time_limit ~fault =
   let c =
-    Dvs_milp.Solver.Config.make ~jobs:t.cfg.Config.solver_jobs
-      ~max_nodes:t.cfg.Config.max_nodes ~time_limit ~cache:t.lp_cache
+    Dvs_milp.Solver.Config.make ~jobs:1 ~max_nodes:t.cfg.Config.max_nodes ~time_limit ~cache:t.lp_cache
       ~obs:t.obs ()
   in
   match fault with
@@ -579,6 +563,9 @@ let batch_key (job : job) =
     if chaos_free then Some (workload, input, deadline_frac) else None
   | _ -> None
 
+(* Relative deadline window for near-duplicate batching. *)
+let batch_window = 0.05
+
 (* Called under [t.mu]: greedily pull near-duplicates of [leader] out of
    the queue (same model, deadline fraction within [batch_window]),
    preserving the order of everything left behind. *)
@@ -599,7 +586,7 @@ let collect_batch t leader =
           match batch_key j with
           | Some (w', i', f') ->
             w' = w && i' = i
-            && Float.abs (f' -. f0) <= t.cfg.Config.batch_window
+            && Float.abs (f' -. f0) <= batch_window
           | None -> false
         in
         if matches then begin

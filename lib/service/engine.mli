@@ -20,18 +20,19 @@
     {!Protocol.reply_body.Rejected_budget} without a solve.
 
     {b Batching.}  Chaos-free optimize requests for the same (workload,
-    input) whose deadlines sit within [Config.batch_window] of each
-    other (relative) and that share a ladder entry are drained together
-    and solved as one {!Dvs_core.Pipeline.optimize_sweep} over their
-    distinct deadlines, then demuxed per caller.
+    input) whose deadline fractions sit within 0.05 of each other and
+    that share a ladder entry are drained together (at most
+    [Config.batch_max]) and solved as one
+    {!Dvs_core.Pipeline.optimize_sweep} over their distinct deadlines,
+    each on one MILP worker domain, then demuxed per caller.
 
     {b Crash containment.}  Request processing runs under a per-batch
     exception guard: a poisoned request (or an injected chaos poison)
     produces a typed [Failed_reply] for that batch only; the worker
     domain survives and keeps serving.
 
-    {b Idempotency.}  Final replies are cached by request id (bounded
-    FIFO): a retry of an already-served id returns the cached reply; a
+    {b Idempotency.}  Final replies are cached by request id (FIFO,
+    bounded at 1024): a retry of an already-served id returns the cached reply; a
     resubmit of an in-flight id attaches to the in-flight computation.
     [Overloaded] rejections are never cached.
 
@@ -48,11 +49,6 @@ module Config : sig
     default_budget_s : float;
         (** budget for requests that carry none; default 2.0 *)
     batch_max : int;  (** max requests per batch; 1 disables; default 8 *)
-    batch_window : float;
-        (** relative deadline window for near-duplicate batching;
-            default 0.05 *)
-    reply_cache : int;  (** replies memoized by id; default 1024 *)
-    solver_jobs : int;  (** MILP worker domains per request; default 1 *)
     max_nodes : int;  (** MILP node budget per solve; default 4000 *)
     capacitance : float;  (** regulator capacitance; default 0.4e-6 *)
     levels : int option;
@@ -69,11 +65,10 @@ module Config : sig
 
   val make :
     ?workers:int -> ?queue_depth:int -> ?default_budget_s:float ->
-    ?batch_max:int -> ?batch_window:float -> ?reply_cache:int ->
-    ?solver_jobs:int -> ?max_nodes:int -> ?capacitance:float ->
+    ?batch_max:int -> ?max_nodes:int -> ?capacitance:float ->
     ?levels:int -> ?store_root:string -> ?obs:Dvs_obs.t -> unit -> t
   (** Raises [Invalid_argument] on non-positive [workers], [queue_depth],
-      [batch_max], [default_budget_s] or [solver_jobs]. *)
+      [batch_max] or [default_budget_s]. *)
 
   val default : t
 end

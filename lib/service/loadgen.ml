@@ -13,19 +13,18 @@ type leg = {
   chaos : P.chaos option;
   seed : int;
   retries : int;
-  backoff_s : float;
 }
 
 let leg ?(clients = 4) ?(workloads = [ ("adpcm", None) ])
     ?(fracs = [ 0.3; 0.5; 0.7 ]) ?budget_s ?chaos ?(seed = 42) ?(retries = 5)
-    ?(backoff_s = 0.02) ~name ~requests ~rate_hz () =
+    ~name ~requests ~rate_hz () =
   if requests < 1 then invalid_arg "Loadgen.leg: requests must be >= 1";
   if not (rate_hz > 0.0) then invalid_arg "Loadgen.leg: rate_hz must be > 0";
   if clients < 1 then invalid_arg "Loadgen.leg: clients must be >= 1";
   if workloads = [] then invalid_arg "Loadgen.leg: workloads must be non-empty";
   if fracs = [] then invalid_arg "Loadgen.leg: fracs must be non-empty";
   { name; requests; rate_hz; clients; workloads; fracs; budget_s; chaos;
-    seed; retries; backoff_s }
+    seed; retries }
 
 type outcome = {
   latency_ms : float;
@@ -104,7 +103,7 @@ let run ~socket (l : leg) =
         if due > now then Thread.delay (due -. now);
         let t0 = Unix.gettimeofday () in
         let reply, retried =
-          Client.request ~retries:l.retries ~backoff_s:l.backoff_s c reqs.(k)
+          Client.request ~retries:l.retries ~backoff_s:0.02 c reqs.(k)
         in
         let latency_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
         let savings =

@@ -29,15 +29,16 @@ type leg = {
   budget_s : float option;  (** per-request budget; server default if [None] *)
   chaos : Protocol.chaos option;  (** attach to every request (chaos leg) *)
   seed : int;
-  retries : int;  (** max Overloaded retries per request (default 5) *)
-  backoff_s : float;  (** base backoff (default 0.02) *)
+  retries : int;
+      (** max Overloaded retries per request (default 5), backing off
+          from 0.02 s *)
 }
 
 val leg :
   ?clients:int -> ?workloads:(string * string option) list ->
   ?fracs:float list -> ?budget_s:float -> ?chaos:Protocol.chaos ->
-  ?seed:int -> ?retries:int -> ?backoff_s:float ->
-  name:string -> requests:int -> rate_hz:float -> unit -> leg
+  ?seed:int -> ?retries:int -> name:string -> requests:int -> rate_hz:float ->
+  unit -> leg
 (** Raises [Invalid_argument] on a non-positive [requests], [rate_hz]
     or [clients], or an empty [workloads]/[fracs]. *)
 

@@ -358,8 +358,8 @@ let report_of what images j =
     meets_deadline = dbool what (mem what "meets_deadline" j);
     predicted_energy = dflo what (mem what "predicted_energy" j);
     energy_error = dflo what (mem what "energy_error" j);
-    (* 0 = "not from a warm session": a rehydrated report must not be
-       offered to Session.check_incremental as a splice base. *)
+    (* 0 = "not from a warm session": offered to Session.check as
+       [against], a rehydrated report names no splice base. *)
     token = 0 }
 
 (* ---- solver ----------------------------------------------------------- *)

@@ -368,6 +368,12 @@ let eval_config ?mode_table ?regulator ?(dram_latency = 120e-9) () =
           block_bytes = 32; latency_cycles = 16 }
     ~dram_latency ?mode_table ?regulator ()
 
-let mpeg_category_no_b = [ "m100b"; "bbc" ]
-
-let mpeg_category_b = [ "flwr"; "cact" ]
+let machine ?levels ~capacitance () =
+  let mode_table =
+    match levels with
+    | None -> Dvs_power.Mode.xscale3
+    | Some n -> Dvs_power.Mode.xscale_levels n
+  in
+  eval_config ~mode_table
+    ~regulator:(Dvs_power.Switch_cost.regulator ~capacitance ())
+    ()

@@ -50,8 +50,7 @@ val eval_config :
     miss behavior of the full-size originals is preserved; everything
     else as {!Dvs_machine.Config.default}. *)
 
-val mpeg_category_no_b : string list
-(** mpeg inputs without B-frame-style work ("m100b", "bbc"). *)
-
-val mpeg_category_b : string list
-(** mpeg inputs with it ("flwr", "cact"). *)
+val machine : ?levels:int -> capacitance:float -> unit -> Dvs_machine.Config.t
+(** {!eval_config} with {!Dvs_power.Mode.xscale3}, or [levels] evenly
+    spaced levels over its range ({!Dvs_power.Mode.xscale_levels}), and
+    a default-efficiency regulator of [capacitance] farads. *)

@@ -67,7 +67,7 @@ let test_governor_ramps_up_when_busy () =
   let src = "int s; int i; for (i = 0; i < 20000; i = i + 1) { s = s + i; }" in
   let cfg, _ = Dvs_lang.Lower.compile_string src in
   let machine = Dvs_workloads.Workload.eval_config () in
-  let governor = Dvs_core.Baselines.weiser_governor ~interval:5e-6 () in
+  let governor = Dvs_core.Baselines.weiser_governor ~interval:5e-6 in
   let r =
     Dvs_machine.Cpu.run
       ~rc:(Dvs_machine.Cpu.Run_config.make ~initial_mode:0 ~governor ())
@@ -100,7 +100,7 @@ let test_governor_steps_down_when_stalled () =
             latency_cycles = 4 }
       ~dram_latency:2e-6 ()
   in
-  let governor = Dvs_core.Baselines.weiser_governor ~interval:2e-4 () in
+  let governor = Dvs_core.Baselines.weiser_governor ~interval:2e-4 in
   let r =
     Dvs_machine.Cpu.run
       ~rc:(Dvs_machine.Cpu.Run_config.make ~initial_mode:2 ~governor ())

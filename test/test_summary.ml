@@ -134,7 +134,7 @@ let test_session_matches () =
     done
   done
 
-(* --- check_incremental splicing, chained mutations, 25 seeds ----------- *)
+(* --- check ~against splicing, chained mutations, 25 seeds ------------- *)
 
 let mutate rng s =
   let n = Array.length s.Schedule.edge_mode in
@@ -176,7 +176,7 @@ let test_incremental_matches () =
          path must still produce exact stats and a fresh token. *)
       let s' = if step = 2 then !s else mutate rng !s in
       let v =
-        Verify.Session.check_incremental session ~against:!prev ~schedule:s'
+        Verify.Session.check ~against:!prev session ~schedule:s'
           ~deadline:1.0 ~predicted_energy:1e-6
       in
       check_stats
@@ -251,13 +251,8 @@ let test_session_reuse_across_grid () =
   for i = 0 to 9 do
     let s = random_schedule rng cfg in
     let v =
-      match !prev with
-      | None ->
-        Verify.Session.check session ~schedule:s ~deadline:1.0
-          ~predicted_energy:1e-6
-      | Some p ->
-        Verify.Session.check_incremental session ~against:p ~schedule:s
-          ~deadline:1.0 ~predicted_energy:1e-6
+      Verify.Session.check ?against:!prev session ~schedule:s ~deadline:1.0
+        ~predicted_energy:1e-6
     in
     check_stats (Printf.sprintf "grid point %d" i) (direct cfg mem s)
       v.Verify.stats;
@@ -477,11 +472,11 @@ let test_results_own_state () =
     [ ("replay", first);
       ("replay, another entry mode", Summary.replay s ~entry_mode:0 ~edge_mode);
       ( "incremental, same schedule",
-        Summary.replay_incremental s ~against:first.Summary.token
-          ~entry_mode:1 ~edge_mode );
+        Summary.replay ~against:first.Summary.token s ~entry_mode:1
+          ~edge_mode );
       ( "incremental, one edge changed",
-        Summary.replay_incremental s ~against:first.Summary.token
-          ~entry_mode:1 ~edge_mode:changed ) ]
+        Summary.replay ~against:first.Summary.token s ~entry_mode:1
+          ~edge_mode:changed ) ]
   in
   let blocks = Array.length (Cfg.blocks cfg) in
   let pinned =
@@ -531,6 +526,70 @@ let test_results_own_state () =
        %d, %d checkpoints)"
       words budget image regs checkpoints
 
+(* --- splicing against an evicted baseline ----------------------------- *)
+
+(* A session keeps the 8 most recently used baselines: after one replay
+   and 8 newer ones, the first token names nothing, and a replay against
+   it must be a plain full replay (nothing spliced) with the same result
+   to the bit. *)
+let spliced_segments obs =
+  Dvs_obs.Metrics.Counter.value
+    (Dvs_obs.Metrics.counter (Dvs_obs.metrics obs)
+       ~stability:Dvs_obs.Metrics.Volatile "sim.spliced_segments")
+
+let evicting_schedules ~seed cfg =
+  let rng = Random.State.make [| 0xe71c; seed |] in
+  let kept = random_schedule rng cfg in
+  let newer = List.init 8 (fun _ -> random_schedule rng cfg) in
+  (kept, newer, mutate rng kept)
+
+let test_replay_against_evicted () =
+  for seed = 0 to 4 do
+    let cfg, mem = program ~seed in
+    let s = Summary.create machine cfg ~memory:mem in
+    let kept, newer, probe = evicting_schedules ~seed cfg in
+    let replay ?obs ?against (sc : Schedule.t) =
+      Summary.replay ?obs ?against s ~entry_mode:sc.Schedule.entry_mode
+        ~edge_mode:(Array.map Option.some sc.Schedule.edge_mode)
+    in
+    let token = (replay kept).Summary.token in
+    List.iter (fun sc -> ignore (replay sc)) newer;
+    let obs = Dvs_obs.metrics_only () in
+    let r = replay ~obs ~against:token probe in
+    let what = Printf.sprintf "seed %d" seed in
+    check_stats what (replay probe).Summary.stats r.Summary.stats;
+    check_stats what (direct cfg mem probe) r.Summary.stats;
+    if spliced_segments obs <> 0 then
+      Alcotest.failf "%s: spliced against an evicted baseline" what
+  done
+
+let test_check_against_evicted () =
+  for seed = 0 to 4 do
+    let cfg, mem = program ~seed in
+    let session = Verify.Session.create machine cfg ~memory:mem in
+    let kept, newer, probe = evicting_schedules ~seed cfg in
+    let check ?obs ?against schedule =
+      Verify.Session.check ?obs ?against session ~schedule ~deadline:1.0
+        ~predicted_energy:1e-6
+    in
+    let evicted = check kept in
+    List.iter (fun sc -> ignore (check sc)) newer;
+    let obs = Dvs_obs.metrics_only () in
+    let v = check ~obs ~against:evicted probe in
+    let plain = check probe in
+    let what = Printf.sprintf "seed %d" seed in
+    check_stats what plain.Verify.stats v.Verify.stats;
+    check_stats what (direct cfg mem probe) v.Verify.stats;
+    if bits v.Verify.energy_error <> bits plain.Verify.energy_error then
+      Alcotest.failf "%s: energy_error differs" what;
+    if v.Verify.meets_deadline <> plain.Verify.meets_deadline then
+      Alcotest.failf "%s: meets_deadline differs" what;
+    if v.Verify.token = 0 || v.Verify.token = evicted.Verify.token then
+      Alcotest.failf "%s: bad token %d" what v.Verify.token;
+    if spliced_segments obs <> 0 then
+      Alcotest.failf "%s: spliced against an evicted report" what
+  done
+
 let suite =
   [ Alcotest.test_case "session matches cycle-accurate (25 seeds)" `Slow
       test_session_matches;
@@ -553,4 +612,8 @@ let suite =
     Alcotest.test_case "tape holds one word per position" `Quick
       test_tape_words;
     Alcotest.test_case "replays own their final state, copied once" `Quick
-      test_results_own_state ]
+      test_results_own_state;
+    Alcotest.test_case "replay against an evicted baseline" `Quick
+      test_replay_against_evicted;
+    Alcotest.test_case "check against an evicted report" `Quick
+      test_check_against_evicted ]
